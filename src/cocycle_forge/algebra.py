@@ -12,8 +12,8 @@ ideal value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cocycles import Cocycle, inertial_group
 from .errors import InternalInvariantError, ValidationError
@@ -38,44 +38,58 @@ class AlgebraContext:
     """A cocycle together with its inertial group and non-inertial set G*.
 
     G* must be nonempty: with G* empty the algebra is simple and none of the
-    ideal constructions apply.
+    ideal constructions apply.  The per-context caches are declared here;
+    the chain and quotient caches are filled by the decomposition module.
     """
 
     def __init__(self, cocycle: Cocycle):
         self.group: Group = cocycle.group
         self.cocycle: Cocycle = cocycle
         self.inertial: Subgroup = inertial_group(cocycle)
-        hset = frozenset(self.inertial.members)
-        self.gstar: Tuple[int, ...] = tuple(
-            s for s in range(self.group.order) if s not in hset
-        )
+        n = self.group.order
+        self._hmask = _mask_of(self.inertial.members)
+        self._gstar_mask = ((1 << n) - 1) & ~self._hmask
+        self.gstar: Tuple[int, ...] = _members_of(self._gstar_mask)
         if not self.gstar:
             raise ValidationError(
                 "the inertial group is all of G; no non-inertial elements exist"
             )
-        self._hset = hset
-        self._gstar_mask = _mask_of(self.gstar)
-        self._values = cocycle.values
+        self._masks = cocycle.masks
         self._table = self.group.table
+        # _links[s]: the products s t with f(s,t) = 1 and t s with f(t,s) = 1,
+        # everything one basis multiplication reaches from s
+        links = [0] * n
+        for s, row in enumerate(self._masks):
+            products = self._table[s]
+            for t in _members_of(row):
+                bit = 1 << products[t]
+                links[s] |= bit
+                links[t] |= bit
+        self._links: Tuple[int, ...] = tuple(links)
+        self._lattice_cache: Dict[Tuple[str, int, int], MonomialIdeal] = {}
+        self._chain_cache: Dict[Tuple[int, ...], Cocycle] = {}
+        self._mod_cache: Dict[int, Cocycle] = {}
+        self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
+        self._n1_mask: Optional[int] = None
 
     def f(self, s: int, t: int) -> int:
-        return self._values[s][t]
+        return self._masks[s] >> t & 1
 
     def mul(self, s: int, t: int) -> int:
         return self._table[s][t]
 
     def in_inertial(self, s: int) -> bool:
-        return s in self._hset
+        return self._hmask >> s & 1 == 1
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, AlgebraContext)
             and self.group == other.group
-            and self.cocycle.values == other.cocycle.values
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.group.table, self.cocycle.values))
+        return hash((self.group.table, self._masks))
 
     def __repr__(self) -> str:
         return f"AlgebraContext(order={self.group.order}, gstar={list(self.gstar)})"
@@ -90,55 +104,29 @@ def _mask_of(members: Iterable[int]) -> int:
 
 def _members_of(mask: int) -> Tuple[int, ...]:
     out = []
-    s = 0
     while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
 def _closure_mask(ctx: AlgebraContext, seed_mask: int) -> int:
     """Smallest mask containing seed_mask closed under basis multiplication."""
-    values = ctx._values
-    table = ctx._table
-    n = ctx.group.order
-    mask = seed_mask
-    frontier = list(_members_of(seed_mask))
+    links = ctx._links
+    mask = frontier = seed_mask
     while frontier:
-        s = frontier.pop()
-        row = values[s]
-        trow = table[s]
-        for t in range(n):
-            if row[t] == 1:
-                p = trow[t]
-                bit = 1 << p
-                if not mask & bit:
-                    mask |= bit
-                    frontier.append(p)
-            if values[t][s] == 1:
-                p = table[t][s]
-                bit = 1 << p
-                if not mask & bit:
-                    mask |= bit
-                    frontier.append(p)
+        reached = 0
+        for s in _members_of(frontier):
+            reached |= links[s]
+        frontier = reached & ~mask
+        mask |= reached
     return mask
 
 
 def _is_closed_mask(ctx: AlgebraContext, mask: int) -> bool:
-    values = ctx._values
-    table = ctx._table
-    n = ctx.group.order
-    for s in _members_of(mask):
-        row = values[s]
-        trow = table[s]
-        for t in range(n):
-            if row[t] == 1 and not mask >> trow[t] & 1:
-                return False
-            if values[t][s] == 1 and not mask >> table[t][s] & 1:
-                return False
-    return True
+    links = ctx._links
+    return not any(links[s] & ~mask for s in _members_of(mask))
 
 
 @dataclass(frozen=True)
@@ -202,15 +190,12 @@ def ideal_closure(ctx: AlgebraContext, seed: Iterable[int]) -> MonomialIdeal:
 
 
 def _product_mask(ctx: AlgebraContext, a: int, b: int) -> int:
-    values = ctx._values
-    table = ctx._table
+    """The products s t with s in a, t in b and f(s,t) = 1."""
+    g = ctx.group
+    masks = ctx._masks
     out = 0
     for s in _members_of(a):
-        row = values[s]
-        trow = table[s]
-        for t in _members_of(b):
-            if row[t] == 1:
-                out |= 1 << trow[t]
+        out |= g.left_preimage(g.inverse[s], masks[s] & b)  # s * (row s within b)
     return out
 
 
@@ -224,7 +209,7 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
     """
     if a.ctx != b.ctx:
         raise ValidationError("ctx mismatch between ideals")
-    cache = a.ctx.__dict__.setdefault("_lattice_cache", {})
+    cache = a.ctx._lattice_cache
     key = (kind, a.mask, b.mask)
     hit = cache.get(key)
     if hit is not None:
@@ -260,16 +245,16 @@ def radical_powers(ctx: AlgebraContext) -> Tuple[List[MonomialIdeal], int]:
 
 def _n1_direct_mask(ctx: AlgebraContext) -> int:
     """N_1 from the defining property: no factorization within G*."""
-    values = ctx._values
-    table = ctx._table
+    g = ctx.group
+    masks = ctx._masks
+    gstar = ctx._gstar_mask
     factorable = 0
     for s in ctx.gstar:
-        row = values[s]
-        trow = table[s]
-        for t in ctx.gstar:
-            if row[t] == 1:
-                factorable |= 1 << trow[t]
-    return ctx._gstar_mask & ~factorable
+        row = masks[s] & gstar
+        products = g.table[s]
+        for t in _members_of(row):
+            factorable |= 1 << products[t]
+    return gstar & ~factorable
 
 
 def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
@@ -292,13 +277,15 @@ def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
 
 
 def _annihilator_mask(ctx: AlgebraContext) -> int:
-    values = ctx._values
-    out = 0
+    """G* minus every s with f(s,t) = 1 or f(t,s) = 1 for some t in G*."""
+    masks = ctx._masks
+    gstar = ctx._gstar_mask
+    factors = 0
     for s in ctx.gstar:
-        row = values[s]
-        if all(row[t] == 0 and values[t][s] == 0 for t in ctx.gstar):
-            out |= 1 << s
-    return out
+        right = masks[s] & gstar
+        if right:
+            factors |= 1 << s | right
+    return gstar & ~factors
 
 
 def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSet[int]]:
@@ -329,6 +316,7 @@ class DescendingChain:
     """A weakly descending sequence I_1 >= .. >= I_k of ideals, k >= 2."""
 
     ideals: Tuple[MonomialIdeal, ...]
+    masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ideals) < 2:
@@ -337,11 +325,13 @@ class DescendingChain:
         for ideal in self.ideals[1:]:
             if ideal.ctx != ctx:
                 raise ValidationError("chain mixes ideals of different contexts")
-        for i in range(len(self.ideals) - 1):
-            if self.ideals[i + 1].mask & ~self.ideals[i].mask:
+        masks = tuple([ideal.mask for ideal in self.ideals])
+        for i in range(len(masks) - 1):
+            if masks[i + 1] & ~masks[i]:
                 raise ValidationError(
                     f"chain not descending: ideal {i + 2} is not contained in ideal {i + 1}"
                 )
+        object.__setattr__(self, "masks", masks)
 
     @property
     def ctx(self) -> AlgebraContext:

@@ -29,7 +29,14 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .cocycles import Cocycle, CocycleViolation, inertial_group, validate_cocycle, waterhouse
+from .cocycles import (
+    BinaryTable,
+    Cocycle,
+    CocycleViolation,
+    inertial_group,
+    validate_cocycle,
+    waterhouse,
+)
 from .decomposition import (
     DecompositionReport,
     _classes_of,
@@ -151,13 +158,18 @@ def _complete_prefix(
     return found, truncated
 
 
-def _rows_from_cells(group: Group, cells: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
+    """Row masks of a completed cell assignment; the identity row and
+    column are all ones."""
     n = group.order
     m = n - 1
-    rows = [tuple([1] * n)]
+    masks = [(1 << n) - 1]
     for s in range(1, n):
-        rows.append((1,) + tuple(cells[(s - 1) * m : s * m]))
-    return tuple(rows)
+        row = 1
+        for t, v in enumerate(cells[(s - 1) * m : s * m], start=1):
+            row |= v << t
+        masks.append(row)
+    return BinaryTable(group=group, masks=tuple(masks))
 
 
 def enumerate_cocycles(cfg: CensusConfig, threads: int = 1) -> CensusStream:
@@ -190,8 +202,7 @@ def enumerate_cocycles(cfg: CensusConfig, threads: int = 1) -> CensusStream:
         tables, truncated = _complete_prefix(group, schedule, (), cfg.max_candidates)
     cocycles = []
     for cells in tables:
-        rows = _rows_from_cells(group, cells)
-        result = validate_cocycle(rows, group)
+        result = validate_cocycle(_table_from_cells(group, cells))
         if isinstance(result, CocycleViolation):
             raise ValidationError(f"enumerated table failed validation: {result}")
         if cfg.inertial is not None and inertial_group(result).members != cfg.inertial.members:
@@ -392,7 +403,7 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
     guarded("bstar_recombination", bstar_parts)
 
     f0 = waterhouse(ctx.group, ctx.inertial)
-    if ctx.cocycle.values != f0.values:
+    if ctx.cocycle.masks != f0.masks:
 
         def class_parts():
             outcome = decompose_by_classes(ctx)
@@ -519,10 +530,10 @@ def mutation_report(cocycle: Cocycle, s: int, t: int) -> MutationOutcome:
     n = cocycle.group.order
     if not (0 <= s < n and 0 <= t < n):
         raise ValidationError(f"cell ({s}, {t}) out of range for order {n}")
-    rows = [list(r) for r in cocycle.values]
-    rows[s][t] ^= 1
-    flipped = tuple(tuple(r) for r in rows)
-    outcome = validate_cocycle(flipped, cocycle.group)
+    masks = list(cocycle.masks)
+    masks[s] ^= 1 << t
+    flipped = BinaryTable(group=cocycle.group, masks=tuple(masks))
+    outcome = validate_cocycle(flipped)
     if isinstance(outcome, CocycleViolation):
         return MutationOutcome(
             detected=True,
@@ -530,7 +541,7 @@ def mutation_report(cocycle: Cocycle, s: int, t: int) -> MutationOutcome:
             where=outcome.where,
             detail=f"{outcome.kind}: {outcome.detail}",
         )
-    fabricated = Cocycle(group=cocycle.group, values=flipped)
+    fabricated = Cocycle(group=cocycle.group, masks=flipped.masks)
     result = check_cocycle_properties(fabricated)
     if result.failures:
         first = result.failures[0]

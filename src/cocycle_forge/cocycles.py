@@ -1,17 +1,27 @@
-"""Idempotent normalized weak 2-cocycles and the raw binary tables around them.
+"""Idempotent normalized weak 2-cocycles and the binary tables around them.
 
 A cocycle is an n x n table over {0, 1} with value 1 whenever either argument
 is the identity, satisfying f(s,t) * f(st,r) = f(t,r) * f(s,tr) for all
 triples.  Because the values are idempotent the Galois twist collapses and the
-checker can use plain products.  ``vee`` and ``pointwise_product`` return
-unvalidated BinaryTable objects on purpose: the set of cocycles is not closed
-under either operation, and callers must revalidate.
+checker can use plain products.
+
+A table is stored as n row masks: bit t of ``masks[s]`` is f(s,t), the same
+encoding as ``MonomialIdeal.mask``.  The 0/1 rows ``values`` and the strings
+``rows()`` are views derived on access, and ``BinaryTable.from_rows`` is the
+one entry point for raw rows.  On masks the cocycle identity at (s, t) is one
+equality over every r at once, and ``vee``, ``pointwise_product`` and
+``compare`` are per-row |, & and subset tests.  ``vee`` and
+``pointwise_product`` return unvalidated BinaryTable objects on purpose: the
+set of cocycles is not closed under either operation, and callers must
+revalidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from operator import and_, or_
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInvariantError, ValidationError
 from .groups import Group, Subgroup, subgroup
@@ -41,21 +51,43 @@ INCOMPARABLE = "incomparable"
 
 @dataclass(frozen=True)
 class BinaryTable:
-    """An n x n table over {0, 1} with no cocycle requirement."""
+    """An n x n table over {0, 1} with no cocycle requirement.
+
+    Bit t of ``masks[s]`` is the entry at (s, t), row = first argument.
+    """
 
     group: Group
-    values: Tuple[Tuple[int, ...], ...]
+    masks: Tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.group.order
-        if len(self.values) != n or any(len(row) != n for row in self.values):
+        if len(self.masks) != n or min(self.masks) < 0 or max(self.masks) >> n:
             raise ValidationError(f"shape-error: table is not {n} x {n}")
-        if any(v not in (0, 1) for row in self.values for v in row):
+
+    @classmethod
+    def from_rows(cls, group: Group, rows: Sequence[Sequence[int]]) -> "BinaryTable":
+        """A table from n rows of n entries, each 0 or 1."""
+        rows = [tuple(row) for row in rows]
+        n = group.order
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValidationError(f"shape-error: table is not {n} x {n}")
+        if any(v not in (0, 1) for row in rows for v in row):
             raise ValidationError("table entries must be 0 or 1")
+        return cls(
+            group=group,
+            masks=tuple(sum(1 << t for t, v in enumerate(row) if v) for row in rows),
+        )
+
+    @property
+    def values(self) -> Tuple[Tuple[int, ...], ...]:
+        """The table as 0/1 rows, row = first argument."""
+        columns = range(self.group.order)
+        return tuple([tuple([m >> t & 1 for t in columns]) for m in self.masks])
 
     def rows(self) -> Tuple[str, ...]:
         """The table as 0/1 character rows, row = first argument."""
-        return tuple("".join(str(v) for v in row) for row in self.values)
+        width = f"0{self.group.order}b"
+        return tuple(format(m, width)[::-1] for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -80,12 +112,17 @@ class CocycleViolation:
         return f"{self.kind} violated at {self.where}: {self.detail}"
 
 
+def _lowest_bit(mask: int) -> int:
+    """Index of the least set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _coerce(table: Union[BinaryTable, Sequence[Sequence[int]]], group: Optional[Group]) -> BinaryTable:
     if isinstance(table, BinaryTable):
         return table
     if group is None:
         raise ValidationError("raw rows need an explicit group")
-    return BinaryTable(group=group, values=tuple(tuple(row) for row in table))
+    return BinaryTable.from_rows(group, table)
 
 
 def validate_cocycle(
@@ -96,39 +133,45 @@ def validate_cocycle(
 
     Normalization is checked first, then the cocycle identity over all
     triples in row-major (s, t, r) order, so the reported violation is
-    deterministic.
+    deterministic.  For each (s, t) the identity over all r is one mask
+    equality: f(s,t) * masks[st] against masks[t] & {r : tr in masks[s]}.
+    Once normalization holds, every triple with an identity argument
+    satisfies it, so the least differing bit names the first failing r.
     """
     t = _coerce(table, group)
     g = t.group
     n = g.order
-    v = t.values
+    masks = t.masks
+    row0 = masks[0]
     for s in range(n):
-        if v[0][s] != 1 or v[s][0] != 1:
+        if not (row0 >> s & 1 and masks[s] & 1):
             return CocycleViolation(
                 kind="normalization",
                 where=(s,),
-                detail=f"f(1,{s}) = {v[0][s]}, f({s},1) = {v[s][0]}, both must be 1",
+                detail=f"f(1,{s}) = {row0 >> s & 1}, f({s},1) = {masks[s] & 1}, both must be 1",
             )
     mul = g.table
+    preimages = g._preimages
     for s in range(1, n):
-        row_s = v[s]
+        m_s = masks[s]
+        row_mul = mul[s]
         for tt in range(1, n):
-            st = mul[s][tt]
-            f_st = row_s[tt]
-            row_prod = v[st]
-            row_t = v[tt]
-            row_tmul = mul[tt]
-            for r in range(1, n):
-                if f_st * row_prod[r] != row_t[r] * row_s[row_tmul[r]]:
-                    return CocycleViolation(
-                        kind="identity",
-                        where=(s, tt, r),
-                        detail=(
-                            f"f({s},{tt})*f({st},{r}) = {f_st * row_prod[r]} but "
-                            f"f({tt},{r})*f({s},{mul[tt][r]}) = {row_t[r] * row_s[row_tmul[r]]}"
-                        ),
-                    )
-    return Cocycle(group=g, values=v)
+            pre = preimages[tt].get(m_s)  # left_preimage's memo, read inline: hot loop
+            if pre is None:
+                pre = g.left_preimage(tt, m_s)
+            rhs = masks[tt] & pre
+            lhs = masks[row_mul[tt]] if m_s >> tt & 1 else 0
+            if lhs != rhs:
+                r = _lowest_bit(lhs ^ rhs)
+                return CocycleViolation(
+                    kind="identity",
+                    where=(s, tt, r),
+                    detail=(
+                        f"f({s},{tt})*f({row_mul[tt]},{r}) = {lhs >> r & 1} but "
+                        f"f({tt},{r})*f({s},{mul[tt][r]}) = {rhs >> r & 1}"
+                    ),
+                )
+    return Cocycle(group=g, masks=masks)
 
 
 def as_cocycle(
@@ -149,7 +192,7 @@ def inertial_group(f: Cocycle) -> Subgroup:
     slipped past validation and we fail loudly.
     """
     g = f.group
-    members = [s for s in range(g.order) if f.values[s][g.inverse[s]] == 1]
+    members = [s for s in range(g.order) if f.masks[s] >> g.inverse[s] & 1]
     try:
         return subgroup(g, members)
     except ValidationError as exc:
@@ -158,35 +201,44 @@ def inertial_group(f: Cocycle) -> Subgroup:
         ) from exc
 
 
+def _waterhouse_masks(order: int, h: int) -> Tuple[int, ...]:
+    """Row masks of the Waterhouse table of the subgroup with mask h:
+    all ones for s in H, h itself for s outside."""
+    full = (1 << order) - 1
+    return tuple(full if h >> s & 1 else h for s in range(order))
+
+
+# (group table, H members) -> row masks of the validated Waterhouse table.
+# Only masks are kept, so a hit never hands back another caller's Group.
+_WATERHOUSE: Dict[tuple, Tuple[int, ...]] = {}
+
+
 def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
-    """The minimum cocycle with inertial group H: 1 iff an argument is in H."""
-    h = set(sub.members)
-    rows = [
-        [1 if (s in h or t in h) else 0 for t in range(group.order)]
-        for s in range(group.order)
-    ]
-    f = as_cocycle(rows, group)
-    if tuple(inertial_group(f).members) != sub.members:
-        raise InternalInvariantError("waterhouse table has the wrong inertial group")
-    return f
+    """The minimum cocycle with inertial group H: 1 iff an argument is in H.
 
-
-def _support(t: BinaryTable) -> frozenset:
-    return frozenset(
-        (s, u) for s, row in enumerate(t.values) for u, v in enumerate(row) if v
-    )
+    Built and validated once per group table and H.
+    """
+    key = (group.table, sub.members)
+    masks = _WATERHOUSE.get(key)
+    if masks is None:
+        h = sum(1 << s for s in sub.members)
+        f = as_cocycle(BinaryTable(group=group, masks=_waterhouse_masks(group.order, h)))
+        if tuple(inertial_group(f).members) != sub.members:
+            raise InternalInvariantError("waterhouse table has the wrong inertial group")
+        _WATERHOUSE[key] = masks = f.masks
+    return Cocycle(group=group, masks=masks)
 
 
 def compare(f: BinaryTable, g: BinaryTable) -> str:
     """Support-containment order: equal, less, greater, or incomparable."""
     if f.group != g.group:
         raise ValidationError("domain-mismatch: cocycles live on different groups")
-    a, b = _support(f), _support(g)
+    a, b = f.masks, g.masks
     if a == b:
         return EQUAL
-    if a < b:
+    if not any(x & ~y for x, y in zip(a, b)):
         return LESS
-    if a > b:
+    if not any(y & ~x for x, y in zip(a, b)):
         return GREATER
     return INCOMPARABLE
 
@@ -203,18 +255,12 @@ def _same_group(tables: Sequence[BinaryTable]) -> Group:
 def vee(tables: Sequence[BinaryTable]) -> BinaryTable:
     """Pointwise maximum.  The result is not validated."""
     g = _same_group(tables)
-    n = g.order
-    rows = [
-        [max(t.values[s][u] for t in tables) for u in range(n)] for s in range(n)
-    ]
-    return BinaryTable(group=g, values=tuple(tuple(r) for r in rows))
+    rows = zip(*(t.masks for t in tables))
+    return BinaryTable(group=g, masks=tuple(reduce(or_, row) for row in rows))
 
 
 def pointwise_product(tables: Sequence[BinaryTable]) -> BinaryTable:
     """Entrywise product.  The result is not validated."""
     g = _same_group(tables)
-    n = g.order
-    rows = [
-        [min(t.values[s][u] for t in tables) for u in range(n)] for s in range(n)
-    ]
-    return BinaryTable(group=g, values=tuple(tuple(r) for r in rows))
+    rows = zip(*(t.masks for t in tables))
+    return BinaryTable(group=g, masks=tuple(reduce(and_, row) for row in rows))

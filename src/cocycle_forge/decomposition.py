@@ -19,7 +19,7 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
-    chain_levels,
+    _members_of,
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
@@ -27,10 +27,13 @@ from .algebra import (
     radical_powers,
 )
 from .cocycles import (
+    BinaryTable,
     Cocycle,
     CocycleViolation,
     EQUAL,
     LESS,
+    _lowest_bit,
+    _waterhouse_masks,
     compare,
     pointwise_product,
     validate_cocycle,
@@ -59,13 +62,16 @@ __all__ = [
 ]
 
 
-def _finish(ctx: AlgebraContext, rows: List[List[int]], what: str) -> Cocycle:
+def _finish(ctx: AlgebraContext, masks: List[int], what: str) -> Cocycle:
     """Validate a constructed table and check the inertial group is kept."""
-    result = validate_cocycle(tuple(tuple(r) for r in rows), ctx.group)
+    result = validate_cocycle(BinaryTable(group=ctx.group, masks=tuple(masks)))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
-    support = [s for s in range(ctx.group.order) if result.values[s][ctx.group.inv(s)] == 1]
-    if tuple(support) != ctx.inertial.members:
+    inverse = ctx.group.inverse
+    support = 0
+    for s, row in enumerate(result.masks):
+        support |= (row >> inverse[s] & 1) << s
+    if support != ctx._hmask:
         raise InternalInvariantError(f"{what} changed the inertial group")
     return result
 
@@ -75,33 +81,28 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
 
     A product f(s,t) = 1 survives only when s, t, and st all lie in the same
     layer I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial group
-    always give 1.
+    always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
     """
     if chain.ctx != ctx:
         raise ValidationError("chain was built over a different context")
-    cache: Dict[Tuple[int, ...], Cocycle] = ctx.__dict__.setdefault("_chain_cache", {})
-    key = tuple(ideal.mask for ideal in chain.ideals)
+    cache = ctx._chain_cache
+    key = chain.masks
     hit = cache.get(key)
     if hit is not None:
         return hit
-    n = ctx.group.order
-    k = len(chain)
-    levels = chain_levels(chain)
-    rows = [[1] * n for _ in range(n)]
+    g = ctx.group
+    gstar = ctx._gstar_mask
     for s in ctx.gstar:
-        row = rows[s]
-        for t in ctx.gstar:
-            if ctx.f(s, t) == 1:
-                p = ctx.mul(s, t)
-                if ctx.in_inertial(p):
-                    raise InternalInvariantError(
-                        "product of non-inertial elements landed in the inertial group"
-                    )
-                ls = levels[s]
-                row[t] = 1 if 1 <= ls <= k - 1 and levels[t] == ls == levels[p] else 0
-            else:
-                row[t] = 0
-    result = _finish(ctx, rows, "cocycle_from_chain")
+        if ctx._masks[s] & gstar & g.left_preimage(s, ctx._hmask):
+            raise InternalInvariantError(
+                "product of non-inertial elements landed in the inertial group"
+            )
+    masks = list(_waterhouse_masks(ctx.group.order, ctx._hmask))
+    for outer, inner in zip(key, key[1:]):
+        layer = outer & ~inner
+        for s in _members_of(layer):
+            masks[s] |= ctx._masks[s] & layer & g.left_preimage(s, layer)
+    result = _finish(ctx, masks, "cocycle_from_chain")
     cache[key] = result
     return result
 
@@ -115,20 +116,18 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     """
     if ideal.ctx != ctx:
         raise ValidationError("ideal was built over a different context")
-    cache: Dict[int, Cocycle] = ctx.__dict__.setdefault("_mod_cache", {})
+    cache = ctx._mod_cache
     hit = cache.get(ideal.mask)
     if hit is not None:
         return hit
-    n = ctx.group.order
-    rows = [[1] * n for _ in range(n)]
+    g = ctx.group
+    masks = list(_waterhouse_masks(ctx.group.order, ctx._hmask))
     for s in ctx.gstar:
-        row = rows[s]
-        for t in ctx.gstar:
-            row[t] = 1 if ctx.f(s, t) == 1 and ctx.mul(s, t) not in ideal else 0
-    result = _finish(ctx, rows, "cocycle_mod_ideal")
+        masks[s] |= ctx._masks[s] & ctx._gstar_mask & ~g.left_preimage(s, ideal.mask)
+    result = _finish(ctx, masks, "cocycle_mod_ideal")
     radical = MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
     via_chain = cocycle_from_chain(ctx, DescendingChain(ideals=(radical, ideal)))
-    if result.values != via_chain.values:
+    if result.masks != via_chain.masks:
         raise InternalInvariantError(
             "quotient cocycle disagrees with the two-term chain cocycle"
         )
@@ -137,11 +136,9 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
 
 
 def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
-    cached = ctx.__dict__.get("_principal_cache")
-    if cached is None:
-        cached = {s: principal_ideal(ctx, s) for s in ctx.gstar}
-        ctx.__dict__["_principal_cache"] = cached
-    return cached
+    if ctx._principal_cache is None:
+        ctx._principal_cache = {s: principal_ideal(ctx, s) for s in ctx.gstar}
+    return ctx._principal_cache
 
 
 def _double_coset(ctx: AlgebraContext, s: int) -> Tuple[int, ...]:
@@ -223,7 +220,7 @@ def decompose_by_classes(
     """
     f = ctx.cocycle
     f0 = waterhouse(ctx.group, ctx.inertial)
-    if f.values == f0.values:
+    if f.masks == f0.masks:
         raise ValidationError("nothing-to-decompose: the cocycle is its Waterhouse idempotent")
     _, nontrivial = classify_annihilators(ctx)
     if not nontrivial:
@@ -250,7 +247,7 @@ def decompose_by_classes(
         )
     joined = vee([p.cocycle for p in parts])
     return DecompositionReport(
-        parts=tuple(parts), recombines=joined.values == f.values
+        parts=tuple(parts), recombines=joined.masks == f.masks
     )
 
 
@@ -270,10 +267,10 @@ def decompose_by_bstar(ctx: AlgebraContext) -> List[Tuple[Word, Cocycle]]:
         chain = DescendingChain(ideals=(radical, ideal_of_word(word), zero))
         parts.append((word, cocycle_from_chain(ctx, chain)))
     if parts:
-        joined = vee([c for _, c in parts]).values
+        joined = vee([c for _, c in parts]).masks
     else:
-        joined = waterhouse(ctx.group, ctx.inertial).values
-    if joined != ctx.cocycle.values:
+        joined = waterhouse(ctx.group, ctx.inertial).masks
+    if joined != ctx.cocycle.masks:
         raise InternalInvariantError("maximal-word parts do not recombine to f")
     return parts
 
@@ -286,10 +283,11 @@ class IdentityCheck:
 
 
 def _first_diff(a, b) -> Optional[Tuple[int, int, int, int]]:
+    """First (s, t, a(s,t), b(s,t)) in row-major order where two tables differ."""
     for s, (ra, rb) in enumerate(zip(a, b)):
-        for t, (va, vb) in enumerate(zip(ra, rb)):
-            if va != vb:
-                return (s, t, va, vb)
+        if ra != rb:
+            t = _lowest_bit(ra ^ rb)
+            return (s, t, ra >> t & 1, rb >> t & 1)
     return None
 
 
@@ -307,24 +305,24 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
     if split is not None:
         if not 2 <= split <= k - 1:
             raise PreconditionError(f"split position must lie in [2, {k - 1}]")
-        lhs = cocycle_from_chain(ctx, chain).values
+        lhs = cocycle_from_chain(ctx, chain).masks
         rhs = vee(
             [
                 cocycle_from_chain(ctx, _subchain(chain, 0, split)),
                 cocycle_from_chain(ctx, _subchain(chain, split - 1, k)),
             ]
-        ).values
+        ).masks
         return _tables_check("chain_break", lhs, rhs)
-    lhs = cocycle_from_chain(ctx, chain).values
+    lhs = cocycle_from_chain(ctx, chain).masks
     pair_tables = [
         cocycle_from_chain(ctx, _subchain(chain, i, i + 2)) for i in range(k - 1)
     ]
-    return _tables_check("chain_break", lhs, vee(pair_tables).values)
+    return _tables_check("chain_break", lhs, vee(pair_tables).masks)
 
 
 def _check_waterhouse_iff(ctx, chain: DescendingChain):
     f0 = waterhouse(ctx.group, ctx.inertial)
-    collapses = cocycle_from_chain(ctx, chain).values == f0.values
+    collapses = cocycle_from_chain(ctx, chain).masks == f0.masks
     squeezed = True
     witness = None
     for a in range(len(chain) - 1):
@@ -356,16 +354,16 @@ def _require_nested(outer: MonomialIdeal, inner: Sequence[MonomialIdeal]) -> Non
 def _check_sum_product(ctx, outer: MonomialIdeal, inner: Sequence[MonomialIdeal]):
     _require_nested(outer, inner)
     total = reduce(lambda a, b: ideal_lattice_op("sum", a, b), inner)
-    lhs = _pair_chain(ctx, outer, total).values
-    rhs = pointwise_product([_pair_chain(ctx, outer, i) for i in inner]).values
+    lhs = _pair_chain(ctx, outer, total).masks
+    rhs = pointwise_product([_pair_chain(ctx, outer, i) for i in inner]).masks
     return _tables_check("sum_product", lhs, rhs)
 
 
 def _check_intersection_vee(ctx, outer: MonomialIdeal, inner: Sequence[MonomialIdeal]):
     _require_nested(outer, inner)
     total = reduce(lambda a, b: ideal_lattice_op("intersection", a, b), inner)
-    lhs = _pair_chain(ctx, outer, total).values
-    rhs = vee([_pair_chain(ctx, outer, i) for i in inner]).values
+    lhs = _pair_chain(ctx, outer, total).masks
+    rhs = vee([_pair_chain(ctx, outer, i) for i in inner]).masks
     return _tables_check("intersection_vee", lhs, rhs)
 
 
@@ -377,13 +375,13 @@ def _check_cap_zero(ctx, ideals: Sequence[MonomialIdeal]):
         raise PreconditionError(
             f"ideals intersect in {sorted(meet.members)}, not in zero"
         )
-    rhs = vee([cocycle_mod_ideal(ctx, i) for i in ideals]).values
-    return _tables_check("cap_zero", ctx.cocycle.values, rhs)
+    rhs = vee([cocycle_mod_ideal(ctx, i) for i in ideals]).masks
+    return _tables_check("cap_zero", ctx.cocycle.masks, rhs)
 
 
 def _check_fI_eq_f(ctx, ideal: MonomialIdeal):
     trivial, _ = classify_annihilators(ctx)
-    unchanged = cocycle_mod_ideal(ctx, ideal).values == ctx.cocycle.values
+    unchanged = cocycle_mod_ideal(ctx, ideal).masks == ctx.cocycle.masks
     expected = ideal.members <= trivial
     ok = unchanged == expected
     return IdentityCheck(
@@ -403,8 +401,8 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
             f"{sorted(second.members - trivial)}"
         )
     zero = MonomialIdeal(ctx=ctx, members=frozenset())
-    lhs = _pair_chain(ctx, first, second).values
-    rhs = _pair_chain(ctx, first, zero).values
+    lhs = _pair_chain(ctx, first, second).masks
+    rhs = _pair_chain(ctx, first, zero).masks
     return _tables_check("trivial_annih_replace", lhs, rhs)
 
 
@@ -472,29 +470,26 @@ def morphism_check(ctx: AlgebraContext, ideal: MonomialIdeal) -> MorphismReport:
     """
     if ideal.ctx != ctx:
         raise ValidationError("ideal was built over a different context")
-    n = ctx.group.order
+    g = ctx.group
+    n = g.order
     fI = cocycle_mod_ideal(ctx, ideal)
-    a = [0 if s in ideal else 1 for s in range(n)]
+    keep = ((1 << n) - 1) & ~ideal.mask  # bit s is a(s)
+    a = [keep >> s & 1 for s in range(n)]
     first = None
-    for s in range(n):
-        for t in range(n):
-            st = ctx.mul(s, t)
-            if ctx.f(s, t) * a[st] != a[s] * a[t] * fI.values[s][t]:
-                first = (s, t)
-                break
-        if first:
-            break
-    phi_kernel = tuple(s for s in range(n) if a[s] == 0)
-    phi_kernel_ok = phi_kernel == ideal.sorted_members
     psi_first = None
     for s in range(n):
-        for t in range(n):
-            keep = a[ctx.mul(s, t)]
-            if fI.values[s][t] * keep != ctx.f(s, t) * keep:
-                psi_first = (s, t)
-                break
-        if psi_first:
-            break
+        kept = g.left_preimage(s, keep)  # the t with a(st) = 1
+        f_row, fI_row = ctx._masks[s], fI.masks[s]
+        if first is None:
+            diff = (f_row & kept) ^ (fI_row & keep if a[s] else 0)
+            if diff:
+                first = (s, _lowest_bit(diff))
+        if psi_first is None:
+            diff = (fI_row ^ f_row) & kept
+            if diff:
+                psi_first = (s, _lowest_bit(diff))
+    phi_kernel = tuple(s for s in range(n) if a[s] == 0)
+    phi_kernel_ok = phi_kernel == ideal.sorted_members
     survivors = [s for s in range(n) if a[s] == 1]
     dims = (n, len(survivors), len(ideal))
     dimension_ok = dims[0] == dims[1] + dims[2]
@@ -555,7 +550,7 @@ def quotient_transport(
         raise InternalInvariantError("union of quotient ideal and kernel is not closed")
     lhs = cocycle_mod_ideal(sub_ctx, p_ideal)
     rhs = cocycle_mod_ideal(ctx, union_ideal)
-    if lhs.values != rhs.values:
+    if lhs.masks != rhs.masks:
         raise InternalInvariantError("double quotient differs from the union quotient")
     chain_equal = None
     if chain is not None:
@@ -569,8 +564,8 @@ def quotient_transport(
             )
         )
         chain_equal = (
-            cocycle_from_chain(ctx, chain).values
-            == cocycle_from_chain(sub_ctx, transported).values
+            cocycle_from_chain(ctx, chain).masks
+            == cocycle_from_chain(sub_ctx, transported).masks
         )
         if not chain_equal:
             raise InternalInvariantError("chain transport changed the chain cocycle")

@@ -311,7 +311,7 @@ def parse_artifacts(
     if ws.r_path is not None:
         rmap = parse_rmap(_read(ws.r_path, "r"), group)
         induced = cocycle_from_r(rmap)
-        if cocycle is not None and induced.values != cocycle.values:
+        if cocycle is not None and induced.masks != cocycle.masks:
             raise ValidationError(
                 "inconsistent input: the r file does not induce the given cocycle"
             )

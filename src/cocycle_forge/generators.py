@@ -41,11 +41,9 @@ __all__ = [
 
 
 def _n1_mask(ctx: AlgebraContext) -> int:
-    cached = ctx.__dict__.get("_n1_mask")
-    if cached is None:
-        cached = _n1_direct_mask(ctx)
-        ctx.__dict__["_n1_mask"] = cached
-    return cached
+    if ctx._n1_mask is None:
+        ctx._n1_mask = _n1_direct_mask(ctx)
+    return ctx._n1_mask
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ file format and API in the package relies on that normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -27,6 +27,7 @@ class Group:
 
     ``table[a][b]`` is the index of the product a*b; ``inverse[a]`` the index
     of a^-1; ``names`` are display labels used by graph and CLI output.
+    Subsets of the group are bitmasks: bit a stands for element a.
     """
 
     order: int
@@ -35,6 +36,28 @@ class Group:
     # part in equality: the same table under different labels is one group.
     inverse: Tuple[int, ...] = field(compare=False)
     names: Tuple[str, ...] = field(compare=False)
+    # _preimages[t] memoises left_preimage(t, mask) for the masks seen so far
+    _preimages: Tuple[Dict[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
+
+    def left_preimage(self, t: int, mask: int) -> int:
+        """The mask of the r with t*r in ``mask``.
+
+        Left multiplication by t^-1 maps ``mask`` onto this set, so
+        ``left_preimage(inverse[s], mask)`` is the image s*mask.
+        """
+        memo = self._preimages[t]
+        pre = memo.get(mask)
+        if pre is None:
+            row = self.table[t]
+            pre = 0
+            for r in range(self.order):
+                if mask >> row[r] & 1:
+                    pre |= 1 << r
+            memo[mask] = pre
+        return pre
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

@@ -23,6 +23,7 @@ from .algebra import (
     ideal_lattice_op,
 )
 from .cocycles import (
+    BinaryTable,
     Cocycle,
     CocycleViolation,
     EQUAL,
@@ -235,14 +236,13 @@ def as_semilinear(group: Group, monoid: OrderedMonoid, values: Sequence) -> Semi
 def cocycle_from_r(r: SemilinearMap) -> Cocycle:
     """The induced cocycle: 1 exactly where subadditivity is an equality."""
     n = r.group.order
-    rows = tuple(
-        tuple(
-            1 if r.values[r.group.mul(s, t)] == r.monoid.combine(r.values[s], r.values[t]) else 0
-            for t in range(n)
-        )
+    v = r.values
+    combine = r.monoid.combine
+    masks = tuple(
+        sum(1 << t for t in range(n) if v[r.group.mul(s, t)] == combine(v[s], v[t]))
         for s in range(n)
     )
-    result = validate_cocycle(rows, r.group)
+    result = validate_cocycle(BinaryTable(group=r.group, masks=masks))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"induced table is not a cocycle: {result}")
     if inertial_group(result).members != r.m_subgroup.members:
@@ -252,7 +252,7 @@ def cocycle_from_r(r: SemilinearMap) -> Cocycle:
 
 def _match_context(r: SemilinearMap, chain: DescendingChain) -> AlgebraContext:
     ctx = chain.ctx
-    if ctx.group != r.group or cocycle_from_r(r).values != ctx.cocycle.values:
+    if ctx.group != r.group or cocycle_from_r(r).masks != ctx.cocycle.masks:
         raise ValidationError("chain context does not match the induced cocycle of r")
     return ctx
 
@@ -289,7 +289,7 @@ def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
     full_span = (
         chain.ideals[0].mask == ctx._gstar_mask and chain.ideals[-1].mask == 0
     )
-    if full_span and lower.values != middle.values:
+    if full_span and lower.masks != middle.masks:
         raise InternalInvariantError(
             "full-span chain lift does not reproduce the chain cocycle"
         )
@@ -336,7 +336,7 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
     padded = DescendingChain(ideals=tuple(prefix) + chain.ideals + tuple(suffix))
     lifted = chain_lift(r, padded)
     certified = (
-        cocycle_from_chain(ctx, chain).values == cocycle_from_r(lifted).values
+        cocycle_from_chain(ctx, chain).masks == cocycle_from_r(lifted).masks
     )
     return PaddedLift(chain=padded, lifted=lifted, certified=certified)
 
@@ -434,7 +434,7 @@ def search_realization(
     if witness is None:
         return ExhaustionCertificate(bound=bound, nodes_explored=nodes)
     found = as_semilinear(ctx.group, AdditiveNaturals(), witness)
-    if cocycle_from_r(found).values != ctx.cocycle.values:
+    if cocycle_from_r(found).masks != ctx.cocycle.masks:
         raise InternalInvariantError("search witness does not induce the cocycle")
     return found
 
