@@ -17,7 +17,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cocycles import Cocycle, inertial_group
 from .errors import InternalInvariantError, ValidationError
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, double_cosets
 
 __all__ = [
     "AlgebraContext",
@@ -292,18 +292,18 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
     """Two-sided annihilators of J split into (trivial, nontrivial).
 
     Trivial means the element also lies in N_1.  Both sets are closed under
-    the double coset action h1 s h2, which is asserted.
+    the double coset action h1 s h2: each double coset H s H lies wholly
+    inside or wholly outside the annihilators, which is asserted.
     """
     ann = _annihilator_mask(ctx)
     n1 = _n1_direct_mask(ctx)
-    table = ctx._table
-    for s in _members_of(ann):
-        for h1 in ctx.inertial.members:
-            for h2 in ctx.inertial.members:
-                if not ann >> table[table[h1][s]][h2] & 1:
-                    raise InternalInvariantError(
-                        "annihilator set is not closed under the double coset action"
-                    )
+    for cls in double_cosets(ctx.group, ctx.inertial):
+        inside = ann >> cls[0] & 1
+        for s in cls:
+            if ann >> s & 1 != inside:
+                raise InternalInvariantError(
+                    "annihilator set is not closed under the double coset action"
+                )
     trivial = ann & n1
     return (
         frozenset(_members_of(trivial)),

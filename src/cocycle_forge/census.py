@@ -2,19 +2,22 @@
 and the property sweep that grinds every identity of the package against
 that ground truth.
 
-The enumeration fills the table over non-identity pairs cell by cell,
-checking each cocycle triple the moment its last cell is assigned, which
-prunes the raw 2^((n-1)^2) space to the tiny set of valid tables.  The
-property sweep is also the negative control: a fabricated table with one
-flipped entry must fail either validation or at least one check here.
+The enumeration runs the depth-first core shared with the realization
+search (``cocycles._depth_first``).  It fills the table over non-identity
+pairs cell by cell, checking each cocycle triple the moment its last cell
+is assigned, which prunes the raw 2^((n-1)^2) space to the tiny set of
+valid tables.  Position 0 of the search is a constant 1 that stands for
+every cell normalization pins, so each check reads the cell values
+directly.  The property sweep is also the negative control: a fabricated
+table with one flipped entry must fail either validation or at least one
+check here.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -33,6 +36,8 @@ from .cocycles import (
     BinaryTable,
     Cocycle,
     CocycleViolation,
+    _closing_schedule,
+    _depth_first,
     inertial_group,
     validate_cocycle,
     waterhouse,
@@ -89,73 +94,30 @@ class CensusStream:
     truncated: bool
 
 
-def _triple_schedule(group: Group) -> List[List[Tuple[int, int, int, int]]]:
-    """Cocycle triples keyed by the free cell that completes them.
+def _triple_constraints(group: Group) -> List[Tuple[int, int, int, int]]:
+    """The cocycle identity f(s,t) f(st,r) = f(t,r) f(s,tr) over non-identity
+    s, t, r as the four cell positions it reads.
 
-    Each entry holds the four cell positions (row-major over non-identity
-    pairs, -1 for cells pinned to 1 by normalization) of
-    f(s,t), f(st,r), f(t,r), f(s,tr).
+    Cell (s, t) of the non-identity block sits at position (s-1)(n-1) + t,
+    row-major; position 0 stands for every cell that normalization pins to 1.
     """
     n = group.order
     m = n - 1
 
     def pos(s: int, t: int) -> int:
-        return (s - 1) * m + (t - 1) if s and t else -1
+        return (s - 1) * m + t if s and t else 0
 
-    schedule: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(m * m)]
-    for s in range(1, n):
-        for t in range(1, n):
-            st = group.mul(s, t)
-            for r in range(1, n):
-                cells = (pos(s, t), pos(st, r), pos(t, r), pos(s, group.mul(t, r)))
-                schedule[max(cells)].append(cells)
-    return schedule
+    return [
+        (pos(s, t), pos(group.mul(s, t), r), pos(t, r), pos(s, group.mul(t, r)))
+        for s in range(1, n)
+        for t in range(1, n)
+        for r in range(1, n)
+    ]
 
 
-def _complete_prefix(
-    group: Group,
-    schedule: List[List[Tuple[int, int, int, int]]],
-    prefix: Tuple[int, ...],
-    limit: int,
-) -> Tuple[List[Tuple[int, ...]], bool]:
-    """All valid completions of a partial cell assignment, 0 tried before 1."""
-    m = group.order - 1
-    total = m * m
-    vals = [1] * total
-
-    def cell(i: int) -> int:
-        return 1 if i < 0 else vals[i]
-
-    def consistent(i: int) -> bool:
-        for c1, c2, c3, c4 in schedule[i]:
-            if cell(c1) * cell(c2) != cell(c3) * cell(c4):
-                return False
-        return True
-
-    for i, v in enumerate(prefix):
-        vals[i] = v
-        if not consistent(i):
-            return [], False
-    found: List[Tuple[int, ...]] = []
-    truncated = False
-
-    def walk(i: int) -> bool:
-        nonlocal truncated
-        if i == total:
-            if len(found) >= limit:
-                truncated = True
-                return False
-            found.append(tuple(vals))
-            return True
-        for v in (0, 1):
-            vals[i] = v
-            if consistent(i) and not walk(i + 1):
-                return False
-        vals[i] = 1
-        return True
-
-    walk(len(prefix))
-    return found, truncated
+def _products_agree(c: Tuple[int, int, int, int], vals: List[int]) -> bool:
+    c1, c2, c3, c4 = c
+    return vals[c1] * vals[c2] == vals[c3] * vals[c4]
 
 
 def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
@@ -166,42 +128,29 @@ def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
     masks = [(1 << n) - 1]
     for s in range(1, n):
         row = 1
-        for t, v in enumerate(cells[(s - 1) * m : s * m], start=1):
+        for t, v in enumerate(cells[(s - 1) * m + 1 : s * m + 1], start=1):
             row |= v << t
         masks.append(row)
     return BinaryTable(group=group, masks=tuple(masks))
 
 
-def enumerate_cocycles(cfg: CensusConfig, threads: int = 1) -> CensusStream:
+def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
     """Every idempotent cocycle of the group, in flattened-bits order.
 
     The optional inertial filter keeps only the tables with that exact
-    inertial subgroup.  Exceeding max_candidates sets the truncation flag.
+    inertial subgroup.  The search stops at the first table past
+    max_candidates and sets the truncation flag.
     """
     group = cfg.group
-    schedule = _triple_schedule(group)
-    if threads > 1 and group.order > 2:
-        m = group.order - 1
-        prefixes = [tuple(int(b) for b in format(k, f"0{m}b")) for k in range(2 ** m)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda p: _complete_prefix(group, schedule, p, cfg.max_candidates),
-                    prefixes,
-                )
-            )
-        tables: List[Tuple[int, ...]] = []
-        truncated = False
-        for chunk, flag in chunks:
-            truncated = truncated or flag
-            tables.extend(chunk)
-        tables = tables[: cfg.max_candidates]
-        if len(tables) == cfg.max_candidates and sum(len(c) for c, _ in chunks) > len(tables):
-            truncated = True
-    else:
-        tables, truncated = _complete_prefix(group, schedule, (), cfg.max_candidates)
+    size = (group.order - 1) ** 2 + 1
+    domains = [(1,)] + [(0, 1)] * (size - 1)
+    schedule = _closing_schedule(size, _triple_constraints(group))
+    tables = list(
+        islice(_depth_first(domains, schedule, _products_agree), cfg.max_candidates + 1)
+    )
+    truncated = len(tables) > cfg.max_candidates
     cocycles = []
-    for cells in tables:
+    for cells in tables[: cfg.max_candidates]:
         result = validate_cocycle(_table_from_cells(group, cells))
         if isinstance(result, CocycleViolation):
             raise ValidationError(f"enumerated table failed validation: {result}")
@@ -446,40 +395,25 @@ class CensusReport:
 
 
 def property_suite(
-    cfg: CensusConfig, threads: int = 1, lift_samples: int = 3, seed: int = 0
+    cfg: CensusConfig, lift_samples: int = 3, seed: int = 0
 ) -> CensusReport:
     """Sweep every census cocycle, plus sampled subadditive-map lifts.
 
     Deterministic for a fixed seed: the lift checks draw random maps from a
     seeded generator, everything else is exhaustive.
     """
-    stream = enumerate_cocycles(cfg, threads=threads)
+    stream = enumerate_cocycles(cfg)
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
     skipped = 0
-
-    def merge(result: CocycleCheckResult) -> None:
+    for c in stream.cocycles:
+        if inertial_group(c).members == tuple(range(cfg.group.order)):
+            skipped += 1
+            continue
+        result = check_cocycle_properties(c, cfg.max_chains_per_cocycle)
         for k, v in result.counts.items():
             counts[k] = counts.get(k, 0) + v
         failures.extend(result.failures)
-
-    workers = [
-        c for c in stream.cocycles if inertial_group(c).members != tuple(range(cfg.group.order))
-    ]
-    skipped = len(stream.cocycles) - len(workers)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda c: check_cocycle_properties(c, cfg.max_chains_per_cocycle),
-                    workers,
-                )
-            )
-        for result in results:
-            merge(result)
-    else:
-        for c in workers:
-            merge(check_cocycle_properties(c, cfg.max_chains_per_cocycle))
 
     rng = random.Random(seed)
     for _ in range(lift_samples):
@@ -592,7 +526,7 @@ def census_records(stream: CensusStream) -> List[CensusRecord]:
         powers, _ = radical_powers(ctx)
         layers = nk_partition(ctx)
         trivial, nontrivial = classify_annihilators(ctx)
-        classes = _classes_of(ctx, sorted(trivial | nontrivial))
+        classes = _classes_of(ctx, trivial | nontrivial)
         records.append(
             CensusRecord(
                 order=c.group.order,

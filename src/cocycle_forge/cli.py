@@ -1,15 +1,13 @@
 """The cocycle-forge command line.
 
 Exit codes: 0 on success, 1 when validation or a checked identity fails,
-2 for parse and usage errors.  All output is deterministic; COCYCLE_FORGE_THREADS
-caps internal parallelism (census and search-r only); --out - streams to
-standard output.
+2 for parse and usage errors.  All output is deterministic; --out - streams
+to standard output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence, Tuple
 
@@ -51,14 +49,6 @@ from .groups import make_cyclic
 from .semilinear import SemilinearMap, chain_lift, padded_lift, search_realization
 
 __all__ = ["run_command", "main"]
-
-
-def _threads() -> int:
-    raw = os.environ.get("COCYCLE_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write(out: str, text: str) -> None:
@@ -310,7 +300,7 @@ def _cmd_pad_lift(args) -> Tuple[str, int]:
 def _cmd_search_r(args) -> Tuple[str, int]:
     _, cocycle, _, _ = _load(args)
     ctx = AlgebraContext(cocycle)
-    result = search_realization(ctx, args.bound, threads=_threads())
+    result = search_realization(ctx, args.bound)
     if isinstance(result, SemilinearMap):
         return emit_rmap(result), 0
     return (
@@ -326,7 +316,7 @@ def _cmd_census(args) -> Tuple[str, int]:
         group = resolve_group(args.group)
     else:
         raise ParseError("census needs --order or --group")
-    stream = enumerate_cocycles(CensusConfig(group=group), threads=_threads())
+    stream = enumerate_cocycles(CensusConfig(group=group))
     text = emit_census(census_records(stream))
     if stream.truncated:
         text += "truncated=true\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInvariantError, ValidationError
 from .groups import Group, Subgroup, subgroup
@@ -264,3 +264,56 @@ def pointwise_product(tables: Sequence[BinaryTable]) -> BinaryTable:
     g = _same_group(tables)
     rows = zip(*(t.masks for t in tables))
     return BinaryTable(group=g, masks=tuple(reduce(and_, row) for row in rows))
+
+
+Constraint = Tuple[int, ...]
+
+
+def _closing_schedule(size: int, constraints: Iterable[Constraint]) -> List[List[Constraint]]:
+    """Each constraint, a tuple of the positions it reads, filed under the
+    last of them: the step of a depth-first search that closes it."""
+    schedule: List[List[Constraint]] = [[] for _ in range(size)]
+    for c in constraints:
+        schedule[max(c)].append(c)
+    return schedule
+
+
+def _depth_first(
+    domains: Sequence[Sequence[int]],
+    schedule: Sequence[Sequence[Constraint]],
+    holds: Callable[[Constraint, List[int]], bool],
+    tried: Optional[List[int]] = None,
+) -> Iterator[Tuple[int, ...]]:
+    """Every assignment of a value from domains[i] to each position i under
+    which holds(c, vals) is true for all scheduled constraints c, in the
+    lexicographic order of the domains.
+
+    The positions are set in index order; setting position i checks only
+    schedule[i], the constraints i closes, so a failing prefix is cut as
+    soon as it fails.  The census enumeration and the realization search
+    both run on this core.  When given, tried[i] counts the values tried at
+    position i.
+    """
+    size = len(domains)
+    widths = [len(d) for d in domains]
+    vals = [0] * size
+    nxt = [0] * size  # index of the next value to try at each position
+    i = 0
+    while i >= 0:
+        k = nxt[i]
+        if k == widths[i]:
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = k + 1
+        vals[i] = domains[i][k]
+        if tried is not None:
+            tried[i] += 1
+        for c in schedule[i]:
+            if not holds(c, vals):
+                break
+        else:
+            if i + 1 == size:
+                yield tuple(vals)
+            else:
+                i += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraContext,
@@ -42,6 +42,7 @@ from .cocycles import (
 )
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .generators import Word, _n1_mask, all_generators, bstar, ideal_of_word
+from .groups import double_cosets
 
 __all__ = [
     "IdentityCheck",
@@ -141,9 +142,13 @@ def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
     return ctx._principal_cache
 
 
-def _double_coset(ctx: AlgebraContext, s: int) -> Tuple[int, ...]:
-    hs = ctx.inertial.members
-    return tuple(sorted({ctx.mul(ctx.mul(h1, s), h2) for h1 in hs for h2 in hs}))
+def _classes_of(ctx: AlgebraContext, members: AbstractSet[int]) -> List[Tuple[int, ...]]:
+    """The double cosets H s H that meet members, sorted by least member."""
+    return [
+        cls
+        for cls in double_cosets(ctx.group, ctx.inertial)
+        if not members.isdisjoint(cls)
+    ]
 
 
 def unique_class_ideal(ctx: AlgebraContext, rho: int) -> MonomialIdeal:
@@ -163,7 +168,7 @@ def unique_class_ideal(ctx: AlgebraContext, rho: int) -> MonomialIdeal:
     ideal = MonomialIdeal(ctx=ctx, members=members)
     sub_ctx = AlgebraContext(cocycle_mod_ideal(ctx, ideal))
     _, sub_nontrivial = classify_annihilators(sub_ctx)
-    if sub_nontrivial != frozenset(_double_coset(ctx, rho)):
+    if sub_nontrivial != frozenset(_classes_of(ctx, {rho})[0]):
         raise InternalInvariantError(
             f"quotient by the ideal of {rho} does not isolate its class"
         )
@@ -196,17 +201,6 @@ class UniqueClassVerdict:
         return self.class_members[0]
 
 
-def _classes_of(ctx: AlgebraContext, members: Sequence[int]) -> List[Tuple[int, ...]]:
-    seen = set()
-    classes = []
-    for s in sorted(members):
-        if s not in seen:
-            cls = _double_coset(ctx, s)
-            seen.update(cls)
-            classes.append(cls)
-    return classes
-
-
 def decompose_by_classes(
     ctx: AlgebraContext,
 ) -> Union[DecompositionReport, UniqueClassVerdict]:
@@ -227,13 +221,13 @@ def decompose_by_classes(
         raise InternalInvariantError(
             "a cocycle above its Waterhouse idempotent has no non-trivial annihilator"
         )
-    nta_classes = _classes_of(ctx, sorted(nontrivial))
+    nta_classes = _classes_of(ctx, nontrivial)
     if len(nta_classes) == 1:
         return UniqueClassVerdict(class_members=nta_classes[0])
     powers, _ = radical_powers(ctx)
     square = powers[1]
     parts = []
-    for cls in _classes_of(ctx, square.sorted_members):
+    for cls in _classes_of(ctx, square.members):
         rho = cls[0]
         ideal = unique_class_ideal(ctx, rho)
         part_cocycle = cocycle_mod_ideal(ctx, ideal)

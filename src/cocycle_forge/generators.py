@@ -8,7 +8,7 @@ from them, and the generator-side description of principal ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as cartesian
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -46,6 +46,24 @@ def _n1_mask(ctx: AlgebraContext) -> int:
     return ctx._n1_mask
 
 
+def _evaluate(
+    ctx: AlgebraContext, letters: Tuple[int, ...], value: int = 0
+) -> Tuple[int, int]:
+    """Multiply value by letters left to right, and report where it stops.
+
+    Returns (product, len(letters)) when no step vanishes, else the product
+    so far and the first position i with f(product so far, letters[i]) = 0.
+    From the identity, whose row is all ones, the first letter never
+    vanishes and the empty word evaluates to the identity.
+    """
+    masks, table = ctx._masks, ctx._table
+    for i, letter in enumerate(letters):
+        if not masks[value] >> letter & 1:
+            return value, i
+        value = table[value][letter]
+    return value, len(letters)
+
+
 @dataclass(frozen=True)
 class Word:
     """A sequence of N_1 letters whose left-to-right product never vanishes.
@@ -56,6 +74,7 @@ class Word:
 
     ctx: AlgebraContext
     letters: Tuple[int, ...]
+    _value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -63,19 +82,10 @@ class Word:
         for letter in self.letters:
             if not (0 <= letter < self.ctx.group.order and n1 >> letter & 1):
                 raise ValidationError(f"letter {letter} is not in N_1")
-        value = 0
-        for i, letter in enumerate(self.letters):
-            if i == 0:
-                value = letter
-            else:
-                if self.ctx.f(value, letter) != 1:
-                    raise ValidationError(
-                        f"word {self.letters} vanishes at position {i}"
-                    )
-                value = self.ctx.mul(value, letter)
+        value, stop = _evaluate(self.ctx, self.letters)
+        if stop < len(self.letters):
+            raise ValidationError(f"word {self.letters} vanishes at position {stop}")
         object.__setattr__(self, "_value", value)
-
-    _value: int = 0
 
     @property
     def evaluation(self) -> int:
@@ -230,19 +240,16 @@ def principal_via_generators(
         w.letters for w in gens.all_words()
     )
     members = set()
-    for u, v in cartesian(flanks, flanks):
+    for u in flanks:
+        start, _ = _evaluate(ctx, u)  # a catalog word never vanishes
         for c in centers:
-            value = None
-            for letter in u + c + v:
-                if value is None:
-                    value = letter
-                elif ctx.f(value, letter) == 1:
-                    value = ctx.mul(value, letter)
-                else:
-                    value = None
-                    break
-            if value is not None:
-                members.add(value)
+            middle, stop = _evaluate(ctx, c, start)
+            if stop < len(c):
+                continue
+            for v in flanks:
+                value, stop = _evaluate(ctx, v, middle)
+                if stop == len(v):
+                    members.add(value)
     result = MonomialIdeal(ctx=ctx, members=frozenset(members))
     if result.members != principal_ideal(ctx, s).members:
         raise InternalInvariantError(

@@ -7,7 +7,7 @@ file format and API in the package relies on that normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import ValidationError
 
@@ -38,9 +38,14 @@ class Group:
     names: Tuple[str, ...] = field(compare=False)
     # _preimages[t] memoises left_preimage(t, mask) for the masks seen so far
     _preimages: Tuple[Dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    # _double_cosets memoises double_cosets per subgroup, keyed by its members
+    _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
+        object.__setattr__(self, "_double_cosets", {})
 
     def left_preimage(self, t: int, mask: int) -> int:
         """The mask of the r with t*r in ``mask``.
@@ -81,9 +86,11 @@ class Subgroup:
 
     group: Group
     members: Tuple[int, ...]
+    _member_set: FrozenSet[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set(self.members)
+        seen = frozenset(self.members)
+        object.__setattr__(self, "_member_set", seen)
         if len(seen) != len(self.members) or tuple(sorted(seen)) != self.members:
             raise ValidationError("subgroup members must be a sorted duplicate-free tuple")
         if 0 not in seen:
@@ -100,15 +107,6 @@ class Subgroup:
 
     def __contains__(self, a: int) -> bool:
         return a in self._member_set
-
-    @property
-    def _member_set(self) -> frozenset:
-        # cached on first use; dataclass is frozen so go through __dict__
-        cached = self.__dict__.get("_members_cached")
-        if cached is None:
-            cached = frozenset(self.members)
-            object.__setattr__(self, "_members_cached", cached)
-        return cached
 
     def __repr__(self) -> str:
         return f"Subgroup({list(self.members)})"
@@ -216,9 +214,15 @@ def subgroup(group: Group, members: Iterable[int]) -> Subgroup:
 
 
 def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
-    """Partition the group into double cosets H s H, sorted by least member."""
+    """Partition the group into double cosets H s H, sorted by least member.
+
+    Computed once per subgroup of each Group and memoised on the group.
+    """
     if sub.group is not group and sub.group != group:
         raise ValidationError("invalid-subgroup: subgroup belongs to a different group")
+    hit = group._double_cosets.get(sub.members)
+    if hit is not None:
+        return hit
     seen = set()
     classes = []
     for s in range(group.order):
@@ -235,4 +239,5 @@ def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     covered = sorted(x for c in classes for x in c)
     if covered != list(range(group.order)):
         raise ValidationError("double cosets do not partition the group")
-    return tuple(classes)
+    result = group._double_cosets[sub.members] = tuple(classes)
+    return result

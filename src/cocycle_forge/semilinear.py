@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraContext,
@@ -28,6 +27,8 @@ from .cocycles import (
     CocycleViolation,
     EQUAL,
     LESS,
+    _closing_schedule,
+    _depth_first,
     compare,
     inertial_group,
     validate_cocycle,
@@ -349,90 +350,45 @@ class ExhaustionCertificate:
     nodes_explored: int
 
 
-def _completion_schedule(ctx: AlgebraContext) -> List[List[Tuple[int, int, int]]]:
-    """For each G* position, the pairs whose constraint closes at that step."""
-    position = {s: i for i, s in enumerate(ctx.gstar)}
-    n = ctx.group.order
-    schedule: List[List[Tuple[int, int, int]]] = [[] for _ in ctx.gstar]
-    for s in range(n):
-        for t in range(n):
-            p = ctx.mul(s, t)
-            involved = [position[e] for e in (s, t, p) if e in position]
-            if involved:
-                schedule[max(involved)].append((s, t, p))
-    return schedule
-
-
-def _search_from(
-    ctx: AlgebraContext,
-    bound: int,
-    schedule: List[List[Tuple[int, int, int]]],
-    first_value: Optional[int],
-) -> Tuple[Optional[Tuple[int, ...]], int]:
-    gstar = ctx.gstar
-    values: Dict[int, int] = {s: 0 for s in ctx.inertial.members}
-    nodes = 0
-
-    def feasible(i: int) -> bool:
-        for s, t, p in schedule[i]:
-            total = values[s] + values[t]
-            if ctx.f(s, t) == 1:
-                if values[p] != total:
-                    return False
-            elif values[p] >= total:
-                return False
-        return True
-
-    def walk(i: int) -> Optional[Tuple[int, ...]]:
-        nonlocal nodes
-        if i == len(gstar):
-            return tuple(values[s] for s in range(ctx.group.order))
-        candidates = (
-            (first_value,) if i == 0 and first_value is not None else range(1, bound + 1)
-        )
-        for v in candidates:
-            nodes += 1
-            values[gstar[i]] = v
-            if feasible(i):
-                found = walk(i + 1)
-                if found is not None:
-                    return found
-        del values[gstar[i]]
-        return None
-
-    witness = walk(0)
-    return witness, nodes
-
-
 def search_realization(
-    ctx: AlgebraContext, bound: int, threads: int = 1
+    ctx: AlgebraContext, bound: int
 ) -> Union[SemilinearMap, ExhaustionCertificate]:
     """Find the least natural-valued map inducing f, or rule every one out.
 
-    Depth-first over G* in index order with values in [1, bound]; the
-    inertial group is pinned to 0.  Each assignment is checked against
-    every pair constraint it completes: equality where f is 1, strict
-    inequality where f is 0.  The witness is re-verified through
-    cocycle_from_r before being returned.
+    Runs the depth-first core the census enumeration uses.  The inertial
+    group comes first, pinned to 0, then G* in index order with values in
+    [1, bound], so the first completion is the lexicographically least map.
+    Each assignment is checked against every pair constraint it completes:
+    r(st) = r(s) + r(t) where f is 1, r(st) < r(s) + r(t) where f is 0.
+    Only values tried on G* count as nodes explored.  The witness is
+    re-verified through cocycle_from_r before being returned.
     """
     if bound < 1:
         raise ValidationError("bound must be at least 1")
-    schedule = _completion_schedule(ctx)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    lambda v: _search_from(ctx, bound, schedule, v),
-                    range(1, bound + 1),
-                )
-            )
-        nodes = sum(r[1] for r in results)
-        witnesses = [r[0] for r in results if r[0] is not None]
-        witness = min(witnesses) if witnesses else None
-    else:
-        witness, nodes = _search_from(ctx, bound, schedule, None)
-    if witness is None:
-        return ExhaustionCertificate(bound=bound, nodes_explored=nodes)
+    n = ctx.group.order
+    order = ctx.inertial.members + ctx.gstar
+    position = {s: i for i, s in enumerate(order)}
+    # tight[i][j]: f is 1 at the elements in positions i and j
+    tight = [[ctx.f(s, t) for t in order] for s in order]
+    constraints = [
+        (position[s], position[t], position[ctx.mul(s, t)]) for s in range(n) for t in range(n)
+    ]
+
+    def holds(c: Tuple[int, int, int], vals: List[int]) -> bool:
+        s, t, p = c
+        total = vals[s] + vals[t]
+        return vals[p] == total if tight[s][t] else vals[p] < total
+
+    pinned = len(ctx.inertial.members)
+    domains = [(0,)] * pinned + [range(1, bound + 1)] * len(ctx.gstar)
+    tried = [0] * n
+    search = _depth_first(domains, _closing_schedule(n, constraints), holds, tried)
+    completion = next(search, None)
+    if completion is None:
+        return ExhaustionCertificate(bound=bound, nodes_explored=sum(tried[pinned:]))
+    witness = [0] * n
+    for s, v in zip(order, completion):
+        witness[s] = v
     found = as_semilinear(ctx.group, AdditiveNaturals(), witness)
     if cocycle_from_r(found).masks != ctx.cocycle.masks:
         raise InternalInvariantError("search witness does not induce the cocycle")

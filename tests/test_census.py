@@ -62,13 +62,6 @@ def test_enumeration_counts_frozen():
     assert len(d3.cocycles) == D3_COUNT
 
 
-def test_enumeration_threads_preserve_order():
-    g = cf.make_cyclic(4)
-    single = _stream_tables(cf.enumerate_cocycles(cf.CensusConfig(group=g)))
-    threaded = _stream_tables(cf.enumerate_cocycles(cf.CensusConfig(group=g), threads=3))
-    assert single == threaded
-
-
 def test_enumeration_inertial_filter():
     g = cf.make_cyclic(4)
     whole = cf.subgroup(g, range(4))
@@ -194,14 +187,6 @@ def test_property_suite_small_groups():
         assert report.cocycle_count == KNOWN_COUNTS[n]
         assert report.skipped_simple == 1  # the all-ones table
         assert not report.truncated
-
-
-def test_property_suite_threads_match():
-    cfg = cf.CensusConfig(group=cf.make_cyclic(4))
-    single = cf.property_suite(cfg)
-    threaded = cf.property_suite(cfg, threads=3)
-    assert single.failures == threaded.failures == ()
-    assert single.counts == threaded.counts
 
 
 def test_mutation_detected_at_validation(golden):

@@ -152,12 +152,6 @@ def test_search_realization_recovers_golden(golden_ctx):
     assert cf.cocycle_from_r(found).values == golden_ctx.cocycle.values
 
 
-def test_search_realization_threads_agree(golden_ctx):
-    single = cf.search_realization(golden_ctx, bound=4, threads=1)
-    threaded = cf.search_realization(golden_ctx, bound=4, threads=4)
-    assert single.values == threaded.values
-
-
 def test_search_realization_exhaustion(d3_ctx):
     result = cf.search_realization(d3_ctx, bound=20)
     assert isinstance(result, cf.ExhaustionCertificate)
