@@ -39,7 +39,8 @@ class AlgebraContext:
 
     G* must be nonempty: with G* empty the algebra is simple and none of the
     ideal constructions apply.  The per-context caches are declared here;
-    the chain and quotient caches are filled by the decomposition module.
+    the chain and quotient caches and the validated-table memo are filled
+    by the decomposition module.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -69,6 +70,8 @@ class AlgebraContext:
         self._lattice_cache: Dict[Tuple[str, int, int], MonomialIdeal] = {}
         self._chain_cache: Dict[Tuple[int, ...], Cocycle] = {}
         self._mod_cache: Dict[int, Cocycle] = {}
+        # row masks -> the Cocycle that passed validation and kept H here
+        self._valid_tables: Dict[Tuple[int, ...], Cocycle] = {}
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
         self._n1_mask: Optional[int] = None
 

@@ -236,106 +236,92 @@ class CocycleCheckResult:
     failures: Tuple[PropertyFailure, ...]
 
 
+def _chain_label(chain: DescendingChain) -> str:
+    return f"chain={[list(i.sorted_members) for i in chain.ideals]}"
+
+
+def _ideal_label(ideal: MonomialIdeal) -> str:
+    return f"ideal={list(ideal.sorted_members)}"
+
+
+def _pair_label(pair: Tuple[MonomialIdeal, MonomialIdeal]) -> str:
+    a, b = pair
+    return f"pair=({list(a.sorted_members)}, {list(b.sorted_members)})"
+
+
+def _no_label(_) -> str:
+    return ""
+
+
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
     rows = ctx.cocycle.rows()
     n = ctx.group.order
 
-    def record(check: str, ok: bool, detail: str = "") -> None:
+    def guarded(check: str, label, about, fn, *args, **kwargs) -> None:
+        """Count one check of kind `check` and run fn(*args, **kwargs); on a
+        failure the detail starts with label(about), formatted only then."""
         counts[check] = counts.get(check, 0) + 1
-        if not ok:
-            failures.append(
-                PropertyFailure(
-                    check=check, group_order=n, cocycle_rows=rows, detail=detail
-                )
-            )
-
-    def guarded(check: str, fn, detail: str = "") -> None:
         try:
-            result = fn()
+            result = fn(*args, **kwargs)
         except ForgeError as exc:
-            record(check, False, f"{detail} raised: {exc}")
-            return
-        if isinstance(result, bool):
-            record(check, result, detail)
+            suffix = f" raised: {exc}"
         else:
-            record(check, result.ok, f"{detail} {result.counterexample}")
+            if isinstance(result, bool):
+                if result:
+                    return
+                suffix = ""
+            elif result.ok:
+                return
+            else:
+                suffix = f" {result.counterexample}"
+        failures.append(
+            PropertyFailure(
+                check=check, group_order=n, cocycle_rows=rows, detail=label(about) + suffix
+            )
+        )
 
     ideals = enumerate_ideals(ctx)
     chains, _ = descending_multichains(ideals, cap=max_chains)
 
     for chain in chains:
-        label = f"chain={[list(i.sorted_members) for i in chain.ideals]}"
-        guarded("leq_f", lambda c=chain: check_identity("leq_f", ctx, chain=c), label)
-        guarded(
-            "chain_break",
-            lambda c=chain: check_identity("chain_break", ctx, chain=c),
-            label,
-        )
-        guarded(
-            "waterhouse_iff",
-            lambda c=chain: check_identity("waterhouse_iff", ctx, chain=c),
-            label,
-        )
+        for name in ("leq_f", "chain_break", "waterhouse_iff"):
+            guarded(name, _chain_label, chain, check_identity, name, ctx, chain=chain)
 
     trivial, _ = classify_annihilators(ctx)
     base_n1 = n1_set(ctx)
+
+    def n1_union(i):
+        sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
+        return n1_set(sub) == base_n1 | i.members
+
+    def members_trivial(i):
+        sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
+        sub_trivial, _ = classify_annihilators(sub)
+        return i.members <= sub_trivial
+
+    def morphism_ok(i):
+        return morphism_check(ctx, i).ok
+
+    def replaceable(i):
+        inner = ideal_closure(ctx, trivial & i.members)
+        return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
+
     for ideal in ideals:
-        label = f"ideal={list(ideal.sorted_members)}"
+        guarded("n1_of_quotient", _ideal_label, ideal, n1_union, ideal)
+        guarded("ideal_members_trivial_in_quotient", _ideal_label, ideal, members_trivial, ideal)
+        guarded("fI_eq_f", _ideal_label, ideal, check_identity, "fI_eq_f", ctx, ideal=ideal)
+        guarded("morphism", _ideal_label, ideal, morphism_ok, ideal)
+        guarded("trivial_annih_replace", _ideal_label, ideal, replaceable, ideal)
 
-        def n1_union(i=ideal):
-            sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
-            return n1_set(sub) == base_n1 | i.members
-
-        guarded("n1_of_quotient", n1_union, label)
-
-        def members_trivial(i=ideal):
-            sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
-            sub_trivial, _ = classify_annihilators(sub)
-            return i.members <= sub_trivial
-
-        guarded("ideal_members_trivial_in_quotient", members_trivial, label)
-        guarded(
-            "fI_eq_f",
-            lambda i=ideal: check_identity("fI_eq_f", ctx, ideal=i),
-            label,
-        )
-        guarded(
-            "morphism", lambda i=ideal: morphism_check(ctx, i).ok, label
-        )
-
-        def replaceable(i=ideal):
-            inner = ideal_closure(ctx, trivial & i.members)
-            return check_identity(
-                "trivial_annih_replace", ctx, first=i, second=inner
-            )
-
-        guarded("trivial_annih_replace", replaceable, label)
-
-    for a, b in combinations(ideals, 2):
-        label = f"pair=({list(a.sorted_members)}, {list(b.sorted_members)})"
+    for pair in combinations(ideals, 2):
+        a, b = pair
         outer = ideal_lattice_op("sum", a, b)
-        guarded(
-            "sum_product",
-            lambda o=outer, x=a, y=b: check_identity(
-                "sum_product", ctx, outer=o, inner=[x, y]
-            ),
-            label,
-        )
-        guarded(
-            "intersection_vee",
-            lambda o=outer, x=a, y=b: check_identity(
-                "intersection_vee", ctx, outer=o, inner=[x, y]
-            ),
-            label,
-        )
+        for name in ("sum_product", "intersection_vee"):
+            guarded(name, _pair_label, pair, check_identity, name, ctx, outer=outer, inner=[a, b])
         if not a.mask & b.mask:
-            guarded(
-                "cap_zero",
-                lambda x=a, y=b: check_identity("cap_zero", ctx, ideals=[x, y]),
-                label,
-            )
+            guarded("cap_zero", _pair_label, pair, check_identity, "cap_zero", ctx, ideals=[a, b])
 
     def principal_routes():
         gens = all_generators(ctx)
@@ -343,13 +329,13 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
             principal_via_generators(ctx, s, gens)
         return True
 
-    guarded("principal_two_routes", principal_routes)
+    guarded("principal_two_routes", _no_label, None, principal_routes)
 
     def bstar_parts():
         decompose_by_bstar(ctx)
         return True
 
-    guarded("bstar_recombination", bstar_parts)
+    guarded("bstar_recombination", _no_label, None, bstar_parts)
 
     f0 = waterhouse(ctx.group, ctx.inertial)
     if ctx.cocycle.masks != f0.masks:
@@ -360,7 +346,7 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
                 return outcome.recombines and all(p.strict for p in outcome.parts)
             return True
 
-        guarded("class_decomposition", class_parts)
+        guarded("class_decomposition", _no_label, None, class_parts)
 
     return CocycleCheckResult(counts=counts, failures=tuple(failures))
 

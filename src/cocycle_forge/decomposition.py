@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -64,8 +65,18 @@ __all__ = [
 
 
 def _finish(ctx: AlgebraContext, masks: List[int], what: str) -> Cocycle:
-    """Validate a constructed table and check the inertial group is kept."""
-    result = validate_cocycle(BinaryTable(group=ctx.group, masks=tuple(masks)))
+    """Validate a constructed table and check the inertial group is kept.
+
+    The verdict is memoised per context by row masks: a table that passed
+    both checks once comes back as the same Cocycle, so equal tables reached
+    through different chains or ideals are validated once per context.  A
+    table that fails is never memoised and raises on every call.
+    """
+    key = tuple(masks)
+    hit = ctx._valid_tables.get(key)
+    if hit is not None:
+        return hit
+    result = validate_cocycle(BinaryTable(group=ctx.group, masks=key))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
     inverse = ctx.group.inverse
@@ -74,6 +85,7 @@ def _finish(ctx: AlgebraContext, masks: List[int], what: str) -> Cocycle:
         support |= (row >> inverse[s] & 1) << s
     if support != ctx._hmask:
         raise InternalInvariantError(f"{what} changed the inertial group")
+    ctx._valid_tables[key] = result
     return result
 
 
@@ -83,6 +95,9 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     A product f(s,t) = 1 survives only when s, t, and st all lie in the same
     layer I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial group
     always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
+    Results are cached per context under ``chain.masks``; a miss builds the
+    table and hands it to ``_finish``, whose per-context memo validates each
+    distinct table once however many chains produce it.
     """
     if chain.ctx != ctx:
         raise ValidationError("chain was built over a different context")
@@ -290,28 +305,32 @@ def _tables_check(name: str, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name=name, ok=diff is None, counterexample=diff)
 
 
-def _subchain(chain: DescendingChain, lo: int, hi: int) -> DescendingChain:
-    return DescendingChain(ideals=chain.ideals[lo:hi])
+def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> Tuple[int, ...]:
+    """Row masks of the cocycle of chain.ideals[lo:hi].
+
+    Read from the chain cache by mask key; the sub-chain is built and handed
+    to cocycle_from_chain only on a miss.  The caller has already checked
+    that the chain belongs to ctx.
+    """
+    hit = ctx._chain_cache.get(chain.masks[lo:hi])
+    if hit is None:
+        hit = cocycle_from_chain(ctx, DescendingChain(ideals=chain.ideals[lo:hi]))
+    return hit.masks
 
 
 def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None):
     k = len(chain)
-    if split is not None:
-        if not 2 <= split <= k - 1:
-            raise PreconditionError(f"split position must lie in [2, {k - 1}]")
-        lhs = cocycle_from_chain(ctx, chain).masks
-        rhs = vee(
-            [
-                cocycle_from_chain(ctx, _subchain(chain, 0, split)),
-                cocycle_from_chain(ctx, _subchain(chain, split - 1, k)),
-            ]
-        ).masks
-        return _tables_check("chain_break", lhs, rhs)
+    if split is None:
+        spans = [(i, i + 2) for i in range(k - 1)]
+    elif 2 <= split <= k - 1:
+        spans = [(0, split), (split - 1, k)]
+    else:
+        raise PreconditionError(f"split position must lie in [2, {k - 1}]")
     lhs = cocycle_from_chain(ctx, chain).masks
-    pair_tables = [
-        cocycle_from_chain(ctx, _subchain(chain, i, i + 2)) for i in range(k - 1)
-    ]
-    return _tables_check("chain_break", lhs, vee(pair_tables).masks)
+    joined = _subchain_masks(ctx, chain, *spans[0])
+    for lo, hi in spans[1:]:
+        joined = tuple(map(or_, joined, _subchain_masks(ctx, chain, lo, hi)))
+    return _tables_check("chain_break", lhs, joined)
 
 
 def _check_waterhouse_iff(ctx, chain: DescendingChain):
@@ -418,25 +437,28 @@ IDENTITY_NAMES = (
 )
 
 
+_CHECKS = {
+    "chain_break": _check_chain_break,
+    "waterhouse_iff": _check_waterhouse_iff,
+    "sum_product": _check_sum_product,
+    "intersection_vee": _check_intersection_vee,
+    "cap_zero": _check_cap_zero,
+    "fI_eq_f": _check_fI_eq_f,
+    "trivial_annih_replace": _check_trivial_annih_replace,
+    "leq_f": _check_leq_f,
+}
+
+
 def check_identity(name: str, ctx: AlgebraContext, **kwargs) -> IdentityCheck:
     """Evaluate one named identity, returning a counterexample on failure.
 
     Violated hypotheses raise PreconditionError; a False result always means
     the identity itself failed on valid input.
     """
-    checks = {
-        "chain_break": _check_chain_break,
-        "waterhouse_iff": _check_waterhouse_iff,
-        "sum_product": _check_sum_product,
-        "intersection_vee": _check_intersection_vee,
-        "cap_zero": _check_cap_zero,
-        "fI_eq_f": _check_fI_eq_f,
-        "trivial_annih_replace": _check_trivial_annih_replace,
-        "leq_f": _check_leq_f,
-    }
-    if name not in checks:
+    check = _CHECKS.get(name)
+    if check is None:
         raise ValidationError(f"unknown identity {name!r}; choose from {IDENTITY_NAMES}")
-    return checks[name](ctx, **kwargs)
+    return check(ctx, **kwargs)
 
 
 @dataclass(frozen=True)

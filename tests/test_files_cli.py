@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import cocycle_forge as cf
@@ -443,3 +448,19 @@ def test_cli_inconsistent_r_and_cocycle(golden_files, tmp_path, capsys):
                       "--cocycle", golden_files["cocycle"], "--r", bad_r])
     assert rc == 1
     assert "inconsistent" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cocycle_forge", "census", "--order", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "n=3 bits=111100100 H=0 max_power=1 layers=2 classes=2\n"
+        "n=3 bits=111100101 H=0 max_power=2 layers=1,1 classes=1\n"
+        "n=3 bits=111110100 H=0 max_power=2 layers=1,1 classes=1\n"
+        "n=3 bits=111111111 H=0,1,2 max_power=0 layers= classes=0\n"
+    )
