@@ -13,6 +13,7 @@ ideal value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cocycles import Cocycle, inertial_group
@@ -73,7 +74,11 @@ class AlgebraContext:
         # row masks -> the Cocycle that passed validation and kept H here
         self._valid_tables: Dict[Tuple[int, ...], Cocycle] = {}
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
+        # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None
+        # set by cocycle_from_chain once no product of two G* elements with
+        # f = 1 lands in H; a failing verdict is never stored
+        self._gstar_products_avoid_h: bool = False
 
     def f(self, s: int, t: int) -> int:
         return self._masks[s] >> t & 1
@@ -105,7 +110,14 @@ def _mask_of(members: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=1 << 12)
 def _members_of(mask: int) -> Tuple[int, ...]:
+    """The set bits of mask in increasing order.
+
+    Memoised, as the same few masks come back across every context of a
+    group; bounded, so a long run over large groups cannot grow it without
+    end.  The result is a tuple, so sharing it is safe.
+    """
     out = []
     while mask:
         low = mask & -mask
@@ -260,16 +272,24 @@ def _n1_direct_mask(ctx: AlgebraContext) -> int:
     return gstar & ~factorable
 
 
+def _n1_mask(ctx: AlgebraContext) -> int:
+    """The direct N_1 mask, computed once per context."""
+    if ctx._n1_mask is None:
+        ctx._n1_mask = _n1_direct_mask(ctx)
+    return ctx._n1_mask
+
+
 def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
     """The sets N_k = J^k \\ J^{k+1}; their union is G*.
 
     N_1 is computed both from the radical filtration and from the
-    no-factorization characterization, and the two must agree.
+    no-factorization characterization, and the two must agree; the latter
+    is computed once per context and shared with classify_annihilators.
     """
     powers, _ = radical_powers(ctx)
     masks = [p.mask for p in powers] + [0]
     layers = [masks[i] & ~masks[i + 1] for i in range(len(powers))]
-    if layers[0] != _n1_direct_mask(ctx):
+    if layers[0] != _n1_mask(ctx):
         raise InternalInvariantError("the two N_1 characterizations disagree")
     union = 0
     for m in layers:
@@ -299,7 +319,7 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
     inside or wholly outside the annihilators, which is asserted.
     """
     ann = _annihilator_mask(ctx)
-    n1 = _n1_direct_mask(ctx)
+    n1 = _n1_mask(ctx)
     for cls in double_cosets(ctx.group, ctx.inertial):
         inside = ann >> cls[0] & 1
         for s in cls:

@@ -6,11 +6,21 @@ The enumeration runs the depth-first core shared with the realization
 search (``cocycles._depth_first``).  It fills the table over non-identity
 pairs cell by cell, checking each cocycle triple the moment its last cell
 is assigned, which prunes the raw 2^((n-1)^2) space to the tiny set of
-valid tables.  Position 0 of the search is a constant 1 that stands for
-every cell normalization pins, so each check reads the cell values
-directly.  The property sweep is also the negative control: a fabricated
-table with one flipped entry must fail either validation or at least one
-check here.
+valid tables.  Each step makes one call of ``_products_agree``, which
+checks every triple that step closes in one loop.  Position 0 of the
+search is a constant 1 that stands for every cell normalization pins, so
+each check reads the cell values directly.  Every enumerated table is
+still validated before it is returned.
+
+``census_records`` fingerprints each cocycle by the radical filtration,
+the N_k layers and the annihilator classes, all read from one
+AlgebraContext: the radical powers are built once, inside ``nk_partition``,
+and the direct N_1 mask is computed once and shared by ``nk_partition``
+and ``classify_annihilators``, which still compare it with the filtration
+and the double cosets.
+
+The property sweep is also the negative control: a fabricated table with
+one flipped entry must fail either validation or at least one check here.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .algebra import (
     ideal_closure,
     ideal_lattice_op,
     nk_partition,
-    radical_powers,
 )
 from .cocycles import (
     BinaryTable,
@@ -115,9 +124,13 @@ def _triple_constraints(group: Group) -> List[Tuple[int, int, int, int]]:
     ]
 
 
-def _products_agree(c: Tuple[int, int, int, int], vals: List[int]) -> bool:
-    c1, c2, c3, c4 = c
-    return vals[c1] * vals[c2] == vals[c3] * vals[c4]
+def _products_agree(cs: Sequence[Tuple[int, int, int, int]], vals: List[int]) -> bool:
+    """Whether vals[c1] vals[c2] = vals[c3] vals[c4] for every (c1, c2, c3, c4)
+    in cs: one search step's constraints, checked in one loop."""
+    for c1, c2, c3, c4 in cs:
+        if vals[c1] * vals[c2] != vals[c3] * vals[c4]:
+            return False
+    return True
 
 
 def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
@@ -491,25 +504,30 @@ class CensusRecord:
 
 
 def census_records(stream: CensusStream) -> List[CensusRecord]:
-    """Fingerprint every cocycle of a census for the text output."""
+    """Fingerprint every cocycle of a census for the text output.
+
+    One AlgebraContext per cocycle serves every invariant: the all-ones
+    cocycle is the one whose context has no G*, and the largest radical
+    power is read off the N_k layers, one layer per nonzero power.
+    """
     records = []
     for c in stream.cocycles:
         bits = "".join(c.rows())
-        members = inertial_group(c).members
-        if members == tuple(range(c.group.order)):
+        try:
+            ctx = AlgebraContext(c)
+        except ValidationError:
+            # the all-ones cocycle: the algebra is simple
             records.append(
                 CensusRecord(
                     order=c.group.order,
                     bits=bits,
-                    inertial=members,
+                    inertial=tuple(range(c.group.order)),
                     max_power=0,
                     nk_sizes=(),
                     annihilator_classes=0,
                 )
             )
             continue
-        ctx = AlgebraContext(c)
-        powers, _ = radical_powers(ctx)
         layers = nk_partition(ctx)
         trivial, nontrivial = classify_annihilators(ctx)
         classes = _classes_of(ctx, trivial | nontrivial)
@@ -517,8 +535,8 @@ def census_records(stream: CensusStream) -> List[CensusRecord]:
             CensusRecord(
                 order=c.group.order,
                 bits=bits,
-                inertial=members,
-                max_power=len(powers),
+                inertial=ctx.inertial.members,
+                max_power=len(layers),
                 nk_sizes=tuple(len(l) for l in layers),
                 annihilator_classes=len(classes),
             )

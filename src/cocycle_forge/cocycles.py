@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInvariantError, ValidationError
 from .groups import Group, Subgroup, subgroup
@@ -208,25 +208,20 @@ def _waterhouse_masks(order: int, h: int) -> Tuple[int, ...]:
     return tuple(full if h >> s & 1 else h for s in range(order))
 
 
-# (group table, H members) -> row masks of the validated Waterhouse table.
-# Only masks are kept, so a hit never hands back another caller's Group.
-_WATERHOUSE: Dict[tuple, Tuple[int, ...]] = {}
-
-
 def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
     """The minimum cocycle with inertial group H: 1 iff an argument is in H.
 
-    Built and validated once per group table and H.
+    Built and validated once per Group and H, and memoised on the Group, so
+    the result always carries the caller's Group and names.
     """
-    key = (group.table, sub.members)
-    masks = _WATERHOUSE.get(key)
-    if masks is None:
+    f = group._waterhouse.get(sub.members)
+    if f is None:
         h = sum(1 << s for s in sub.members)
         f = as_cocycle(BinaryTable(group=group, masks=_waterhouse_masks(group.order, h)))
         if tuple(inertial_group(f).members) != sub.members:
             raise InternalInvariantError("waterhouse table has the wrong inertial group")
-        _WATERHOUSE[key] = masks = f.masks
-    return Cocycle(group=group, masks=masks)
+        group._waterhouse[sub.members] = f
+    return f
 
 
 def compare(f: BinaryTable, g: BinaryTable) -> str:
@@ -281,16 +276,17 @@ def _closing_schedule(size: int, constraints: Iterable[Constraint]) -> List[List
 def _depth_first(
     domains: Sequence[Sequence[int]],
     schedule: Sequence[Sequence[Constraint]],
-    holds: Callable[[Constraint, List[int]], bool],
+    holds: Callable[[Sequence[Constraint], List[int]], bool],
     tried: Optional[List[int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Every assignment of a value from domains[i] to each position i under
-    which holds(c, vals) is true for all scheduled constraints c, in the
+    which holds(schedule[i], vals) is true at every position i, in the
     lexicographic order of the domains.
 
-    The positions are set in index order; setting position i checks only
-    schedule[i], the constraints i closes, so a failing prefix is cut as
-    soon as it fails.  The census enumeration and the realization search
+    The positions are set in index order.  holds is a per-step predicate:
+    setting position i makes one call holds(schedule[i], vals), which checks
+    every constraint that i closes in one loop, so a failing prefix is cut
+    as soon as it fails.  The census enumeration and the realization search
     both run on this core.  When given, tried[i] counts the values tried at
     position i.
     """
@@ -309,10 +305,7 @@ def _depth_first(
         vals[i] = domains[i][k]
         if tried is not None:
             tried[i] += 1
-        for c in schedule[i]:
-            if not holds(c, vals):
-                break
-        else:
+        if holds(schedule[i], vals):
             if i + 1 == size:
                 yield tuple(vals)
             else:

@@ -21,6 +21,7 @@ from .algebra import (
     DescendingChain,
     MonomialIdeal,
     _members_of,
+    _n1_mask,
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
@@ -42,7 +43,7 @@ from .cocycles import (
     waterhouse,
 )
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .generators import Word, _n1_mask, all_generators, bstar, ideal_of_word
+from .generators import Word, all_generators, bstar, ideal_of_word
 from .groups import double_cosets
 
 __all__ = [
@@ -97,7 +98,9 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
     Results are cached per context under ``chain.masks``; a miss builds the
     table and hands it to ``_finish``, whose per-context memo validates each
-    distinct table once however many chains produce it.
+    distinct table once however many chains produce it.  The check that no
+    product of two G* elements lands in H depends only on the context: a
+    pass is remembered on it, a failure raises on every call.
     """
     if chain.ctx != ctx:
         raise ValidationError("chain was built over a different context")
@@ -107,12 +110,14 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     if hit is not None:
         return hit
     g = ctx.group
-    gstar = ctx._gstar_mask
-    for s in ctx.gstar:
-        if ctx._masks[s] & gstar & g.left_preimage(s, ctx._hmask):
-            raise InternalInvariantError(
-                "product of non-inertial elements landed in the inertial group"
-            )
+    if not ctx._gstar_products_avoid_h:
+        gstar = ctx._gstar_mask
+        for s in ctx.gstar:
+            if ctx._masks[s] & gstar & g.left_preimage(s, ctx._hmask):
+                raise InternalInvariantError(
+                    "product of non-inertial elements landed in the inertial group"
+                )
+        ctx._gstar_products_avoid_h = True
     masks = list(_waterhouse_masks(ctx.group.order, ctx._hmask))
     for outer, inner in zip(key, key[1:]):
         layer = outer & ~inner

@@ -16,7 +16,7 @@ from .algebra import (
     AlgebraContext,
     MonomialIdeal,
     _members_of,
-    _n1_direct_mask,
+    _n1_mask,
     classify_annihilators,
     ideal_closure,
     nk_partition,
@@ -38,12 +38,6 @@ __all__ = [
     "word_label",
     "graphs_dot",
 ]
-
-
-def _n1_mask(ctx: AlgebraContext) -> int:
-    if ctx._n1_mask is None:
-        ctx._n1_mask = _n1_direct_mask(ctx)
-    return ctx._n1_mask
 
 
 def _evaluate(

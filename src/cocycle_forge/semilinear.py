@@ -358,8 +358,9 @@ def search_realization(
     Runs the depth-first core the census enumeration uses.  The inertial
     group comes first, pinned to 0, then G* in index order with values in
     [1, bound], so the first completion is the lexicographically least map.
-    Each assignment is checked against every pair constraint it completes:
-    r(st) = r(s) + r(t) where f is 1, r(st) < r(s) + r(t) where f is 0.
+    Each assignment is checked by one call of a per-step predicate against
+    every pair constraint it completes: r(st) = r(s) + r(t) where f is 1,
+    r(st) < r(s) + r(t) where f is 0.
     Only values tried on G* count as nodes explored.  The witness is
     re-verified through cocycle_from_r before being returned.
     """
@@ -374,10 +375,12 @@ def search_realization(
         (position[s], position[t], position[ctx.mul(s, t)]) for s in range(n) for t in range(n)
     ]
 
-    def holds(c: Tuple[int, int, int], vals: List[int]) -> bool:
-        s, t, p = c
-        total = vals[s] + vals[t]
-        return vals[p] == total if tight[s][t] else vals[p] < total
+    def holds(cs: Sequence[Tuple[int, int, int]], vals: List[int]) -> bool:
+        for s, t, p in cs:
+            total = vals[s] + vals[t]
+            if vals[p] != total if tight[s][t] else vals[p] >= total:
+                return False
+        return True
 
     pinned = len(ctx.inertial.members)
     domains = [(0,)] * pinned + [range(1, bound + 1)] * len(ctx.gstar)

@@ -54,7 +54,11 @@ def test_depth_first_matches_filtered_product():
         ]
         schedule = _closing_schedule(size, constraints)
         tried = [0] * size
-        assert list(_depth_first(domains, schedule, holds, tried)) == expected
+        assert list(
+            _depth_first(
+                domains, schedule, lambda cs, vals: all(holds(c, vals) for c in cs), tried
+            )
+        ) == expected
         assert tried[0] == len(domains[0])
 
 
@@ -171,3 +175,33 @@ def test_double_cosets_ignore_names():
         assert a == b == _brute_double_cosets(d3, members)
     assert plain.names == ("0", "1", "2", "3", "4", "5")
     assert named.names == ("e", "r", "rr", "s", "rs", "rrs")
+
+
+def test_products_agree_is_the_triple_identity_per_step():
+    from cocycle_forge.census import _products_agree, _triple_constraints
+
+    rng = random.Random(7)
+    for name in ("C5", "D3"):
+        group = SMALL_GROUPS[name]
+        n = group.order
+        m = n - 1
+        size = m * m + 1
+        schedule = _closing_schedule(size, _triple_constraints(group))
+        # every non-identity triple, filed under the last cell position it reads
+        closing = [[] for _ in range(size)]
+        for s, t, r in itertools.product(range(1, n), repeat=3):
+            cells = [(s, t), (group.mul(s, t), r), (t, r), (s, group.mul(t, r))]
+            last = max((a - 1) * m + b if a and b else 0 for a, b in cells)
+            closing[last].append((s, t, r))
+        for _ in range(200):
+            vals = [1] + [rng.randint(0, 1) for _ in range(size - 1)]
+
+            def f(s, t):
+                return 1 if s == 0 or t == 0 else vals[(s - 1) * m + t]
+
+            for i in range(size):
+                expected = all(
+                    f(s, t) * f(group.mul(s, t), r) == f(t, r) * f(s, group.mul(t, r))
+                    for s, t, r in closing[i]
+                )
+                assert _products_agree(schedule[i], vals) == expected, (name, i)
