@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .cocycles import Cocycle, inertial_group
+from .cocycles import Cocycle, inertial_group, waterhouse
 from .errors import InternalInvariantError, ValidationError
 from .groups import Group, Subgroup, double_cosets
 
@@ -76,6 +76,8 @@ class AlgebraContext:
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
         # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None
+        # the Waterhouse idempotent of H, read once by _waterhouse_of
+        self._waterhouse: Optional[Cocycle] = None
         # set by cocycle_from_chain once no product of two G* elements with
         # f = 1 lands in H; a failing verdict is never stored
         self._gstar_products_avoid_h: bool = False
@@ -154,13 +156,7 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
         mask = _mask_of(self.members)
-        if mask & ~self.ctx._gstar_mask:
-            bad = sorted(set(self.members) - set(self.ctx.gstar))
-            raise ValidationError(f"not-in-gstar: {bad}")
-        if not _is_closed_mask(self.ctx, mask):
-            raise ValidationError(
-                f"set {sorted(self.members)} is not closed under basis multiplication"
-            )
+        _check_ideal_mask(self.ctx, mask)
         object.__setattr__(self, "mask", mask)
 
     mask: int = 0  # filled in __post_init__
@@ -182,8 +178,26 @@ class MonomialIdeal:
         return f"MonomialIdeal({list(self.sorted_members)})"
 
 
+def _check_ideal_mask(ctx: AlgebraContext, mask: int) -> None:
+    """An ideal's mask must lie in G* and be closed under basis multiplication."""
+    if mask & ~ctx._gstar_mask:
+        bad = list(_members_of(mask & ~ctx._gstar_mask))
+        raise ValidationError(f"not-in-gstar: {bad}")
+    if not _is_closed_mask(ctx, mask):
+        raise ValidationError(
+            f"set {list(_members_of(mask))} is not closed under basis multiplication"
+        )
+
+
 def _ideal_from_mask(ctx: AlgebraContext, mask: int) -> MonomialIdeal:
-    return MonomialIdeal(ctx=ctx, members=frozenset(_members_of(mask)))
+    """The ideal with this mask, checked on the mask itself: its members are
+    unpacked once and never packed back."""
+    _check_ideal_mask(ctx, mask)
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ctx", ctx)
+    object.__setattr__(ideal, "members", frozenset(_members_of(mask)))
+    object.__setattr__(ideal, "mask", mask)
+    return ideal
 
 
 def principal_ideal(ctx: AlgebraContext, s: int) -> MonomialIdeal:
@@ -222,7 +236,7 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
     two-sided ideals is two-sided, and that is asserted rather than re-closed
     so implementation bugs surface.
     """
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ValidationError("ctx mismatch between ideals")
     cache = a.ctx._lattice_cache
     key = (kind, a.mask, b.mask)
@@ -277,6 +291,13 @@ def _n1_mask(ctx: AlgebraContext) -> int:
     if ctx._n1_mask is None:
         ctx._n1_mask = _n1_direct_mask(ctx)
     return ctx._n1_mask
+
+
+def _waterhouse_of(ctx: AlgebraContext) -> Cocycle:
+    """The Waterhouse idempotent of the inertial group, read once per context."""
+    if ctx._waterhouse is None:
+        ctx._waterhouse = waterhouse(ctx.group, ctx.inertial)
+    return ctx._waterhouse
 
 
 def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
@@ -336,7 +357,13 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
 
 @dataclass(frozen=True)
 class DescendingChain:
-    """A weakly descending sequence I_1 >= .. >= I_k of ideals, k >= 2."""
+    """A weakly descending sequence I_1 >= .. >= I_k of ideals, k >= 2.
+
+    The constructor checks every link: each ideal belongs to the context of
+    the first and lies inside the one before it.  ``extend`` appends one
+    ideal and checks only the new link, so a chain grown from its parent
+    has each link checked once.
+    """
 
     ideals: Tuple[MonomialIdeal, ...]
     masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -346,15 +373,19 @@ class DescendingChain:
             raise ValidationError("chain-too-short: need at least two ideals")
         ctx = self.ideals[0].ctx
         for ideal in self.ideals[1:]:
-            if ideal.ctx != ctx:
-                raise ValidationError("chain mixes ideals of different contexts")
-        masks = tuple([ideal.mask for ideal in self.ideals])
-        for i in range(len(masks) - 1):
-            if masks[i + 1] & ~masks[i]:
-                raise ValidationError(
-                    f"chain not descending: ideal {i + 2} is not contained in ideal {i + 1}"
-                )
-        object.__setattr__(self, "masks", masks)
+            _check_context(ctx, ideal)
+        for i in range(1, len(self.ideals)):
+            _check_link(self.ideals[i - 1], self.ideals[i], i)
+        object.__setattr__(self, "masks", tuple([ideal.mask for ideal in self.ideals]))
+
+    def extend(self, ideal: MonomialIdeal) -> "DescendingChain":
+        """This chain with ideal appended; only the new link is checked."""
+        _check_context(self.ideals[0].ctx, ideal)
+        _check_link(self.ideals[-1], ideal, len(self.ideals))
+        chain = object.__new__(DescendingChain)
+        object.__setattr__(chain, "ideals", self.ideals + (ideal,))
+        object.__setattr__(chain, "masks", self.masks + (ideal.mask,))
+        return chain
 
     @property
     def ctx(self) -> AlgebraContext:
@@ -366,6 +397,19 @@ class DescendingChain:
     def __repr__(self) -> str:
         parts = ", ".join(str(list(i.sorted_members)) for i in self.ideals)
         return f"DescendingChain({parts})"
+
+
+def _check_context(ctx: AlgebraContext, ideal: MonomialIdeal) -> None:
+    if ideal.ctx is not ctx and ideal.ctx != ctx:
+        raise ValidationError("chain mixes ideals of different contexts")
+
+
+def _check_link(outer: MonomialIdeal, inner: MonomialIdeal, i: int) -> None:
+    """inner, ideal i + 1 of a chain, must lie inside outer, ideal i."""
+    if inner.mask & ~outer.mask:
+        raise ValidationError(
+            f"chain not descending: ideal {i + 1} is not contained in ideal {i}"
+        )
 
 
 def chain_level(chain: DescendingChain, s: int) -> int:

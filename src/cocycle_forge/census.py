@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -36,6 +36,7 @@ from .algebra import (
     MonomialIdeal,
     _ideal_from_mask,
     _is_closed_mask,
+    _waterhouse_of,
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
@@ -49,7 +50,6 @@ from .cocycles import (
     _depth_first,
     inertial_group,
     validate_cocycle,
-    waterhouse,
 )
 from .decomposition import (
     DecompositionReport,
@@ -109,6 +109,10 @@ def _triple_constraints(group: Group) -> List[Tuple[int, int, int, int]]:
 
     Cell (s, t) of the non-identity block sits at position (s-1)(n-1) + t,
     row-major; position 0 stands for every cell that normalization pins to 1.
+    A triple whose two products read the same two cells always holds and is
+    dropped, as is one that equals an earlier triple up to the order of the
+    factors or of the two sides; both read the same positions, so every
+    search step keeps its verdict.
     """
     n = group.order
     m = n - 1
@@ -116,12 +120,16 @@ def _triple_constraints(group: Group) -> List[Tuple[int, int, int, int]]:
     def pos(s: int, t: int) -> int:
         return (s - 1) * m + t if s and t else 0
 
-    return [
-        (pos(s, t), pos(group.mul(s, t), r), pos(t, r), pos(s, group.mul(t, r)))
-        for s in range(1, n)
-        for t in range(1, n)
-        for r in range(1, n)
-    ]
+    constraints = []
+    seen = set()
+    for s, t, r in product(range(1, n), repeat=3):
+        c = (pos(s, t), pos(group.mul(s, t), r), pos(t, r), pos(s, group.mul(t, r)))
+        left, right = tuple(sorted(c[:2])), tuple(sorted(c[2:]))
+        key = (min(left, right), max(left, right))
+        if left != right and key not in seen:
+            seen.add(key)
+            constraints.append(c)
+    return constraints
 
 
 def _products_agree(cs: Sequence[Tuple[int, int, int, int]], vals: List[int]) -> bool:
@@ -214,23 +222,34 @@ def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
 def descending_multichains(
     ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
 ) -> Tuple[List[DescendingChain], bool]:
-    """Weakly descending ideal sequences of length 2..max_len, capped."""
+    """Weakly descending ideal sequences of length 2..max_len, capped.
+
+    Shorter chains come first, each length in the lexicographic order of
+    the ideal indices.  A chain of length k + 1 extends its length-k parent
+    by one ideal, so only the new link is checked.  The flag is set when a
+    chain past the cap exists.
+    """
     order = list(ideals)
     below = [
         [j for j, small in enumerate(order) if small <= big]
         for big in order
     ]
     chains: List[DescendingChain] = []
-    level: List[Tuple[int, ...]] = [(i,) for i in range(len(order))]
+    # (chain, index of its last ideal); a lone ideal has no chain yet
+    level: List[Tuple[Optional[DescendingChain], int]]
+    level = [(None, i) for i in range(len(order))]
     for _ in range(2, max_len + 1):
         nxt = []
-        for seq in level:
-            for j in below[seq[-1]]:
-                nxt.append(seq + (j,))
-        for seq in nxt:
-            if len(chains) >= cap:
-                return chains, True
-            chains.append(DescendingChain(ideals=tuple(order[i] for i in seq)))
+        for parent, i in level:
+            for j in below[i]:
+                if len(chains) >= cap:
+                    return chains, True
+                if parent is None:
+                    chain = DescendingChain(ideals=(order[i], order[j]))
+                else:
+                    chain = parent.extend(order[j])
+                chains.append(chain)
+                nxt.append((chain, j))
         level = nxt
     return chains, False
 
@@ -350,8 +369,7 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
 
     guarded("bstar_recombination", _no_label, None, bstar_parts)
 
-    f0 = waterhouse(ctx.group, ctx.inertial)
-    if ctx.cocycle.masks != f0.masks:
+    if ctx.cocycle.masks != _waterhouse_of(ctx).masks:
 
         def class_parts():
             outcome = decompose_by_classes(ctx)

@@ -106,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search = sub.add_parser("search-r", parents=[common])
     search.add_argument("--bound", required=True, type=int)
+    search.add_argument("--max-nodes", type=int, help="stop after this many search nodes")
 
     census = sub.add_parser("census", parents=[common])
     census.add_argument("--order", type=int, help="shorthand for --group cyclicN")
@@ -300,13 +301,14 @@ def _cmd_pad_lift(args) -> Tuple[str, int]:
 def _cmd_search_r(args) -> Tuple[str, int]:
     _, cocycle, _, _ = _load(args)
     ctx = AlgebraContext(cocycle)
-    result = search_realization(ctx, args.bound)
+    result = search_realization(ctx, args.bound, args.max_nodes)
     if isinstance(result, SemilinearMap):
         return emit_rmap(result), 0
-    return (
-        f"exhausted bound={result.bound} nodes={result.nodes_explored}\n",
-        1,
-    )
+    verdict = "stopped" if result.truncated else "exhausted"
+    text = f"{verdict} bound={result.bound} nodes={result.nodes_explored}\n"
+    if result.truncated:
+        text += "truncated=true\n"
+    return text, 1
 
 
 def _cmd_census(args) -> Tuple[str, int]:

@@ -201,13 +201,6 @@ def inertial_group(f: Cocycle) -> Subgroup:
         ) from exc
 
 
-def _waterhouse_masks(order: int, h: int) -> Tuple[int, ...]:
-    """Row masks of the Waterhouse table of the subgroup with mask h:
-    all ones for s in H, h itself for s outside."""
-    full = (1 << order) - 1
-    return tuple(full if h >> s & 1 else h for s in range(order))
-
-
 def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
     """The minimum cocycle with inertial group H: 1 iff an argument is in H.
 
@@ -216,8 +209,11 @@ def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
     """
     f = group._waterhouse.get(sub.members)
     if f is None:
+        # rows: all ones for s in H, the mask h of H for s outside
         h = sum(1 << s for s in sub.members)
-        f = as_cocycle(BinaryTable(group=group, masks=_waterhouse_masks(group.order, h)))
+        full = (1 << group.order) - 1
+        masks = tuple(full if h >> s & 1 else h for s in range(group.order))
+        f = as_cocycle(BinaryTable(group=group, masks=masks))
         if tuple(inertial_group(f).members) != sub.members:
             raise InternalInvariantError("waterhouse table has the wrong inertial group")
         group._waterhouse[sub.members] = f
@@ -226,7 +222,7 @@ def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
 
 def compare(f: BinaryTable, g: BinaryTable) -> str:
     """Support-containment order: equal, less, greater, or incomparable."""
-    if f.group != g.group:
+    if f.group is not g.group and f.group != g.group:
         raise ValidationError("domain-mismatch: cocycles live on different groups")
     a, b = f.masks, g.masks
     if a == b:

@@ -22,6 +22,7 @@ from .algebra import (
     MonomialIdeal,
     _members_of,
     _n1_mask,
+    _waterhouse_of,
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
@@ -35,12 +36,10 @@ from .cocycles import (
     EQUAL,
     LESS,
     _lowest_bit,
-    _waterhouse_masks,
     compare,
     pointwise_product,
     validate_cocycle,
     vee,
-    waterhouse,
 )
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .generators import Word, all_generators, bstar, ideal_of_word
@@ -97,12 +96,13 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     layer I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial group
     always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
     Results are cached per context under ``chain.masks``; a miss builds the
-    table and hands it to ``_finish``, whose per-context memo validates each
-    distinct table once however many chains produce it.  The check that no
+    table, starting from the context's Waterhouse rows, and hands it to
+    ``_finish``, whose per-context memo validates each distinct table once
+    however many chains produce it.  The check that no
     product of two G* elements lands in H depends only on the context: a
     pass is remembered on it, a failure raises on every call.
     """
-    if chain.ctx != ctx:
+    if chain.ctx is not ctx and chain.ctx != ctx:
         raise ValidationError("chain was built over a different context")
     cache = ctx._chain_cache
     key = chain.masks
@@ -118,11 +118,12 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
                     "product of non-inertial elements landed in the inertial group"
                 )
         ctx._gstar_products_avoid_h = True
-    masks = list(_waterhouse_masks(ctx.group.order, ctx._hmask))
+    masks = list(_waterhouse_of(ctx).masks)
+    f_masks, preimage = ctx._masks, g.left_preimage
     for outer, inner in zip(key, key[1:]):
         layer = outer & ~inner
         for s in _members_of(layer):
-            masks[s] |= ctx._masks[s] & layer & g.left_preimage(s, layer)
+            masks[s] |= f_masks[s] & layer & preimage(s, layer)
     result = _finish(ctx, masks, "cocycle_from_chain")
     cache[key] = result
     return result
@@ -142,7 +143,7 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     if hit is not None:
         return hit
     g = ctx.group
-    masks = list(_waterhouse_masks(ctx.group.order, ctx._hmask))
+    masks = list(_waterhouse_of(ctx).masks)
     for s in ctx.gstar:
         masks[s] |= ctx._masks[s] & ctx._gstar_mask & ~g.left_preimage(s, ideal.mask)
     result = _finish(ctx, masks, "cocycle_mod_ideal")
@@ -233,7 +234,7 @@ def decompose_by_classes(
     parts is compared against f.
     """
     f = ctx.cocycle
-    f0 = waterhouse(ctx.group, ctx.inertial)
+    f0 = _waterhouse_of(ctx)
     if f.masks == f0.masks:
         raise ValidationError("nothing-to-decompose: the cocycle is its Waterhouse idempotent")
     _, nontrivial = classify_annihilators(ctx)
@@ -283,7 +284,7 @@ def decompose_by_bstar(ctx: AlgebraContext) -> List[Tuple[Word, Cocycle]]:
     if parts:
         joined = vee([c for _, c in parts]).masks
     else:
-        joined = waterhouse(ctx.group, ctx.inertial).masks
+        joined = _waterhouse_of(ctx).masks
     if joined != ctx.cocycle.masks:
         raise InternalInvariantError("maximal-word parts do not recombine to f")
     return parts
@@ -306,8 +307,9 @@ def _first_diff(a, b) -> Optional[Tuple[int, int, int, int]]:
 
 
 def _tables_check(name: str, lhs, rhs) -> IdentityCheck:
-    diff = _first_diff(lhs, rhs)
-    return IdentityCheck(name=name, ok=diff is None, counterexample=diff)
+    if lhs == rhs:
+        return _PASSED[name]
+    return IdentityCheck(name=name, ok=False, counterexample=_first_diff(lhs, rhs))
 
 
 def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> Tuple[int, ...]:
@@ -339,21 +341,19 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
 
 
 def _check_waterhouse_iff(ctx, chain: DescendingChain):
-    f0 = waterhouse(ctx.group, ctx.inertial)
-    collapses = cocycle_from_chain(ctx, chain).masks == f0.masks
-    squeezed = True
+    collapses = cocycle_from_chain(ctx, chain).masks == _waterhouse_of(ctx).masks
     witness = None
-    for a in range(len(chain) - 1):
-        sq = ideal_lattice_op("product", chain.ideals[a], chain.ideals[a])
-        if not sq <= chain.ideals[a + 1]:
-            squeezed = False
-            witness = (a + 1, tuple(sorted(sq.members - chain.ideals[a + 1].members)))
+    ideals = chain.ideals
+    for a, (outer, inner) in enumerate(zip(ideals, ideals[1:]), start=1):
+        sq = ideal_lattice_op("product", outer, outer)
+        if not sq <= inner:
+            witness = (a, tuple(sorted(sq.members - inner.members)))
             break
-    ok = collapses == squeezed
+    squeezed = witness is None
+    if collapses == squeezed:
+        return _PASSED["waterhouse_iff"]
     return IdentityCheck(
-        name="waterhouse_iff",
-        ok=ok,
-        counterexample=None if ok else (collapses, squeezed, witness),
+        name="waterhouse_iff", ok=False, counterexample=(collapses, squeezed, witness)
     )
 
 
@@ -426,8 +426,9 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
 
 def _check_leq_f(ctx, chain: DescendingChain):
     verdict = compare(cocycle_from_chain(ctx, chain), ctx.cocycle)
-    ok = verdict in (LESS, EQUAL)
-    return IdentityCheck(name="leq_f", ok=ok, counterexample=None if ok else (verdict,))
+    if verdict in (LESS, EQUAL):
+        return _PASSED["leq_f"]
+    return IdentityCheck(name="leq_f", ok=False, counterexample=(verdict,))
 
 
 IDENTITY_NAMES = (
@@ -440,6 +441,10 @@ IDENTITY_NAMES = (
     "trivial_annih_replace",
     "leq_f",
 )
+
+
+# one frozen passing verdict per identity, shared by every check that passes
+_PASSED = {name: IdentityCheck(name=name, ok=True) for name in IDENTITY_NAMES}
 
 
 _CHECKS = {
@@ -458,7 +463,10 @@ def check_identity(name: str, ctx: AlgebraContext, **kwargs) -> IdentityCheck:
     """Evaluate one named identity, returning a counterexample on failure.
 
     Violated hypotheses raise PreconditionError; a False result always means
-    the identity itself failed on valid input.
+    the identity itself failed on valid input.  A pass of chain_break,
+    waterhouse_iff, leq_f or any check that compares two tables returns the
+    one shared IdentityCheck(name, ok=True); a failure is a new verdict
+    carrying its counterexample.
     """
     check = _CHECKS.get(name)
     if check is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraContext,
@@ -344,14 +344,23 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
 
 @dataclass(frozen=True)
 class ExhaustionCertificate:
-    """Witness that no subadditive map with values up to bound induces f."""
+    """Witness that no subadditive map with values up to bound induces f.
+
+    With ``truncated`` set, the node budget ran out first: no map was found
+    within ``nodes_explored`` nodes, and nothing is ruled out.
+    """
 
     bound: int
     nodes_explored: int
+    truncated: bool = False
+
+
+class _NodeBudgetSpent(Exception):
+    """Raised inside the search when a node past the budget would be tried."""
 
 
 def search_realization(
-    ctx: AlgebraContext, bound: int
+    ctx: AlgebraContext, bound: int, max_nodes: Optional[int] = None
 ) -> Union[SemilinearMap, ExhaustionCertificate]:
     """Find the least natural-valued map inducing f, or rule every one out.
 
@@ -362,10 +371,14 @@ def search_realization(
     every pair constraint it completes: r(st) = r(s) + r(t) where f is 1,
     r(st) < r(s) + r(t) where f is 0.
     Only values tried on G* count as nodes explored.  The witness is
-    re-verified through cocycle_from_r before being returned.
+    re-verified through cocycle_from_r before being returned.  With
+    max_nodes, the search stops before its node max_nodes + 1 and returns a
+    truncated certificate; without it, the predicate carries no counter.
     """
     if bound < 1:
         raise ValidationError("bound must be at least 1")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValidationError("max_nodes must be at least 1")
     n = ctx.group.order
     order = ctx.inertial.members + ctx.gstar
     position = {s: i for i, s in enumerate(order)}
@@ -383,10 +396,23 @@ def search_realization(
         return True
 
     pinned = len(ctx.inertial.members)
+    step = holds
+    if max_nodes is not None:
+        # each pinned position is set once, first; every later call is a node
+        calls = itertools.count(-pinned)
+
+        def step(cs: Sequence[Tuple[int, int, int]], vals: List[int]) -> bool:
+            if next(calls) >= max_nodes:
+                raise _NodeBudgetSpent
+            return holds(cs, vals)
+
     domains = [(0,)] * pinned + [range(1, bound + 1)] * len(ctx.gstar)
     tried = [0] * n
-    search = _depth_first(domains, _closing_schedule(n, constraints), holds, tried)
-    completion = next(search, None)
+    search = _depth_first(domains, _closing_schedule(n, constraints), step, tried)
+    try:
+        completion = next(search, None)
+    except _NodeBudgetSpent:
+        return ExhaustionCertificate(bound=bound, nodes_explored=max_nodes, truncated=True)
     if completion is None:
         return ExhaustionCertificate(bound=bound, nodes_explored=sum(tried[pinned:]))
     witness = [0] * n

@@ -188,3 +188,34 @@ def test_weakly_descending_chain_allows_repeats(golden_ctx):
     rad = _ideal(golden_ctx, *range(1, 9))
     chain = cf.DescendingChain(ideals=(rad, rad))
     assert cf.chain_level(chain, 3) == 2
+
+
+def test_ideal_from_mask_matches_the_members_constructor():
+    from cocycle_forge.algebra import _ideal_from_mask
+
+    def raised(build):
+        with pytest.raises(ValidationError) as info:
+            build()
+        return str(info.value)
+
+    checked = 0
+    for group in (cf.make_cyclic(4), cf.make_dihedral(3)):
+        n = group.order
+        for c in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles:
+            try:
+                ctx = cf.AlgebraContext(c)
+            except ValidationError:
+                continue
+            for mask in range(1 << n):
+                members = frozenset(s for s in range(n) if mask >> s & 1)
+                try:
+                    expected = cf.MonomialIdeal(ctx=ctx, members=members)
+                except ValidationError as exc:
+                    assert raised(lambda: _ideal_from_mask(ctx, mask)) == str(exc)
+                    continue
+                ideal = _ideal_from_mask(ctx, mask)
+                assert ideal == expected
+                assert (ideal.mask, ideal.members) == (mask, members)
+                assert isinstance(ideal.members, frozenset)
+                checked += 1
+    assert checked > 1000

@@ -205,3 +205,39 @@ def test_products_agree_is_the_triple_identity_per_step():
                     for s, t, r in closing[i]
                 )
                 assert _products_agree(schedule[i], vals) == expected, (name, i)
+
+
+def _constraint_key(c):
+    left, right = tuple(sorted(c[:2])), tuple(sorted(c[2:]))
+    return min(left, right), max(left, right)
+
+
+def test_triple_constraints_drop_tautologies_and_twins():
+    from cocycle_forge.census import _triple_constraints
+
+    groups = dict(SMALL_GROUPS, D4=cf.make_dihedral(4), C8=cf.make_cyclic(8))
+    distinct = {"D3": 101, "D4": 292, "C8": 330}
+    for name, group in groups.items():
+        n = group.order
+        m = n - 1
+
+        def pos(s, t):
+            return (s - 1) * m + t if s and t else 0
+
+        every = [
+            (pos(s, t), pos(group.mul(s, t), r), pos(t, r), pos(s, group.mul(t, r)))
+            for s, t, r in itertools.product(range(1, n), repeat=3)
+        ]
+        kept = _triple_constraints(group)
+        keys = [_constraint_key(c) for c in kept]
+        assert len(set(keys)) == len(keys), name
+        assert all(left != right for left, right in keys), name
+        # each kept triple is the first of its twins, in the order of (s, t, r)
+        firsts = {}
+        for c in every:
+            key = _constraint_key(c)
+            if key[0] != key[1]:
+                firsts.setdefault(key, c)
+        assert kept == list(firsts.values()), name
+        if name in distinct:
+            assert (len(every), len(kept)) == ((n - 1) ** 3, distinct[name]), name
