@@ -28,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import or_
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraContext,
@@ -48,13 +49,21 @@ from .cocycles import (
     CocycleViolation,
     _closing_schedule,
     _depth_first,
+    _support_order,
     inertial_group,
     validate_cocycle,
 )
 from .decomposition import (
     DecompositionReport,
+    _PASSED,
     _classes_of,
+    _leq_f_verdict,
+    _link_witness,
+    _pair_chain,
+    _tables_check,
+    _waterhouse_iff_verdict,
     check_identity,
+    cocycle_from_chain,
     cocycle_mod_ideal,
     decompose_by_bstar,
     decompose_by_classes,
@@ -285,41 +294,118 @@ def _no_label(_) -> str:
     return ""
 
 
+def _failure_suffix(result) -> Optional[str]:
+    """None when a check passed, else how its failure detail ends.
+
+    result is what the check returned (a bool or a verdict with ``ok``) or
+    the ForgeError it raised.
+    """
+    if isinstance(result, ForgeError):
+        return f" raised: {result}"
+    if isinstance(result, bool):
+        return None if result else ""
+    return None if result.ok else f" {result.counterexample}"
+
+
+CHAIN_CHECKS = ("leq_f", "chain_break", "waterhouse_iff")
+_CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
+
+
+def _chain_verdicts(
+    ctx: AlgebraContext, chains: Sequence[DescendingChain]
+) -> Iterator[Tuple[DescendingChain, tuple, tuple]]:
+    """Yield (chain, verdicts, (join, witness)) for each chain, in order.
+
+    verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
+    check_identity returns or the ForgeError it raises.  Each chain must
+    come after its parent ``chain.masks[:-1]``, as in descending_multichains.
+
+    The chain cocycle is built on its own, once per chain.  The join of the
+    pair tables is the parent's join OR the last pair's table, read from the
+    chain cache by mask key.  The witness, the first unsqueezed link, is the
+    parent's unless that is None; then the last link is tested, reading each
+    ideal's square once per context.  An input that raised is carried as its
+    error, without the traceback, whose frames would hold the context.
+    """
+    f_masks = ctx._masks
+    f0 = _waterhouse_of(ctx).masks
+    squares: Dict[int, int] = {}
+    carried: Dict[Tuple[int, ...], tuple] = {}
+    for chain in chains:
+        key = chain.masks
+        outer, inner = chain.ideals[-2:]
+        try:
+            direct = cocycle_from_chain(ctx, chain).masks
+        except ForgeError as exc:
+            direct = exc.with_traceback(None)
+        join, witness = carried[key[:-1]] if len(key) > 2 else (None, None)
+        if not isinstance(join, ForgeError):
+            try:
+                pair = _pair_chain(ctx, outer, inner).masks
+            except ForgeError as exc:
+                join = exc.with_traceback(None)
+            else:
+                join = pair if join is None else tuple(map(or_, join, pair))
+        if witness is None:
+            square = squares.get(outer.mask)
+            try:
+                if square is None:
+                    square = ideal_lattice_op("product", outer, outer).mask
+                    squares[outer.mask] = square
+            except ForgeError as exc:
+                witness = exc.with_traceback(None)
+            else:
+                witness = _link_witness(len(key) - 1, square, inner.mask)
+        state = carried[key] = (join, witness)
+        if isinstance(direct, ForgeError):
+            yield chain, (direct, direct, direct), state
+            continue
+        yield chain, (
+            _leq_f_verdict(_support_order(direct, f_masks)),
+            join if isinstance(join, ForgeError) else _tables_check("chain_break", direct, join),
+            witness
+            if isinstance(witness, ForgeError)
+            else _waterhouse_iff_verdict(direct, f0, witness),
+        ), state
+
+
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
+    """The property sweep of one context.  The chain identities run in one
+    pass per chain (_chain_verdicts) and are counted in bulk; every other
+    check is one guarded call.  A failure detail is formatted only then."""
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
     rows = ctx.cocycle.rows()
     n = ctx.group.order
+
+    def fail(check: str, detail: str) -> None:
+        failures.append(
+            PropertyFailure(check=check, group_order=n, cocycle_rows=rows, detail=detail)
+        )
 
     def guarded(check: str, label, about, fn, *args, **kwargs) -> None:
         """Count one check of kind `check` and run fn(*args, **kwargs); on a
         failure the detail starts with label(about), formatted only then."""
         counts[check] = counts.get(check, 0) + 1
         try:
-            result = fn(*args, **kwargs)
+            suffix = _failure_suffix(fn(*args, **kwargs))
         except ForgeError as exc:
-            suffix = f" raised: {exc}"
-        else:
-            if isinstance(result, bool):
-                if result:
-                    return
-                suffix = ""
-            elif result.ok:
-                return
-            else:
-                suffix = f" {result.counterexample}"
-        failures.append(
-            PropertyFailure(
-                check=check, group_order=n, cocycle_rows=rows, detail=label(about) + suffix
-            )
-        )
+            suffix = _failure_suffix(exc)
+        if suffix is not None:
+            fail(check, label(about) + suffix)
 
     ideals = enumerate_ideals(ctx)
     chains, _ = descending_multichains(ideals, cap=max_chains)
 
-    for chain in chains:
-        for name in ("leq_f", "chain_break", "waterhouse_iff"):
-            guarded(name, _chain_label, chain, check_identity, name, ctx, chain=chain)
+    if chains:
+        counts.update(dict.fromkeys(CHAIN_CHECKS, len(chains)))
+    for chain, verdicts, _ in _chain_verdicts(ctx, chains):
+        if verdicts == _CHAIN_PASSED:
+            continue
+        for name, outcome in zip(CHAIN_CHECKS, verdicts):
+            suffix = _failure_suffix(outcome)
+            if suffix is not None:
+                fail(name, _chain_label(chain) + suffix)
 
     trivial, _ = classify_annihilators(ctx)
     base_n1 = n1_set(ctx)
@@ -394,7 +480,13 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
     except ValidationError:
         # the all-ones cocycle: the algebra has no radical, nothing to check
         return CocycleCheckResult(counts={}, failures=())
-    return _run_suite_checks(ctx, max_chains)
+    try:
+        return _run_suite_checks(ctx, max_chains)
+    finally:
+        # the ideals these caches hold point back at ctx; emptying them lets
+        # reference counting free ctx here, not the cycle collector later
+        ctx._lattice_cache.clear()
+        ctx._principal_cache = None
 
 
 @dataclass(frozen=True)

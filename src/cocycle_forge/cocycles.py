@@ -224,12 +224,19 @@ def compare(f: BinaryTable, g: BinaryTable) -> str:
     """Support-containment order: equal, less, greater, or incomparable."""
     if f.group is not g.group and f.group != g.group:
         raise ValidationError("domain-mismatch: cocycles live on different groups")
-    a, b = f.masks, g.masks
+    return _support_order(f.masks, g.masks)
+
+
+def _support_order(a: Sequence[int], b: Sequence[int]) -> str:
+    """compare on the row masks of two tables over one group: each row of
+    the smaller table is its meet with the other's."""
+    a, b = tuple(a), tuple(b)
     if a == b:
         return EQUAL
-    if not any(x & ~y for x, y in zip(a, b)):
+    meet = tuple(map(and_, a, b))
+    if meet == a:
         return LESS
-    if not any(y & ~x for x, y in zip(a, b)):
+    if meet == b:
         return GREATER
     return INCOMPARABLE
 

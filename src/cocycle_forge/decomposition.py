@@ -340,15 +340,31 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
     return _tables_check("chain_break", lhs, joined)
 
 
-def _check_waterhouse_iff(ctx, chain: DescendingChain):
-    collapses = cocycle_from_chain(ctx, chain).masks == _waterhouse_of(ctx).masks
-    witness = None
+def _link_witness(a: int, square: int, inner: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """Whether link a, I_a >= I_{a+1}, of a chain is squeezed, from the masks
+    of I_a^2 and I_{a+1}: None when I_a^2 <= I_{a+1}, else the witness
+    (a, members of I_a^2 outside I_{a+1})."""
+    extra = square & ~inner
+    return (a, _members_of(extra)) if extra else None
+
+
+def _first_unsqueezed(chain: DescendingChain) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """The witness of the first link of the chain that is not squeezed, or
+    None when every link is."""
     ideals = chain.ideals
     for a, (outer, inner) in enumerate(zip(ideals, ideals[1:]), start=1):
-        sq = ideal_lattice_op("product", outer, outer)
-        if not sq <= inner:
-            witness = (a, tuple(sorted(sq.members - inner.members)))
-            break
+        square = ideal_lattice_op("product", outer, outer)
+        witness = _link_witness(a, square.mask, inner.mask)
+        if witness is not None:
+            return witness
+    return None
+
+
+def _waterhouse_iff_verdict(direct, f0, witness) -> IdentityCheck:
+    """waterhouse_iff on row masks: the chain cocycle ``direct`` equals the
+    Waterhouse idempotent ``f0`` exactly when ``witness``, the first
+    unsqueezed link, is None."""
+    collapses = direct == f0
     squeezed = witness is None
     if collapses == squeezed:
         return _PASSED["waterhouse_iff"]
@@ -357,7 +373,22 @@ def _check_waterhouse_iff(ctx, chain: DescendingChain):
     )
 
 
+def _check_waterhouse_iff(ctx, chain: DescendingChain):
+    direct = cocycle_from_chain(ctx, chain).masks
+    return _waterhouse_iff_verdict(direct, _waterhouse_of(ctx).masks, _first_unsqueezed(chain))
+
+
 def _pair_chain(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> Cocycle:
+    """The cocycle of the two-term chain outer >= inner.
+
+    Read from the chain cache by mask key when both ideals are over ctx
+    itself; a key there belongs to a chain that passed the link check.  The
+    chain is built and handed to cocycle_from_chain only otherwise.
+    """
+    if outer.ctx is ctx and inner.ctx is ctx:
+        hit = ctx._chain_cache.get((outer.mask, inner.mask))
+        if hit is not None:
+            return hit
     return cocycle_from_chain(ctx, DescendingChain(ideals=(outer, inner)))
 
 
@@ -424,11 +455,16 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
     return _tables_check("trivial_annih_replace", lhs, rhs)
 
 
-def _check_leq_f(ctx, chain: DescendingChain):
-    verdict = compare(cocycle_from_chain(ctx, chain), ctx.cocycle)
-    if verdict in (LESS, EQUAL):
+def _leq_f_verdict(relation: str) -> IdentityCheck:
+    """leq_f from the support order of the chain cocycle against f, as
+    ``compare`` or ``_support_order`` on the row masks gives it."""
+    if relation in (LESS, EQUAL):
         return _PASSED["leq_f"]
-    return IdentityCheck(name="leq_f", ok=False, counterexample=(verdict,))
+    return IdentityCheck(name="leq_f", ok=False, counterexample=(relation,))
+
+
+def _check_leq_f(ctx, chain: DescendingChain):
+    return _leq_f_verdict(compare(cocycle_from_chain(ctx, chain), ctx.cocycle))
 
 
 IDENTITY_NAMES = (
@@ -467,6 +503,12 @@ def check_identity(name: str, ctx: AlgebraContext, **kwargs) -> IdentityCheck:
     waterhouse_iff, leq_f or any check that compares two tables returns the
     one shared IdentityCheck(name, ok=True); a failure is a new verdict
     carrying its counterexample.
+
+    The chain identities compute their mask inputs from scratch: the chain
+    cocycle, the join of its sub-chain cocycles and the first unsqueezed
+    link.  They decide through ``_leq_f_verdict``, ``_tables_check`` and
+    ``_waterhouse_iff_verdict``, which the property sweep calls with the
+    join and the link carried from each chain's parent.
     """
     check = _CHECKS.get(name)
     if check is None:
