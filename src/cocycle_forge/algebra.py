@@ -39,9 +39,10 @@ class AlgebraContext:
     """A cocycle together with its inertial group and non-inertial set G*.
 
     G* must be nonempty: with G* empty the algebra is simple and none of the
-    ideal constructions apply.  The per-context caches are declared here;
-    the chain and quotient caches and the validated-table memo are filled
-    by the decomposition module.
+    ideal constructions apply.  The per-context caches are declared here.
+    This module fills the lattice and principal-ideal caches; the chain and
+    quotient caches and the validated-table memo are filled by the
+    decomposition module.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -155,6 +156,9 @@ class MonomialIdeal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
+        bad = sorted(s for s in self.members if not 0 <= s < self.ctx.group.order)
+        if bad:
+            raise ValidationError(f"not-in-gstar: {bad}")
         mask = _mask_of(self.members)
         _check_ideal_mask(self.ctx, mask)
         object.__setattr__(self, "mask", mask)
@@ -207,6 +211,13 @@ def principal_ideal(ctx: AlgebraContext, s: int) -> MonomialIdeal:
     if ctx.in_inertial(s):
         raise ValidationError(f"not-in-gstar: {s}")
     return _ideal_from_mask(ctx, _closure_mask(ctx, 1 << s))
+
+
+def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
+    """The principal ideal of every element of G*, built once per context."""
+    if ctx._principal_cache is None:
+        ctx._principal_cache = {s: principal_ideal(ctx, s) for s in ctx.gstar}
+    return ctx._principal_cache
 
 
 def ideal_closure(ctx: AlgebraContext, seed: Iterable[int]) -> MonomialIdeal:

@@ -36,7 +36,7 @@ from .algebra import (
     DescendingChain,
     MonomialIdeal,
     _ideal_from_mask,
-    _is_closed_mask,
+    _principal_ideals,
     _waterhouse_of,
     classify_annihilators,
     ideal_closure,
@@ -193,36 +193,17 @@ def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
 def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
     """All monomial ideals, sorted by size then members.
 
-    Up to |G*| = 12 every subset is tested directly; up to 20 the lattice
-    generated by the principal ideals is closed under sum and intersection,
-    which reaches everything because each ideal is the sum of the principal
-    ideals of its members.
+    Every ideal is the union of the principal ideals of its members, so
+    closing the zero ideal under union with each principal ideal reaches
+    them all: one route, linear in the number of ideals for each element
+    of G*.
     """
     g = len(ctx.gstar)
     if g > 20:
         raise ValidationError(f"size-error: |G*| = {g} exceeds the ideal enumeration cap")
-    if g <= 12:
-        masks = set()
-        for bits in range(1 << g):
-            mask = 0
-            for i in range(g):
-                if bits >> i & 1:
-                    mask |= 1 << ctx.gstar[i]
-            if _is_closed_mask(ctx, mask):
-                masks.add(mask)
-    else:
-        masks = {0, ctx._gstar_mask}
-        for s in ctx.gstar:
-            masks.add(ideal_closure(ctx, (s,)).mask)
-        grew = True
-        while grew:
-            grew = False
-            current = sorted(masks)
-            for a, b in combinations(current, 2):
-                for mask in (a | b, a & b):
-                    if mask not in masks:
-                        masks.add(mask)
-                        grew = True
+    masks = {0}
+    for principal in _principal_ideals(ctx).values():
+        masks |= {mask | principal.mask for mask in masks}
     ideals = [_ideal_from_mask(ctx, mask) for mask in masks]
     ideals.sort(key=lambda i: (len(i), i.sorted_members))
     return ideals

@@ -233,6 +233,8 @@ def _cmd_decompose(args) -> Tuple[str, int]:
 
 
 def _cmd_identity(args) -> Tuple[str, int]:
+    if args.split is not None and args.name != "chain_break":
+        raise ParseError("--split applies only to chain_break")
     _, cocycle, _, chain = _load(args)
     ctx = AlgebraContext(cocycle)
     ideals = [_ideal_from_arg(ctx, raw) for raw in args.ideal]

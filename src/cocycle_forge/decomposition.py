@@ -14,19 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
+    _ideal_from_mask,
     _members_of,
     _n1_mask,
+    _principal_ideals,
     _waterhouse_of,
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
-    principal_ideal,
     radical_powers,
 )
 from .cocycles import (
@@ -157,12 +158,6 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     return result
 
 
-def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
-    if ctx._principal_cache is None:
-        ctx._principal_cache = {s: principal_ideal(ctx, s) for s in ctx.gstar}
-    return ctx._principal_cache
-
-
 def _classes_of(ctx: AlgebraContext, members: AbstractSet[int]) -> List[Tuple[int, ...]]:
     """The double cosets H s H that meet members, sorted by least member."""
     return [
@@ -182,11 +177,8 @@ def unique_class_ideal(ctx: AlgebraContext, rho: int) -> MonomialIdeal:
         raise ValidationError(f"not-in-gstar: {rho}")
     if _n1_mask(ctx) >> rho & 1:
         raise ValidationError(f"rho-in-n1: {rho} admits no factorization")
-    principal = _principal_ideals(ctx)
-    members = frozenset(
-        s for g in ctx.gstar if rho not in principal[g] for s in principal[g].members
-    )
-    ideal = MonomialIdeal(ctx=ctx, members=members)
+    avoiding = [p.mask for p in _principal_ideals(ctx).values() if rho not in p]
+    ideal = _ideal_from_mask(ctx, reduce(or_, avoiding, 0))
     sub_ctx = AlgebraContext(cocycle_mod_ideal(ctx, ideal))
     _, sub_nontrivial = classify_annihilators(sub_ctx)
     if sub_nontrivial != frozenset(_classes_of(ctx, {rho})[0]):

@@ -28,6 +28,13 @@ def test_ideal_requires_gstar_members(golden_ctx):
         _ideal(golden_ctx, 0, 4)
 
 
+def test_ideal_rejects_members_outside_the_group(golden_ctx):
+    with pytest.raises(ValidationError, match=r"not-in-gstar: \[-1\]"):
+        _ideal(golden_ctx, -1, 4)
+    with pytest.raises(ValidationError, match=r"not-in-gstar: \[-3, 9\]"):
+        _ideal(golden_ctx, 9, 4, -3)
+
+
 def test_ideal_requires_closure(golden_ctx):
     # 5*8 = 4 survives (f(5,8)=1), so {5} alone is not closed
     with pytest.raises(ValidationError, match="not closed"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -106,30 +107,61 @@ def test_enumerate_ideals_golden(golden_ctx):
     assert keys == sorted(keys)
 
 
+def _closed_subsets(ctx):
+    """Every subset S of G* with st and ts in S whenever s is in S and f is 1
+    on the product, sorted by size then members; read from f and the
+    multiplication table only."""
+    n = ctx.group.order
+    found = []
+    for k in range(len(ctx.gstar) + 1):
+        for subset in itertools.combinations(ctx.gstar, k):
+            members = set(subset)
+            if all(
+                (not ctx.f(s, t) or ctx.mul(s, t) in members)
+                and (not ctx.f(t, s) or ctx.mul(t, s) in members)
+                for s in subset
+                for t in range(n)
+            ):
+                found.append(subset)
+    return sorted(found, key=lambda t: (len(t), t))
+
+
 def test_enumerate_ideals_brute_force_cross_check(d3_ctx):
-    # order six is small enough to test every subset of G* directly
-    gstar = list(d3_ctx.gstar)
-    expected = set()
-    for k in range(len(gstar) + 1):
-        for combo in itertools.combinations(gstar, k):
-            try:
-                cf.MonomialIdeal(ctx=d3_ctx, members=frozenset(combo))
-            except ValidationError:
-                continue
-            expected.add(combo)
-    got = {i.sorted_members for i in cf.enumerate_ideals(d3_ctx)}
-    assert got == expected
+    # every non-simple cocycle of C2-C7 and D3 is small enough to test every
+    # subset of G* directly; the order is compared as well as the sets
+    contexts = [d3_ctx]
+    for group in [cf.make_cyclic(n) for n in range(2, 8)] + [cf.make_dihedral(3)]:
+        for f in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles:
+            if any(v == 0 for row in f.values for v in row):
+                contexts.append(cf.AlgebraContext(f))
+    assert len(contexts) == 1 + 2699
+    for ctx in contexts:
+        got = [i.sorted_members for i in cf.enumerate_ideals(ctx)]
+        assert got == _closed_subsets(ctx), ctx
 
 
 def test_enumerate_ideals_lattice_route():
-    # 15 radical elements forces the principal-lattice route; the closed
-    # sets of this staircase cocycle are exactly the upward intervals
+    # a staircase cocycle with 15 radical elements: its closed sets are
+    # exactly the upward intervals
     g = cf.make_cyclic(16)
     r = cf.as_semilinear(g, cf.AdditiveNaturals(), tuple(range(16)))
     ctx = cf.AlgebraContext(cf.cocycle_from_r(r))
     got = [i.sorted_members for i in cf.enumerate_ideals(ctx)]
     expect = [()] + [tuple(range(m, 16)) for m in range(15, 0, -1)]
     assert got == sorted(expect, key=lambda t: (len(t), t))
+
+
+def test_enumerate_ideals_waterhouse_c14_every_subset():
+    # the Waterhouse cocycle of C14 over the trivial subgroup keeps no
+    # product inside G*, so all 2^13 subsets of G* are ideals
+    g = cf.make_cyclic(14)
+    ctx = cf.AlgebraContext(cf.waterhouse(g, cf.subgroup(g, [0])))
+    start = time.perf_counter()
+    got = [i.sorted_members for i in cf.enumerate_ideals(ctx)]
+    elapsed = time.perf_counter() - start
+    expect = [c for k in range(14) for c in itertools.combinations(range(1, 14), k)]
+    assert got == expect
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_enumerate_ideals_size_cap():

@@ -94,6 +94,8 @@ def test_parse_chain_errors(golden_ctx):
         cf.parse_chain("1 2 3 4 5 6 7 8\n5\n", golden_ctx)  # {5} is not closed
     with pytest.raises(ValidationError, match="chain-too-short"):
         cf.parse_chain("1 2 3 4 5 6 7 8\n", golden_ctx)
+    with pytest.raises(ValidationError, match=r"line 2: not-in-gstar: \[-1\]"):
+        cf.parse_chain("1 2 3 4 5 6 7 8\n-1\n", golden_ctx)
 
 
 def test_rmap_round_trip(golden_r, z9):
@@ -362,6 +364,29 @@ def test_cli_identity_precondition_failure(golden_files, capsys):
                       "--cocycle", golden_files["cocycle"]])
     assert rc == 1
     assert "intersect" in capsys.readouterr().err
+
+
+def test_cli_split_applies_only_to_chain_break(golden_files, capsys):
+    rc = run_command(["identity", "--name", "leq_f", "--split", "2",
+                      "--group", golden_files["group"],
+                      "--cocycle", golden_files["cocycle"],
+                      "--chain", golden_files["chain"]])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --split applies only to chain_break\n"
+
+
+def test_cli_negative_ideal_member_is_an_error(golden_files, tmp_path, capsys):
+    files = ["--group", golden_files["group"], "--cocycle", golden_files["cocycle"]]
+    bad_chain = _write(tmp_path, "bad.chain", "1 2 3 4 5 6 7 8\n-1\n")
+    for argv, message in (
+        (["identity", "--name", "fI_eq_f", "--ideal", "-1"], "not-in-gstar: [-1]"),
+        (["morphism", "--ideal", "-3"], "not-in-gstar: [-3]"),
+        (["chain-cocycle", "--chain", bad_chain], "line 2: not-in-gstar: [-1]"),
+    ):
+        assert run_command(argv + files) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n", argv
 
 
 def test_cli_morphism(golden_files, capsys):
