@@ -3,11 +3,11 @@ cocycle: principal ideals, radical powers, the N_k partition, annihilators,
 lattice operations, and descending chains.
 
 Ideals are subsets of the non-inertial indices, closed under one-sided basis
-multiplication whenever the cocycle value is 1.  Internally each ideal also
-carries a bitmask keyed to the group index order; all set algebra runs on the
-masks.  Only proper ideals are represented: the zero ideal is the empty set
-and the radical J is the whole of G*, but the algebra itself is never an
-ideal value.
+multiplication whenever the cocycle value is 1.  Each ideal is stored as the
+bitmask of that subset, keyed to the group index order, and all set algebra
+runs on the masks; the member set is a view.  Only proper ideals are
+represented: the zero ideal is the mask 0 and the radical J is the mask of
+G*, but the algebra itself is never an ideal value.
 """
 
 from __future__ import annotations
@@ -149,59 +149,59 @@ def _is_closed_mask(ctx: AlgebraContext, mask: int) -> bool:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A two-sided monomial ideal, stored as its subset of G*."""
+    """A two-sided monomial ideal, stored as the bitmask of its subset of G*;
+    ``from_members`` builds one from a member set, and ``members`` and
+    ``sorted_members`` are views of the mask."""
 
     ctx: AlgebraContext
-    members: FrozenSet[int]
+    mask: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        bad = sorted(s for s in self.members if not 0 <= s < self.ctx.group.order)
+        """The one checked path: the mask lies in G* and is closed under basis
+        multiplication.  A negative mask is refused before it is unpacked."""
+        ctx, mask = self.ctx, self.mask
+        if mask < 0:
+            raise ValidationError(f"not-in-gstar: negative mask {mask}")
+        if mask & ~ctx._gstar_mask:
+            raise ValidationError(f"not-in-gstar: {list(_members_of(mask & ~ctx._gstar_mask))}")
+        if not _is_closed_mask(ctx, mask):
+            raise ValidationError(
+                f"set {list(_members_of(mask))} is not closed under basis multiplication"
+            )
+
+    @classmethod
+    def from_members(cls, ctx: AlgebraContext, members: Iterable[int]) -> "MonomialIdeal":
+        """The ideal with these members; each must be a group index."""
+        members = set(members)
+        bad = sorted(s for s in members if not 0 <= s < ctx.group.order)
         if bad:
             raise ValidationError(f"not-in-gstar: {bad}")
-        mask = _mask_of(self.members)
-        _check_ideal_mask(self.ctx, mask)
-        object.__setattr__(self, "mask", mask)
+        return cls(ctx=ctx, mask=_mask_of(members))
 
-    mask: int = 0  # filled in __post_init__
+    @property
+    def members(self) -> FrozenSet[int]:
+        return frozenset(_members_of(self.mask))
 
     @property
     def sorted_members(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return _members_of(self.mask)
 
     def __contains__(self, s: int) -> bool:
-        return self.mask >> s & 1 == 1
+        return s >= 0 and self.mask >> s & 1 == 1
 
     def __le__(self, other: "MonomialIdeal") -> bool:
         return self.mask & ~other.mask == 0
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.sorted_members)})"
 
 
-def _check_ideal_mask(ctx: AlgebraContext, mask: int) -> None:
-    """An ideal's mask must lie in G* and be closed under basis multiplication."""
-    if mask & ~ctx._gstar_mask:
-        bad = list(_members_of(mask & ~ctx._gstar_mask))
-        raise ValidationError(f"not-in-gstar: {bad}")
-    if not _is_closed_mask(ctx, mask):
-        raise ValidationError(
-            f"set {list(_members_of(mask))} is not closed under basis multiplication"
-        )
-
-
 def _ideal_from_mask(ctx: AlgebraContext, mask: int) -> MonomialIdeal:
-    """The ideal with this mask, checked on the mask itself: its members are
-    unpacked once and never packed back."""
-    _check_ideal_mask(ctx, mask)
-    ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "ctx", ctx)
-    object.__setattr__(ideal, "members", frozenset(_members_of(mask)))
-    object.__setattr__(ideal, "mask", mask)
-    return ideal
+    """The ideal with this mask, under the name bench/layers.py traces."""
+    return MonomialIdeal(ctx=ctx, mask=mask)
 
 
 def principal_ideal(ctx: AlgebraContext, s: int) -> MonomialIdeal:
@@ -442,6 +442,6 @@ def chain_levels(chain: DescendingChain) -> Dict[int, int]:
     """
     levels = {s: 0 for s in chain.ctx.gstar}
     for a, ideal in enumerate(chain.ideals, start=1):
-        for s in ideal.members:
+        for s in _members_of(ideal.mask):
             levels[s] = a
     return levels

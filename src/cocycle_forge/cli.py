@@ -18,7 +18,7 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .census import CensusConfig, census_records, enumerate_cocycles
+from .census import CHAIN_CHECKS, CensusConfig, census_records, enumerate_cocycles
 from .cocycles import inertial_group
 from .decomposition import (
     IDENTITY_NAMES,
@@ -122,7 +122,6 @@ def _workspace(args) -> Workspace:
         cocycle_path=args.cocycle,
         r_path=args.rmap,
         chain_path=args.chain,
-        out_path=args.out,
     )
 
 
@@ -140,10 +139,10 @@ def _load(args, need_cocycle=True, need_chain=False, need_r=False):
 def _ideal_from_arg(ctx: AlgebraContext, raw: str) -> MonomialIdeal:
     raw = raw.strip()
     try:
-        members = frozenset(int(p) for p in raw.replace(",", " ").split())
+        members = [int(p) for p in raw.replace(",", " ").split()]
     except ValueError:
         raise ParseError(f"--ideal {raw!r}: members must be integers")
-    return MonomialIdeal(ctx=ctx, members=members)
+    return MonomialIdeal.from_members(ctx, members)
 
 
 def _catalog_notation(gens: GeneratorSet) -> str:
@@ -233,14 +232,18 @@ def _cmd_decompose(args) -> Tuple[str, int]:
 
 
 def _cmd_identity(args) -> Tuple[str, int]:
-    if args.split is not None and args.name != "chain_break":
+    name = args.name
+    if args.split is not None and name != "chain_break":
         raise ParseError("--split applies only to chain_break")
+    if name in CHAIN_CHECKS and args.ideal:
+        raise ParseError(f"identity {name} reads --chain, not --ideal")
+    if name not in CHAIN_CHECKS and args.chain is not None:
+        raise ParseError(f"identity {name} reads --ideal, not --chain")
     _, cocycle, _, chain = _load(args)
     ctx = AlgebraContext(cocycle)
     ideals = [_ideal_from_arg(ctx, raw) for raw in args.ideal]
-    name = args.name
     kwargs = {}
-    if name in ("chain_break", "waterhouse_iff", "leq_f"):
+    if name in CHAIN_CHECKS:
         if chain is None:
             raise ParseError(f"identity {name} needs --chain")
         kwargs["chain"] = chain

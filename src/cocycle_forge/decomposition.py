@@ -20,13 +20,13 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
+    _closure_mask,
     _ideal_from_mask,
     _members_of,
     _n1_mask,
     _principal_ideals,
     _waterhouse_of,
     classify_annihilators,
-    ideal_closure,
     ideal_lattice_op,
     radical_powers,
 )
@@ -148,7 +148,7 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     for s in ctx.gstar:
         masks[s] |= ctx._masks[s] & ctx._gstar_mask & ~g.left_preimage(s, ideal.mask)
     result = _finish(ctx, masks, "cocycle_mod_ideal")
-    radical = MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
+    radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
     via_chain = cocycle_from_chain(ctx, DescendingChain(ideals=(radical, ideal)))
     if result.masks != via_chain.masks:
         raise InternalInvariantError(
@@ -267,8 +267,8 @@ def decompose_by_bstar(ctx: AlgebraContext) -> List[Tuple[Word, Cocycle]]:
     Waterhouse idempotent.
     """
     words = bstar(all_generators(ctx))
-    radical = MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
-    zero = MonomialIdeal(ctx=ctx, members=frozenset())
+    radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
+    zero = MonomialIdeal(ctx=ctx, mask=0)
     parts: List[Tuple[Word, Cocycle]] = []
     for word in words:
         chain = DescendingChain(ideals=(radical, ideal_of_word(word), zero))
@@ -441,7 +441,7 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
             f"second ideal contains non-trivial-annihilator members "
             f"{sorted(second.members - trivial)}"
         )
-    zero = MonomialIdeal(ctx=ctx, members=frozenset())
+    zero = MonomialIdeal(ctx=ctx, mask=0)
     lhs = _pair_chain(ctx, first, second).masks
     rhs = _pair_chain(ctx, first, zero).masks
     return _tables_check("trivial_annih_replace", lhs, rhs)
@@ -598,19 +598,19 @@ def quotient_transport(
     P must be an ideal of the quotient context; the union P with I is then
     automatically closed in the original context, and the double quotient
     (f_I)_P coincides with f over the union ideal.  Given a full chain
-    ending at I, the member sets of its ideals transport to a chain of the
+    ending at I, the masks of its ideals transport to a chain of the
     quotient context with an equal chain cocycle.
     """
     fI = cocycle_mod_ideal(ctx, ideal)
     sub_ctx = AlgebraContext(fI)
     try:
-        p_ideal = MonomialIdeal(ctx=sub_ctx, members=frozenset(p_members))
+        p_ideal = MonomialIdeal.from_members(sub_ctx, p_members)
     except ValidationError as exc:
         raise ValidationError(f"invalid-ideal: {exc}") from exc
-    union = set(p_ideal.members) | set(ideal.members)
-    union_ideal = ideal_closure(ctx, union)
-    if union_ideal.members != frozenset(union):
+    union = p_ideal.mask | ideal.mask
+    if _closure_mask(ctx, union) != union:
         raise InternalInvariantError("union of quotient ideal and kernel is not closed")
+    union_ideal = MonomialIdeal(ctx=ctx, mask=union)
     lhs = cocycle_mod_ideal(sub_ctx, p_ideal)
     rhs = cocycle_mod_ideal(ctx, union_ideal)
     if lhs.masks != rhs.masks:
@@ -619,12 +619,10 @@ def quotient_transport(
     if chain is not None:
         if chain.ctx != ctx:
             raise ValidationError("chain was built over a different context")
-        if chain.ideals[-1].members != ideal.members:
+        if chain.ideals[-1].mask != ideal.mask:
             raise ValidationError("chain must end at the quotient ideal")
         transported = DescendingChain(
-            ideals=tuple(
-                MonomialIdeal(ctx=sub_ctx, members=i.members) for i in chain.ideals
-            )
+            ideals=tuple(MonomialIdeal(ctx=sub_ctx, mask=i.mask) for i in chain.ideals)
         )
         chain_equal = (
             cocycle_from_chain(ctx, chain).masks

@@ -117,11 +117,11 @@ def parse_chain(text: str, ctx: AlgebraContext) -> DescendingChain:
     ideals = []
     for i, line in enumerate(lines, start=1):
         try:
-            members = frozenset(int(p) for p in line.split())
+            members = [int(p) for p in line.split()]
         except ValueError:
             raise ParseError(f"line {i}: member indices must be integers")
         try:
-            ideals.append(MonomialIdeal(ctx=ctx, members=members))
+            ideals.append(MonomialIdeal.from_members(ctx, members))
         except ValidationError as exc:
             raise ValidationError(f"line {i}: {exc}") from exc
     return DescendingChain(ideals=tuple(ideals))
@@ -283,7 +283,6 @@ class Workspace:
     cocycle_path: Optional[str] = None
     r_path: Optional[str] = None
     chain_path: Optional[str] = None
-    out_path: str = "-"
 
 
 def _read(path: str, what: str) -> str:

@@ -212,10 +212,7 @@ def principal_via_generators(
     words or the empty word.  The result is asserted equal to the
     breadth-first closure, so the two descriptions keep each other honest.
     """
-    if not 0 <= s < ctx.group.order:
-        raise ValidationError(f"element {s} out of range")
-    if ctx.in_inertial(s):
-        raise ValidationError(f"not-in-gstar: {s}")
+    by_closure = principal_ideal(ctx, s)  # checks s as well
     if gens is None:
         gens = all_generators(ctx)
     hs = ctx.inertial.members
@@ -244,8 +241,8 @@ def principal_via_generators(
                 value, stop = _evaluate(ctx, v, middle)
                 if stop == len(v):
                     members.add(value)
-    result = MonomialIdeal(ctx=ctx, members=frozenset(members))
-    if result.members != principal_ideal(ctx, s).members:
+    result = MonomialIdeal.from_members(ctx, members)
+    if result.mask != by_closure.mask:
         raise InternalInvariantError(
             f"generator and closure descriptions of the ideal of {s} disagree"
         )

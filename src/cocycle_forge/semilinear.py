@@ -313,8 +313,8 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
     the original chain.
     """
     ctx = _match_context(r, chain)
-    radical = MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
-    zero = MonomialIdeal(ctx=ctx, members=frozenset())
+    radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
+    zero = MonomialIdeal(ctx=ctx, mask=0)
     first, last = chain.ideals[0], chain.ideals[-1]
 
     prefix: List[MonomialIdeal] = []

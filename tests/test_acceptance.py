@@ -96,7 +96,7 @@ def _catalog(ctx):
 
 
 def _ideal(ctx, *members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 def _radical(ctx):

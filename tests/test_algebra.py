@@ -7,7 +7,7 @@ from cocycle_forge.errors import ValidationError
 
 
 def _ideal(ctx, *members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 def test_context_rejects_all_ones_cocycle():
@@ -197,6 +197,22 @@ def test_weakly_descending_chain_allows_repeats(golden_ctx):
     assert cf.chain_level(chain, 3) == 2
 
 
+def test_negative_mask_is_rejected_before_unpacking(golden_ctx):
+    with pytest.raises(ValidationError, match="not-in-gstar"):
+        cf.MonomialIdeal(ctx=golden_ctx, mask=-1)
+    with pytest.raises(ValidationError, match="not-in-gstar"):
+        cf.MonomialIdeal(ctx=golden_ctx, mask=-1 << 40)
+
+
+def test_negative_element_is_in_no_ideal(golden_ctx):
+    rad = _ideal(golden_ctx, *range(1, 9))
+    assert -1 not in rad
+    assert -9 not in rad
+    chain = cf.DescendingChain(ideals=(rad, _ideal(golden_ctx, 6, 7)))
+    with pytest.raises(ValidationError, match="undefined-level"):
+        cf.chain_level(chain, -1)
+
+
 def test_ideal_from_mask_matches_the_members_constructor():
     from cocycle_forge.algebra import _ideal_from_mask
 
@@ -215,14 +231,20 @@ def test_ideal_from_mask_matches_the_members_constructor():
                 continue
             for mask in range(1 << n):
                 members = frozenset(s for s in range(n) if mask >> s & 1)
+                builders = (
+                    lambda: cf.MonomialIdeal(ctx=ctx, mask=mask),
+                    lambda: _ideal_from_mask(ctx, mask),
+                )
                 try:
-                    expected = cf.MonomialIdeal(ctx=ctx, members=members)
+                    expected = cf.MonomialIdeal.from_members(ctx, members)
                 except ValidationError as exc:
-                    assert raised(lambda: _ideal_from_mask(ctx, mask)) == str(exc)
+                    for build in builders:
+                        assert raised(build) == str(exc)
                     continue
-                ideal = _ideal_from_mask(ctx, mask)
-                assert ideal == expected
-                assert (ideal.mask, ideal.members) == (mask, members)
-                assert isinstance(ideal.members, frozenset)
+                for build in builders:
+                    ideal = build()
+                    assert ideal == expected
+                    assert (ideal.mask, ideal.members) == (mask, members)
+                    assert isinstance(ideal.members, frozenset)
                 checked += 1
     assert checked > 1000

@@ -92,9 +92,9 @@ def test_extension_from_another_context_raises_as_the_constructor(d3_cocycle):
     second = cf.AlgebraContext(
         cf.waterhouse(d3_cocycle.group, cf.subgroup(d3_cocycle.group, [0]))
     )
-    zero_first = cf.MonomialIdeal(ctx=first, members=frozenset())
-    zero_second = cf.MonomialIdeal(ctx=second, members=frozenset())
-    radical = cf.MonomialIdeal(ctx=first, members=frozenset(first.gstar))
+    zero_first = cf.MonomialIdeal.from_members(first, frozenset())
+    zero_second = cf.MonomialIdeal.from_members(second, frozenset())
+    radical = cf.MonomialIdeal.from_members(first, frozenset(first.gstar))
     chain = cf.DescendingChain(ideals=(radical, zero_first))
     message = _raised(lambda: chain.extend(zero_second))
     assert message == _raised(

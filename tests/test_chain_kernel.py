@@ -45,7 +45,7 @@ def _context_87():
 
 
 def _ideal(ctx, members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 @pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])

@@ -29,11 +29,11 @@ def _census(group):
 
 
 def _radical(ctx):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(ctx.gstar))
 
 
 def _zero(ctx):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset())
+    return cf.MonomialIdeal.from_members(ctx, frozenset())
 
 
 def _finish_unmemoised(ctx, masks, what):
@@ -143,11 +143,11 @@ def test_constructions_match_a_memo_free_finish(monkeypatch):
         fresh = cf.AlgebraContext(cocycle)
         for (a, b), table in zip(pairs, chain_tables):
             chain = cf.DescendingChain(
-                ideals=tuple(cf.MonomialIdeal(ctx=fresh, members=i.members) for i in (a, b))
+                ideals=tuple(cf.MonomialIdeal.from_members(fresh, i.members) for i in (a, b))
             )
             assert cf.cocycle_from_chain(fresh, chain).masks == table.masks
         for ideal, table in zip(ideals, mod_tables):
-            again = cf.MonomialIdeal(ctx=fresh, members=ideal.members)
+            again = cf.MonomialIdeal.from_members(fresh, ideal.members)
             assert cf.cocycle_mod_ideal(fresh, again).masks == table.masks
         assert fresh._valid_tables == {}
         # each memoised table is the one Cocycle every equal table came back as

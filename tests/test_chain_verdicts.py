@@ -64,7 +64,7 @@ def test_waterhouse_is_read_once_per_context(monkeypatch):
     contexts = _contexts(_d3_census())
     assert {ctx.inertial.members for ctx in contexts} != {(0,)}
     for ctx in contexts:
-        radical = cf.MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
+        radical = cf.MonomialIdeal.from_members(ctx, frozenset(ctx.gstar))
         f0 = cf.cocycle_from_chain(ctx, cf.DescendingChain(ideals=(radical, radical)))
         assert f0.masks == cf.waterhouse(ctx.group, ctx.inertial).masks
         assert cf.cocycle_mod_ideal(ctx, radical).masks == f0.masks
@@ -84,8 +84,8 @@ def test_passing_chain_checks_share_one_verdict(d3_ctx):
 
 
 def _one_chain(ctx):
-    radical = cf.MonomialIdeal(ctx=ctx, members=frozenset(ctx.gstar))
-    zero = cf.MonomialIdeal(ctx=ctx, members=frozenset())
+    radical = cf.MonomialIdeal.from_members(ctx, frozenset(ctx.gstar))
+    zero = cf.MonomialIdeal.from_members(ctx, frozenset())
     return cf.DescendingChain(ideals=(radical, radical, zero))
 
 

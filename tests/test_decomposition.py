@@ -20,7 +20,7 @@ F_I3_ROWS = (
 
 
 def _ideal(ctx, *members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 def _radical(ctx):
@@ -205,8 +205,8 @@ def test_identity_trivial_annih_replace():
     # algebra where every radical element annihilates trivially
     g = cf.make_cyclic(4)
     ctx = cf.AlgebraContext(cf.waterhouse(g, cf.subgroup(g, [0])))
-    first = cf.MonomialIdeal(ctx=ctx, members=frozenset({1, 2, 3}))
-    second = cf.MonomialIdeal(ctx=ctx, members=frozenset({2}))
+    first = cf.MonomialIdeal.from_members(ctx, frozenset({1, 2, 3}))
+    second = cf.MonomialIdeal.from_members(ctx, frozenset({2}))
     assert cf.check_identity(
         "trivial_annih_replace", ctx, first=first, second=second
     ).ok
@@ -232,7 +232,7 @@ def test_morphism_check_golden(golden_ctx):
 
 def test_morphism_check_rejects_foreign_ideal(golden_ctx, d3_ctx):
     with pytest.raises(ValidationError, match="different context"):
-        cf.morphism_check(golden_ctx, cf.MonomialIdeal(ctx=d3_ctx, members=frozenset({4})))
+        cf.morphism_check(golden_ctx, cf.MonomialIdeal.from_members(d3_ctx, frozenset({4})))
 
 
 def test_quotient_transport_union(golden_ctx):

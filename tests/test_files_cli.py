@@ -17,7 +17,7 @@ GROUP_C3 = "3\n0 1 2\n1 2 0\n2 0 1\n"
 
 
 def _ideal(ctx, *members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 def _write(tmp_path, name, text):
@@ -373,6 +373,41 @@ def test_cli_split_applies_only_to_chain_break(golden_files, capsys):
                       "--chain", golden_files["chain"]])
     assert rc == 2
     assert capsys.readouterr().err == "error: --split applies only to chain_break\n"
+
+
+def test_cli_chain_identity_rejects_an_ideal(golden_files, tmp_path, capsys):
+    files = ["--group", golden_files["group"], "--cocycle", golden_files["cocycle"],
+             "--chain", golden_files["chain"]]
+    missing = ["--group", str(tmp_path / "missing.group"), "--chain", "missing.chain"]
+    for name in ("chain_break", "waterhouse_iff", "leq_f"):
+        for inputs in (files, missing):  # refused before any file is read
+            rc = run_command(["identity", "--name", name, "--ideal", "6,7"] + inputs)
+            assert rc == 2, (name, inputs)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: identity {name} reads --chain, not --ideal\n"
+
+
+def test_cli_ideal_identity_rejects_a_chain(golden_files, tmp_path, capsys):
+    files = ["--group", golden_files["group"], "--cocycle", golden_files["cocycle"]]
+    missing = ["--group", str(tmp_path / "missing.group")]
+    for name in ("fI_eq_f", "sum_product", "intersection_vee", "cap_zero",
+                 "trivial_annih_replace"):
+        for inputs in (files, missing):  # refused before any file is read
+            rc = run_command(["identity", "--name", name, "--ideal", "6,7",
+                              "--chain", golden_files["chain"]] + inputs)
+            assert rc == 2, (name, inputs)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: identity {name} reads --ideal, not --chain\n"
+
+
+def test_cli_chain_identity(golden_files, capsys):
+    rc = run_command(["identity", "--name", "leq_f", "--chain", golden_files["chain"],
+                      "--group", golden_files["group"],
+                      "--cocycle", golden_files["cocycle"]])
+    assert rc == 0
+    assert capsys.readouterr().out == "leq_f ok=true\n"
 
 
 def test_cli_negative_ideal_member_is_an_error(golden_files, tmp_path, capsys):

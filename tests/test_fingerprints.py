@@ -139,7 +139,7 @@ def test_context_check_passes_once_and_fails_on_every_call():
     fabricated = Cocycle(group=g, masks=(0b1111, 0b0011, 0b1111, 0b0001))
     ctx = cf.AlgebraContext(fabricated)
     assert ctx.inertial.members == (0, 2)
-    zero = cf.MonomialIdeal(ctx=ctx, members=frozenset())
+    zero = cf.MonomialIdeal.from_members(ctx, frozenset())
     chain = cf.DescendingChain(ideals=(zero, zero))
     for _ in range(2):
         with pytest.raises(InternalInvariantError, match="landed in the inertial group"):
@@ -149,6 +149,6 @@ def test_context_check_passes_once_and_fails_on_every_call():
 
     good = cf.AlgebraContext(_non_simple(g)[0])
     assert good._gstar_products_avoid_h is False
-    radical = cf.MonomialIdeal(ctx=good, members=frozenset(good.gstar))
+    radical = cf.MonomialIdeal.from_members(good, frozenset(good.gstar))
     cf.cocycle_from_chain(good, cf.DescendingChain(ideals=(radical, radical)))
     assert good._gstar_products_avoid_h is True

@@ -11,7 +11,7 @@ from conftest import GOLDEN_R_VALUES, GOLDEN_ROWS
 
 
 def _ideal(ctx, *members):
-    return cf.MonomialIdeal(ctx=ctx, members=frozenset(members))
+    return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
 def _radical(ctx):
