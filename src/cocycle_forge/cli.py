@@ -317,6 +317,8 @@ def _cmd_search_r(args) -> Tuple[str, int]:
 
 
 def _cmd_census(args) -> Tuple[str, int]:
+    if args.order is not None and args.group:
+        raise ParseError("census takes --order or --group, not both")
     if args.order is not None:
         group = make_cyclic(args.order)
     elif args.group:

@@ -73,6 +73,24 @@ def test_principal_ideal_rejects_bad_element(golden_ctx):
         cf.principal_ideal(golden_ctx, 9)
 
 
+def test_ideal_closure_reports_bad_seeds_as_from_members_does(golden_ctx):
+    d3 = cf.make_dihedral(3)
+    rows = ("111111", "100001", "100001", "100001", "100001", "111111")
+    d3_ctx = cf.AlgebraContext(cf.as_cocycle(tuple(tuple(map(int, r)) for r in rows), d3))
+    assert sorted(d3_ctx.inertial.members) == [0, 5]
+    for ctx, seed, message in (
+        (golden_ctx, [9, -3], "not-in-gstar: [-3, 9]"),
+        # out-of-range seeds are reported first, inertial ones only after
+        (golden_ctx, [0, 12, 4, -1], "not-in-gstar: [-1, 12]"),
+        (golden_ctx, [4, 0], "not-in-gstar: [0]"),
+        (d3_ctx, [5, 3, 0], "not-in-gstar: [0, 5]"),
+    ):
+        for build in (cf.ideal_closure, cf.MonomialIdeal.from_members):
+            with pytest.raises(ValidationError) as caught:
+                build(ctx, seed)
+            assert str(caught.value) == message, (build, seed)
+
+
 def test_ideal_closure_empty_seed_is_zero(golden_ctx):
     assert len(cf.ideal_closure(golden_ctx, [])) == 0
     got = cf.ideal_closure(golden_ctx, [3, 8])

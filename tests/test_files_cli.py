@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cocycle_forge as cf
+from cocycle_forge import cli
 from cocycle_forge.cli import run_command
 from cocycle_forge.errors import ParseError, ValidationError
 
@@ -485,6 +486,17 @@ def test_cli_census_from_group_flag(golden_files, capsys):
         "n=2 bits=1110 H=0 max_power=1 layers=1 classes=1\n"
         "n=2 bits=1111 H=0,1 max_power=0 layers= classes=0\n"
     )
+
+
+def test_cli_census_refuses_order_with_group(capsys, monkeypatch):
+    def no_enumeration(cfg):
+        raise AssertionError("census enumerated before checking its input")
+
+    monkeypatch.setattr(cli, "enumerate_cocycles", no_enumeration)
+    assert run_command(["census", "--order", "2", "--group", "d3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: census takes --order or --group, not both\n"
 
 
 def test_cli_out_file(golden_files, tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_products_agree_is_the_triple_identity_per_step():
                     f(s, t) * f(group.mul(s, t), r) == f(t, r) * f(s, group.mul(t, r))
                     for s, t, r in closing[i]
                 )
-                assert _products_agree(schedule[i], vals) == expected, (name, i)
+                assert _products_agree(((), schedule[i]), vals) == expected, (name, i)
 
 
 def _constraint_key(c):
