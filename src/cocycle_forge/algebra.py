@@ -375,33 +375,29 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
 class DescendingChain:
     """A weakly descending sequence I_1 >= .. >= I_k of ideals, k >= 2.
 
-    The constructor checks every link: each ideal belongs to the context of
-    the first and lies inside the one before it.  ``extend`` appends one
-    ideal and checks only the new link, so a chain grown from its parent
-    has each link checked once.
+    The constructor is the one way to build a chain, and it checks every
+    link: each ideal belongs to the context of the first and lies inside the
+    one before it.  ``masks`` holds the ideals' masks, the chain's key in
+    the per-context chain cache.
     """
 
     ideals: Tuple[MonomialIdeal, ...]
     masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.ideals) < 2:
+        ideals = self.ideals
+        if len(ideals) < 2:
             raise ValidationError("chain-too-short: need at least two ideals")
-        ctx = self.ideals[0].ctx
-        for ideal in self.ideals[1:]:
-            _check_context(ctx, ideal)
-        for i in range(1, len(self.ideals)):
-            _check_link(self.ideals[i - 1], self.ideals[i], i)
-        object.__setattr__(self, "masks", tuple([ideal.mask for ideal in self.ideals]))
-
-    def extend(self, ideal: MonomialIdeal) -> "DescendingChain":
-        """This chain with ideal appended; only the new link is checked."""
-        _check_context(self.ideals[0].ctx, ideal)
-        _check_link(self.ideals[-1], ideal, len(self.ideals))
-        chain = object.__new__(DescendingChain)
-        object.__setattr__(chain, "ideals", self.ideals + (ideal,))
-        object.__setattr__(chain, "masks", self.masks + (ideal.mask,))
-        return chain
+        ctx = ideals[0].ctx
+        for ideal in ideals[1:]:
+            if ideal.ctx is not ctx and ideal.ctx != ctx:
+                raise ValidationError("chain mixes ideals of different contexts")
+        for i in range(1, len(ideals)):
+            if ideals[i].mask & ~ideals[i - 1].mask:
+                raise ValidationError(
+                    f"chain not descending: ideal {i + 1} is not contained in ideal {i}"
+                )
+        object.__setattr__(self, "masks", tuple([ideal.mask for ideal in ideals]))
 
     @property
     def ctx(self) -> AlgebraContext:
@@ -413,19 +409,6 @@ class DescendingChain:
     def __repr__(self) -> str:
         parts = ", ".join(str(list(i.sorted_members)) for i in self.ideals)
         return f"DescendingChain({parts})"
-
-
-def _check_context(ctx: AlgebraContext, ideal: MonomialIdeal) -> None:
-    if ideal.ctx is not ctx and ideal.ctx != ctx:
-        raise ValidationError("chain mixes ideals of different contexts")
-
-
-def _check_link(outer: MonomialIdeal, inner: MonomialIdeal, i: int) -> None:
-    """inner, ideal i + 1 of a chain, must lie inside outer, ideal i."""
-    if inner.mask & ~outer.mask:
-        raise ValidationError(
-            f"chain not descending: ideal {i + 1} is not contained in ideal {i}"
-        )
 
 
 def chain_level(chain: DescendingChain, s: int) -> int:

@@ -9,8 +9,7 @@ is assigned, which prunes the raw 2^((n-1)^2) space to the tiny set of
 valid tables.  Over 0/1 values a triple a b = c d also implies a b <= c,
 a b <= d, c d <= a and c d <= b; each of these that is decided before the
 triple's last cell is checked at the step that decides it, so a dead
-prefix is cut early (forward checking).  On C8 this takes the search from
-1,080,683 steps to 364,189.  Each step makes one call of
+prefix is cut early (forward checking).  Each step makes one call of
 ``_products_agree``, which checks that step's implications and then the
 triples it closes.  Position 0 of the search is a constant 1 that stands
 for every cell normalization pins, so each check reads the cell values
@@ -41,6 +40,7 @@ from .algebra import (
     DescendingChain,
     MonomialIdeal,
     _ideal_from_mask,
+    _members_of,
     _principal_ideals,
     _waterhouse_of,
     classify_annihilators,
@@ -61,14 +61,13 @@ from .cocycles import (
 from .decomposition import (
     DecompositionReport,
     _PASSED,
+    _chain_cocycle,
     _classes_of,
     _leq_f_verdict,
     _link_witness,
-    _pair_chain,
     _tables_check,
     _waterhouse_iff_verdict,
     check_identity,
-    cocycle_from_chain,
     cocycle_mod_ideal,
     decompose_by_bstar,
     decompose_by_classes,
@@ -250,39 +249,43 @@ def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
     return ideals
 
 
-def descending_multichains(
+def _chain_keys(
     ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
-) -> Tuple[List[DescendingChain], bool]:
-    """Weakly descending ideal sequences of length 2..max_len, capped.
-
-    Shorter chains come first, each length in the lexicographic order of
-    the ideal indices.  A chain of length k + 1 extends its length-k parent
-    by one ideal, so only the new link is checked.  The flag is set when a
-    chain past the cap exists.
-    """
-    order = list(ideals)
+) -> Tuple[List[Tuple[int, ...]], bool]:
+    """Mask tuples of the weakly descending ideal sequences of length
+    2..max_len, at most cap of them, and whether more exist.  Shorter keys
+    come first, each length in the lexicographic order of the ideal indices,
+    and a key of length k + 1 is its length-k parent plus one mask."""
     below = [
-        [j for j, small in enumerate(order) if small <= big]
-        for big in order
+        [j for j, small in enumerate(ideals) if small <= big]
+        for big in ideals
     ]
-    chains: List[DescendingChain] = []
-    # (chain, index of its last ideal); a lone ideal has no chain yet
-    level: List[Tuple[Optional[DescendingChain], int]]
-    level = [(None, i) for i in range(len(order))]
+    keys: List[Tuple[int, ...]] = []
+    # (key, index of its last ideal); a lone mask is no chain yet
+    level = [((ideal.mask,), i) for i, ideal in enumerate(ideals)]
     for _ in range(2, max_len + 1):
         nxt = []
         for parent, i in level:
             for j in below[i]:
-                if len(chains) >= cap:
-                    return chains, True
-                if parent is None:
-                    chain = DescendingChain(ideals=(order[i], order[j]))
-                else:
-                    chain = parent.extend(order[j])
-                chains.append(chain)
-                nxt.append((chain, j))
+                if len(keys) >= cap:
+                    return keys, True
+                key = parent + (ideals[j].mask,)
+                keys.append(key)
+                nxt.append((key, j))
         level = nxt
-    return chains, False
+    return keys, False
+
+
+def descending_multichains(
+    ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
+) -> Tuple[List[DescendingChain], bool]:
+    """Weakly descending ideal sequences of length 2..max_len, capped: the
+    keys and flag of ``_chain_keys``, each key built into a chain by the
+    DescendingChain constructor, which checks every link."""
+    keys, truncated = _chain_keys(ideals, max_len, cap)
+    by_mask = {ideal.mask: ideal for ideal in ideals}
+    chains = [DescendingChain(ideals=tuple([by_mask[m] for m in key])) for key in keys]
+    return chains, truncated
 
 
 @dataclass(frozen=True)
@@ -297,10 +300,11 @@ class PropertyFailure:
 class CocycleCheckResult:
     counts: Dict[str, int]
     failures: Tuple[PropertyFailure, ...]
+    chains_truncated: bool = False  # the chain cap left some chains unchecked
 
 
-def _chain_label(chain: DescendingChain) -> str:
-    return f"chain={[list(i.sorted_members) for i in chain.ideals]}"
+def _chain_label(key: Tuple[int, ...]) -> str:
+    return f"chain={[list(_members_of(mask)) for mask in key]}"
 
 
 def _ideal_label(ideal: MonomialIdeal) -> str:
@@ -334,55 +338,56 @@ _CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
 
 
 def _chain_verdicts(
-    ctx: AlgebraContext, chains: Sequence[DescendingChain]
-) -> Iterator[Tuple[DescendingChain, tuple, tuple]]:
-    """Yield (chain, verdicts, (join, witness)) for each chain, in order.
+    ctx: AlgebraContext, keys: Sequence[Tuple[int, ...]]
+) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
+    """Yield (key, verdicts, (join, witness)) for each chain key, in order.
 
-    verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
-    check_identity returns or the ForgeError it raises.  Each chain must
-    come after its parent ``chain.masks[:-1]``, as in descending_multichains.
+    Each key, a chain's ideal masks, must come after its parent
+    ``key[:-1]``, as in _chain_keys.  verdicts holds, per CHAIN_CHECKS name,
+    the IdentityCheck that check_identity returns or the ForgeError it raises.
 
     The chain cocycle is built on its own, once per chain.  The join of the
     pair tables is the parent's join OR the last pair's table, read from the
     chain cache by mask key.  The witness, the first unsqueezed link, is the
     parent's unless that is None; then the last link is tested, reading each
-    ideal's square once per context.  An input that raised is carried as its
+    ideal's square once per context, with the ideal taken from
+    enumerate_ideals by its mask.  An input that raised is carried as its
     error, without the traceback, whose frames would hold the context.
     """
     f_masks = ctx._masks
     f0 = _waterhouse_of(ctx).masks
+    ideals = {ideal.mask: ideal for ideal in enumerate_ideals(ctx)}
     squares: Dict[int, int] = {}
     carried: Dict[Tuple[int, ...], tuple] = {}
-    for chain in chains:
-        key = chain.masks
-        outer, inner = chain.ideals[-2:]
+    for key in keys:
+        outer, inner = key[-2:]
         try:
-            direct = cocycle_from_chain(ctx, chain).masks
+            direct = _chain_cocycle(ctx, key).masks
         except ForgeError as exc:
             direct = exc.with_traceback(None)
         join, witness = carried[key[:-1]] if len(key) > 2 else (None, None)
         if not isinstance(join, ForgeError):
             try:
-                pair = _pair_chain(ctx, outer, inner).masks
+                pair = _chain_cocycle(ctx, (outer, inner)).masks
             except ForgeError as exc:
                 join = exc.with_traceback(None)
             else:
                 join = pair if join is None else tuple(map(or_, join, pair))
         if witness is None:
-            square = squares.get(outer.mask)
+            square = squares.get(outer)
             try:
                 if square is None:
-                    square = ideal_lattice_op("product", outer, outer).mask
-                    squares[outer.mask] = square
+                    square = ideal_lattice_op("product", ideals[outer], ideals[outer]).mask
+                    squares[outer] = square
             except ForgeError as exc:
                 witness = exc.with_traceback(None)
             else:
-                witness = _link_witness(len(key) - 1, square, inner.mask)
+                witness = _link_witness(len(key) - 1, square, inner)
         state = carried[key] = (join, witness)
         if isinstance(direct, ForgeError):
-            yield chain, (direct, direct, direct), state
+            yield key, (direct, direct, direct), state
             continue
-        yield chain, (
+        yield key, (
             _leq_f_verdict(_support_order(direct, f_masks)),
             join if isinstance(join, ForgeError) else _tables_check("chain_break", direct, join),
             witness
@@ -417,17 +422,17 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
             fail(check, label(about) + suffix)
 
     ideals = enumerate_ideals(ctx)
-    chains, _ = descending_multichains(ideals, cap=max_chains)
+    keys, chains_truncated = _chain_keys(ideals, cap=max_chains)
 
-    if chains:
-        counts.update(dict.fromkeys(CHAIN_CHECKS, len(chains)))
-    for chain, verdicts, _ in _chain_verdicts(ctx, chains):
+    if keys:
+        counts.update(dict.fromkeys(CHAIN_CHECKS, len(keys)))
+    for key, verdicts, _ in _chain_verdicts(ctx, keys):
         if verdicts == _CHAIN_PASSED:
             continue
         for name, outcome in zip(CHAIN_CHECKS, verdicts):
             suffix = _failure_suffix(outcome)
             if suffix is not None:
-                fail(name, _chain_label(chain) + suffix)
+                fail(name, _chain_label(key) + suffix)
 
     trivial, _ = classify_annihilators(ctx)
     base_n1 = n1_set(ctx)
@@ -487,7 +492,9 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
 
         guarded("class_decomposition", _no_label, None, class_parts)
 
-    return CocycleCheckResult(counts=counts, failures=tuple(failures))
+    return CocycleCheckResult(
+        counts=counts, failures=tuple(failures), chains_truncated=chains_truncated
+    )
 
 
 def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> CocycleCheckResult:
@@ -495,8 +502,11 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
 
     Raising checks are reported as failures rather than propagated, so a
     fabricated (mutated) table lands in the failure list with the first
-    broken invariant named.
+    broken invariant named.  At most max_chains chains are checked, and
+    chains_truncated says whether more exist.
     """
+    if max_chains < 1:
+        raise ValidationError("census limits must be positive")
     try:
         ctx = AlgebraContext(cocycle)
     except ValidationError:
@@ -513,9 +523,14 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
 
 @dataclass(frozen=True)
 class CensusReport:
+    """What property_suite checked.  capped_cocycles counts the cocycles whose
+    chains the chain cap cut off; truncated is set when that count is nonzero
+    or the enumeration stopped at max_candidates."""
+
     group_order: int
     cocycle_count: int
     skipped_simple: int
+    capped_cocycles: int
     truncated: bool
     counts: Dict[str, int]
     failures: Tuple[PropertyFailure, ...]
@@ -536,12 +551,13 @@ def property_suite(
     stream = enumerate_cocycles(cfg)
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
-    skipped = 0
+    skipped = capped = 0
     for c in stream.cocycles:
         if inertial_group(c).members == tuple(range(cfg.group.order)):
             skipped += 1
             continue
         result = check_cocycle_properties(c, cfg.max_chains_per_cocycle)
+        capped += result.chains_truncated
         for k, v in result.counts.items():
             counts[k] = counts.get(k, 0) + v
         failures.extend(result.failures)
@@ -576,7 +592,8 @@ def property_suite(
         group_order=cfg.group.order,
         cocycle_count=len(stream.cocycles),
         skipped_simple=skipped,
-        truncated=stream.truncated,
+        capped_cocycles=capped,
+        truncated=stream.truncated or capped > 0,
         counts=counts,
         failures=tuple(failures),
     )

@@ -96,17 +96,23 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     A product f(s,t) = 1 survives only when s, t, and st all lie in the same
     layer I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial group
     always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
-    Results are cached per context under ``chain.masks``; a miss builds the
-    table, starting from the context's Waterhouse rows, and hands it to
-    ``_finish``, whose per-context memo validates each distinct table once
-    however many chains produce it.  The check that no
-    product of two G* elements lands in H depends only on the context: a
-    pass is remembered on it, a failure raises on every call.
+    The chain must belong to ctx; the table comes from ``_chain_cocycle``.
     """
     if chain.ctx is not ctx and chain.ctx != ctx:
         raise ValidationError("chain was built over a different context")
+    return _chain_cocycle(ctx, chain.masks)
+
+
+def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
+    """The cocycle of the chain of ideals of ctx whose masks are ``key``; the
+    caller has checked that they descend.  Results are cached per context
+    under ``key``; a miss builds the table by the layer rule from the
+    context's Waterhouse rows and hands it to ``_finish``, whose memo
+    validates each distinct table once per context.  The check that no
+    product of two G* elements lands in H depends only on the context: a
+    pass is remembered on it, a failure raises on every call.
+    """
     cache = ctx._chain_cache
-    key = chain.masks
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -148,8 +154,7 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     for s in ctx.gstar:
         masks[s] |= ctx._masks[s] & ctx._gstar_mask & ~g.left_preimage(s, ideal.mask)
     result = _finish(ctx, masks, "cocycle_mod_ideal")
-    radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
-    via_chain = cocycle_from_chain(ctx, DescendingChain(ideals=(radical, ideal)))
+    via_chain = _chain_cocycle(ctx, (ctx._gstar_mask, ideal.mask))
     if result.masks != via_chain.masks:
         raise InternalInvariantError(
             "quotient cocycle disagrees with the two-term chain cocycle"
@@ -305,16 +310,9 @@ def _tables_check(name: str, lhs, rhs) -> IdentityCheck:
 
 
 def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> Tuple[int, ...]:
-    """Row masks of the cocycle of chain.ideals[lo:hi].
-
-    Read from the chain cache by mask key; the sub-chain is built and handed
-    to cocycle_from_chain only on a miss.  The caller has already checked
-    that the chain belongs to ctx.
-    """
-    hit = ctx._chain_cache.get(chain.masks[lo:hi])
-    if hit is None:
-        hit = cocycle_from_chain(ctx, DescendingChain(ideals=chain.ideals[lo:hi]))
-    return hit.masks
+    """Row masks of the cocycle of chain.ideals[lo:hi], by its mask key.  The
+    caller has already checked that the chain belongs to ctx."""
+    return _chain_cocycle(ctx, chain.masks[lo:hi]).masks
 
 
 def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None):
@@ -371,16 +369,11 @@ def _check_waterhouse_iff(ctx, chain: DescendingChain):
 
 
 def _pair_chain(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> Cocycle:
-    """The cocycle of the two-term chain outer >= inner.
-
-    Read from the chain cache by mask key when both ideals are over ctx
-    itself; a key there belongs to a chain that passed the link check.  The
-    chain is built and handed to cocycle_from_chain only otherwise.
-    """
-    if outer.ctx is ctx and inner.ctx is ctx:
-        hit = ctx._chain_cache.get((outer.mask, inner.mask))
-        if hit is not None:
-            return hit
+    """The cocycle of the two-term chain outer >= inner, by its mask key when
+    both ideals are over ctx itself and nested; otherwise the chain is built,
+    and checked, by the constructor."""
+    if outer.ctx is ctx and inner.ctx is ctx and inner <= outer:
+        return _chain_cocycle(ctx, (outer.mask, inner.mask))
     return cocycle_from_chain(ctx, DescendingChain(ideals=(outer, inner)))
 
 

@@ -210,6 +210,31 @@ def test_check_cocycle_properties_all_ones_is_vacuous():
     result = cf.check_cocycle_properties(ones)
     assert result.counts == {}
     assert result.failures == ()
+    assert not result.chains_truncated
+
+
+def test_check_cocycle_properties_refuses_a_chain_cap_below_one(golden):
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="census limits must be positive"):
+            cf.check_cocycle_properties(golden, cap)
+
+
+def test_check_cocycle_properties_reports_the_chain_cap():
+    # a C7 census cocycle with 12,421 weakly descending chains of length 2-4
+    rows = ["1111111"] + ["1000000"] * 5 + ["1000001"]
+    c7 = cf.as_cocycle([[int(v) for v in row] for row in rows], cf.make_cyclic(7))
+    capped = cf.check_cocycle_properties(c7)
+    assert capped.chains_truncated and capped.counts["leq_f"] == 10_000
+    full = cf.check_cocycle_properties(c7, max_chains=12_421)
+    assert not full.chains_truncated and full.counts["leq_f"] == 12_421
+    assert capped.failures == full.failures == ()
+
+
+def test_property_suite_counts_the_capped_cocycles():
+    cfg = cf.CensusConfig(group=cf.make_cyclic(3), max_chains_per_cocycle=1)
+    report = cf.property_suite(cfg, lift_samples=0)
+    assert report.capped_cocycles == 3  # every cocycle but the all-ones one
+    assert report.truncated
 
 
 def test_property_suite_small_groups():
@@ -218,6 +243,7 @@ def test_property_suite_small_groups():
         assert report.failures == ()
         assert report.cocycle_count == KNOWN_COUNTS[n]
         assert report.skipped_simple == 1  # the all-ones table
+        assert report.capped_cocycles == 0
         assert not report.truncated
 
 
