@@ -41,8 +41,8 @@ class AlgebraContext:
     G* must be nonempty: with G* empty the algebra is simple and none of the
     ideal constructions apply.  The per-context caches are declared here.
     This module fills the lattice and principal-ideal caches; the chain and
-    quotient caches and the validated-table memo are filled by the
-    decomposition module.
+    quotient caches, the validated-table memo and the packed f and
+    Waterhouse tables (see ``Group``) are filled by the decomposition module.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -70,17 +70,20 @@ class AlgebraContext:
                 links[t] |= bit
         self._links: Tuple[int, ...] = tuple(links)
         self._lattice_cache: Dict[Tuple[str, int, int], MonomialIdeal] = {}
-        self._chain_cache: Dict[Tuple[int, ...], Cocycle] = {}
+        self._chain_cache: Dict[Tuple[int, int], int] = {}  # packed, two-term keys only
         self._mod_cache: Dict[int, Cocycle] = {}
-        # row masks -> the Cocycle that passed validation and kept H here
-        self._valid_tables: Dict[Tuple[int, ...], Cocycle] = {}
+        # packed table -> the Cocycle that passed validation and kept H here
+        self._valid_tables: Dict[int, Cocycle] = {}
+        # f and its Waterhouse idempotent packed, on the first chain build
+        self._packed_f: Optional[int] = None
+        self._packed_waterhouse: Optional[int] = None
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
         # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None
         # the Waterhouse idempotent of H, read once by _waterhouse_of
         self._waterhouse: Optional[Cocycle] = None
-        # set by cocycle_from_chain once no product of two G* elements with
-        # f = 1 lands in H; a failing verdict is never stored
+        # set by the first chain build once no product of two G* elements
+        # with f = 1 lands in H; a failing verdict is never stored
         self._gstar_products_avoid_h: bool = False
 
     def f(self, s: int, t: int) -> int:

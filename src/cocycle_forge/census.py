@@ -32,7 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
-from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -61,10 +60,11 @@ from .cocycles import (
 from .decomposition import (
     DecompositionReport,
     _PASSED,
-    _chain_cocycle,
+    _chain_table,
     _classes_of,
     _leq_f_verdict,
     _link_witness,
+    _packed_bounds,
     _tables_check,
     _waterhouse_iff_verdict,
     check_identity,
@@ -249,6 +249,17 @@ def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
     return ideals
 
 
+def _chain_count(ideals: Sequence[MonomialIdeal], max_len: int = 4) -> int:
+    """How many keys ``_chain_keys`` lists with no cap, without listing them:
+    the chains one longer ending at an ideal step down from the chains
+    ending at each ideal that contains it."""
+    ending, total = [1] * len(ideals), 0  # a lone ideal is no chain yet
+    for _ in range(max_len - 1):
+        ending = [sum(c for c, big in zip(ending, ideals) if small <= big) for small in ideals]
+        total += sum(ending)
+    return total
+
+
 def _chain_keys(
     ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
 ) -> Tuple[List[Tuple[int, ...]], bool]:
@@ -256,10 +267,7 @@ def _chain_keys(
     2..max_len, at most cap of them, and whether more exist.  Shorter keys
     come first, each length in the lexicographic order of the ideal indices,
     and a key of length k + 1 is its length-k parent plus one mask."""
-    below = [
-        [j for j, small in enumerate(ideals) if small <= big]
-        for big in ideals
-    ]
+    below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
     keys: List[Tuple[int, ...]] = []
     # (key, index of its last ideal); a lone mask is no chain yet
     level = [((ideal.mask,), i) for i, ideal in enumerate(ideals)]
@@ -301,6 +309,7 @@ class CocycleCheckResult:
     counts: Dict[str, int]
     failures: Tuple[PropertyFailure, ...]
     chains_truncated: bool = False  # the chain cap left some chains unchecked
+    chains_total: int = 0  # the chains that exist, checked or not
 
 
 def _chain_label(key: Tuple[int, ...]) -> str:
@@ -346,39 +355,41 @@ def _chain_verdicts(
     ``key[:-1]``, as in _chain_keys.  verdicts holds, per CHAIN_CHECKS name,
     the IdentityCheck that check_identity returns or the ForgeError it raises.
 
-    The chain cocycle is built on its own, once per chain.  The join of the
-    pair tables is the parent's join OR the last pair's table, read from the
-    chain cache by mask key.  The witness, the first unsqueezed link, is the
-    parent's unless that is None; then the last link is tested, reading each
-    ideal's square once per context, with the ideal taken from
-    enumerate_ideals by its mask.  An input that raised is carried as its
-    error, without the traceback, whose frames would hold the context.
+    The tables are packed, and the chain's own table is built from its key,
+    once per chain.  The join of the pair tables is the parent's join OR the
+    last pair's table, read from the chain cache by mask key.  The witness,
+    the first unsqueezed link, is the parent's unless that is None; then the
+    last link is tested, reading each ideal's square once per context, the
+    ideal built from its mask.  A chain passes when its table lies inside f,
+    equals the join, and equals the Waterhouse table exactly when no link is
+    unsqueezed; any other chain gets the verdicts check_identity gives.  An
+    input that raised is carried as its error, without the traceback, whose
+    frames would hold the context.
     """
-    f_masks = ctx._masks
-    f0 = _waterhouse_of(ctx).masks
-    ideals = {ideal.mask: ideal for ideal in enumerate_ideals(ctx)}
+    n = ctx.group.order
+    f, f0 = _packed_bounds(ctx)
     squares: Dict[int, int] = {}
     carried: Dict[Tuple[int, ...], tuple] = {}
     for key in keys:
         outer, inner = key[-2:]
         try:
-            direct = _chain_cocycle(ctx, key).masks
+            direct = _chain_table(ctx, key)
         except ForgeError as exc:
             direct = exc.with_traceback(None)
         join, witness = carried[key[:-1]] if len(key) > 2 else (None, None)
         if not isinstance(join, ForgeError):
             try:
-                pair = _chain_cocycle(ctx, (outer, inner)).masks
+                pair = _chain_table(ctx, (outer, inner))
             except ForgeError as exc:
                 join = exc.with_traceback(None)
             else:
-                join = pair if join is None else tuple(map(or_, join, pair))
+                join = pair if join is None else join | pair
         if witness is None:
             square = squares.get(outer)
             try:
                 if square is None:
-                    square = ideal_lattice_op("product", ideals[outer], ideals[outer]).mask
-                    squares[outer] = square
+                    ideal = MonomialIdeal(ctx=ctx, mask=outer)
+                    square = squares[outer] = ideal_lattice_op("product", ideal, ideal).mask
             except ForgeError as exc:
                 witness = exc.with_traceback(None)
             else:
@@ -386,14 +397,21 @@ def _chain_verdicts(
         state = carried[key] = (join, witness)
         if isinstance(direct, ForgeError):
             yield key, (direct, direct, direct), state
-            continue
-        yield key, (
-            _leq_f_verdict(_support_order(direct, f_masks)),
-            join if isinstance(join, ForgeError) else _tables_check("chain_break", direct, join),
-            witness
-            if isinstance(witness, ForgeError)
-            else _waterhouse_iff_verdict(direct, f0, witness),
-        ), state
+        elif (
+            not direct & ~f and direct == join and not isinstance(witness, ForgeError)
+            and (direct == f0) == (witness is None)
+        ):
+            yield key, _CHAIN_PASSED, state
+        else:
+            yield key, (
+                _leq_f_verdict(_support_order((direct,), (f,))),
+                join
+                if isinstance(join, ForgeError)
+                else _tables_check("chain_break", n, direct, join),
+                witness
+                if isinstance(witness, ForgeError)
+                else _waterhouse_iff_verdict(direct, f0, witness),
+            ), state
 
 
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
@@ -423,6 +441,7 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
 
     ideals = enumerate_ideals(ctx)
     keys, chains_truncated = _chain_keys(ideals, cap=max_chains)
+    chains_total = _chain_count(ideals) if chains_truncated else len(keys)
 
     if keys:
         counts.update(dict.fromkeys(CHAIN_CHECKS, len(keys)))
@@ -493,7 +512,8 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
         guarded("class_decomposition", _no_label, None, class_parts)
 
     return CocycleCheckResult(
-        counts=counts, failures=tuple(failures), chains_truncated=chains_truncated
+        counts=counts, failures=tuple(failures),
+        chains_truncated=chains_truncated, chains_total=chains_total,
     )
 
 
@@ -503,7 +523,7 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
     Raising checks are reported as failures rather than propagated, so a
     fabricated (mutated) table lands in the failure list with the first
     broken invariant named.  At most max_chains chains are checked, and
-    chains_truncated says whether more exist.
+    chains_truncated says whether more exist; chains_total counts them all.
     """
     if max_chains < 1:
         raise ValidationError("census limits must be positive")
@@ -525,12 +545,14 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
 class CensusReport:
     """What property_suite checked.  capped_cocycles counts the cocycles whose
     chains the chain cap cut off; truncated is set when that count is nonzero
-    or the enumeration stopped at max_candidates."""
+    or the enumeration stopped at max_candidates.  chains_total counts the
+    swept cocycles' chains, checked or not."""
 
     group_order: int
     cocycle_count: int
     skipped_simple: int
     capped_cocycles: int
+    chains_total: int
     truncated: bool
     counts: Dict[str, int]
     failures: Tuple[PropertyFailure, ...]
@@ -551,13 +573,14 @@ def property_suite(
     stream = enumerate_cocycles(cfg)
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
-    skipped = capped = 0
+    skipped = capped = chains_total = 0
     for c in stream.cocycles:
         if inertial_group(c).members == tuple(range(cfg.group.order)):
             skipped += 1
             continue
         result = check_cocycle_properties(c, cfg.max_chains_per_cocycle)
         capped += result.chains_truncated
+        chains_total += result.chains_total
         for k, v in result.counts.items():
             counts[k] = counts.get(k, 0) + v
         failures.extend(result.failures)
@@ -593,6 +616,7 @@ def property_suite(
         cocycle_count=len(stream.cocycles),
         skipped_simple=skipped,
         capped_cocycles=capped,
+        chains_total=chains_total,
         truncated=stream.truncated or capped > 0,
         counts=counts,
         failures=tuple(failures),

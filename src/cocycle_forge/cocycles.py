@@ -10,7 +10,8 @@ encoding as ``MonomialIdeal.mask``.  The 0/1 rows ``values`` and the strings
 ``rows()`` are views derived on access, and ``BinaryTable.from_rows`` is the
 one entry point for raw rows.  On masks the cocycle identity at (s, t) is one
 equality over every r at once, and ``vee``, ``pointwise_product`` and
-``compare`` are per-row |, & and subset tests.  ``vee`` and
+``compare`` are per-row |, & and subset tests.  The chain code packs a
+whole table into one integer, the layout of ``Group.cells``.  ``vee`` and
 ``pointwise_product`` return unvalidated BinaryTable objects on purpose: the
 set of cocycles is not closed under either operation, and callers must
 revalidate.
@@ -115,6 +116,16 @@ class CocycleViolation:
 def _lowest_bit(mask: int) -> int:
     """Index of the least set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
+
+
+def _pack_rows(masks: Sequence[int], n: int) -> int:
+    """n row masks as one packed table, row s at bits s*n .. s*n + n - 1."""
+    return sum(row << s * n for s, row in enumerate(masks))
+
+
+def _unpack_rows(packed: int, n: int) -> Tuple[int, ...]:
+    """The n row masks of a packed table."""
+    return tuple([packed >> s * n & (1 << n) - 1 for s in range(n)])
 
 
 def _coerce(table: Union[BinaryTable, Sequence[Sequence[int]]], group: Optional[Group]) -> BinaryTable:
@@ -228,8 +239,8 @@ def compare(f: BinaryTable, g: BinaryTable) -> str:
 
 
 def _support_order(a: Sequence[int], b: Sequence[int]) -> str:
-    """compare on the row masks of two tables over one group: each row of
-    the smaller table is its meet with the other's."""
+    """compare on the row masks of two tables over one group, or on two packed
+    tables as one row each: each row of the smaller is its meet with the other's."""
     a, b = tuple(a), tuple(b)
     if a == b:
         return EQUAL

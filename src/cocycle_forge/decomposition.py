@@ -12,8 +12,8 @@ ideal; both descriptions are computed on every call and must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
+from functools import partial, reduce
+from operator import and_, or_
 from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -37,8 +37,9 @@ from .cocycles import (
     EQUAL,
     LESS,
     _lowest_bit,
+    _pack_rows,
+    _unpack_rows,
     compare,
-    pointwise_product,
     validate_cocycle,
     vee,
 )
@@ -65,19 +66,20 @@ __all__ = [
 ]
 
 
-def _finish(ctx: AlgebraContext, masks: List[int], what: str) -> Cocycle:
-    """Validate a constructed table and check the inertial group is kept.
+def _finish(ctx: AlgebraContext, packed: int, what: str) -> Cocycle:
+    """Validate a constructed packed table and check the inertial group is
+    kept.
 
-    The verdict is memoised per context by row masks: a table that passed
-    both checks once comes back as the same Cocycle, so equal tables reached
-    through different chains or ideals are validated once per context.  A
-    table that fails is never memoised and raises on every call.
+    The verdict is memoised per context by the packed table, and the rows
+    are unpacked only on a miss: equal tables reached through different
+    chains or ideals are validated once per context and come back as one
+    Cocycle.  A table that fails is never memoised and raises on every call.
     """
-    key = tuple(masks)
-    hit = ctx._valid_tables.get(key)
+    hit = ctx._valid_tables.get(packed)
     if hit is not None:
         return hit
-    result = validate_cocycle(BinaryTable(group=ctx.group, masks=key))
+    masks = _unpack_rows(packed, ctx.group.order)
+    result = validate_cocycle(BinaryTable(group=ctx.group, masks=masks))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
     inverse = ctx.group.inverse
@@ -86,7 +88,7 @@ def _finish(ctx: AlgebraContext, masks: List[int], what: str) -> Cocycle:
         support |= (row >> inverse[s] & 1) << s
     if support != ctx._hmask:
         raise InternalInvariantError(f"{what} changed the inertial group")
-    ctx._valid_tables[key] = result
+    ctx._valid_tables[packed] = result
     return result
 
 
@@ -94,8 +96,9 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
     """The cocycle of a descending chain.
 
     A product f(s,t) = 1 survives only when s, t, and st all lie in the same
-    layer I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial group
-    always give 1.  So the row of s in layer L is H | (f-row & L & {t : st in L}).
+    layer L_i = I_i \\ I_{i+1} with 1 <= i <= k-1; arguments in the inertial
+    group always give 1.  So the table is W | f & (cells(L_1) | .. |
+    cells(L_{k-1})), with W the Waterhouse idempotent and ``Group.cells``.
     The chain must belong to ctx; the table comes from ``_chain_cocycle``.
     """
     if chain.ctx is not ctx and chain.ctx != ctx:
@@ -104,16 +107,26 @@ def cocycle_from_chain(ctx: AlgebraContext, chain: DescendingChain) -> Cocycle:
 
 
 def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
-    """The cocycle of the chain of ideals of ctx whose masks are ``key``; the
-    caller has checked that they descend.  Results are cached per context
-    under ``key``; a miss builds the table by the layer rule from the
-    context's Waterhouse rows and hands it to ``_finish``, whose memo
-    validates each distinct table once per context.  The check that no
-    product of two G* elements lands in H depends only on the context: a
-    pass is remembered on it, a failure raises on every call.
-    """
-    cache = ctx._chain_cache
-    hit = cache.get(key)
+    """The table of ``_chain_table`` as the Cocycle its memo holds."""
+    return _finish(ctx, _chain_table(ctx, key), "cocycle_from_chain")
+
+
+def _packed_bounds(ctx: AlgebraContext) -> Tuple[int, int]:
+    """The packed f and Waterhouse tables of ctx, packed on first use."""
+    if ctx._packed_f is None:
+        ctx._packed_waterhouse = _pack_rows(_waterhouse_of(ctx).masks, ctx.group.order)
+        ctx._packed_f = _pack_rows(ctx._masks, ctx.group.order)
+    return ctx._packed_f, ctx._packed_waterhouse
+
+
+def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
+    """The packed table of the chain of ideals of ctx whose masks are
+    ``key``, which the caller has checked descend: built from the key by the
+    layer rule of ``cocycle_from_chain``, through ``_finish`` unless its memo
+    holds it, and cached only for two-term keys.  The first build in a
+    context checks that no product of two G* elements lands in H and packs f
+    and W: a pass is remembered, a failure raises on every call."""
+    hit = ctx._chain_cache.get(key)
     if hit is not None:
         return hit
     g = ctx.group
@@ -124,24 +137,28 @@ def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
                 raise InternalInvariantError(
                     "product of non-inertial elements landed in the inertial group"
                 )
+        _packed_bounds(ctx)
         ctx._gstar_products_avoid_h = True
-    masks = list(_waterhouse_of(ctx).masks)
-    f_masks, preimage = ctx._masks, g.left_preimage
+    memo = g._cells  # Group.cells' memo, read inline: hot loop
+    inside = 0
     for outer, inner in zip(key, key[1:]):
         layer = outer & ~inner
-        for s in _members_of(layer):
-            masks[s] |= f_masks[s] & layer & preimage(s, layer)
-    result = _finish(ctx, masks, "cocycle_from_chain")
-    cache[key] = result
-    return result
+        cells = memo.get(layer)
+        inside |= g.cells(layer) if cells is None else cells
+    packed = ctx._packed_waterhouse | ctx._packed_f & inside
+    if packed not in ctx._valid_tables:
+        _finish(ctx, packed, "cocycle_from_chain")
+    if len(key) == 2:
+        ctx._chain_cache[key] = packed
+    return packed
 
 
 def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     """The quotient cocycle of a single ideal: keep f(s,t) when st avoids it.
 
     Equals the chain cocycle of {J, I}; both are computed and compared, so
-    the direct rule and the layer rule police each other.  I = J gives the
-    Waterhouse idempotent and I = 0 gives f back.
+    the direct rule, free of ``Group.cells``, and the layer rule police each
+    other.  I = J gives the Waterhouse idempotent and I = 0 gives f back.
     """
     if ideal.ctx != ctx:
         raise ValidationError("ideal was built over a different context")
@@ -153,9 +170,9 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
     masks = list(_waterhouse_of(ctx).masks)
     for s in ctx.gstar:
         masks[s] |= ctx._masks[s] & ctx._gstar_mask & ~g.left_preimage(s, ideal.mask)
-    result = _finish(ctx, masks, "cocycle_mod_ideal")
-    via_chain = _chain_cocycle(ctx, (ctx._gstar_mask, ideal.mask))
-    if result.masks != via_chain.masks:
+    packed = _pack_rows(masks, g.order)
+    result = _finish(ctx, packed, "cocycle_mod_ideal")
+    if packed != _chain_table(ctx, (ctx._gstar_mask, ideal.mask)):
         raise InternalInvariantError(
             "quotient cocycle disagrees with the two-term chain cocycle"
         )
@@ -294,19 +311,14 @@ class IdentityCheck:
     counterexample: Optional[tuple] = None
 
 
-def _first_diff(a, b) -> Optional[Tuple[int, int, int, int]]:
-    """First (s, t, a(s,t), b(s,t)) in row-major order where two tables differ."""
-    for s, (ra, rb) in enumerate(zip(a, b)):
-        if ra != rb:
-            t = _lowest_bit(ra ^ rb)
-            return (s, t, ra >> t & 1, rb >> t & 1)
-    return None
-
-
-def _tables_check(name: str, lhs, rhs) -> IdentityCheck:
+def _tables_check(name: str, n: int, lhs: int, rhs: int) -> IdentityCheck:
+    """Two packed tables of order n compared; a failure names the first cell
+    in row-major order where they differ, as (s, t, lhs(s,t), rhs(s,t))."""
     if lhs == rhs:
         return _PASSED[name]
-    return IdentityCheck(name=name, ok=False, counterexample=_first_diff(lhs, rhs))
+    bit = _lowest_bit(lhs ^ rhs)
+    s, t = divmod(bit, n)
+    return IdentityCheck(name, False, (s, t, lhs >> bit & 1, rhs >> bit & 1))
 
 
 def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> Tuple[int, ...]:
@@ -323,11 +335,10 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
         spans = [(0, split), (split - 1, k)]
     else:
         raise PreconditionError(f"split position must lie in [2, {k - 1}]")
-    lhs = cocycle_from_chain(ctx, chain).masks
-    joined = _subchain_masks(ctx, chain, *spans[0])
-    for lo, hi in spans[1:]:
-        joined = tuple(map(or_, joined, _subchain_masks(ctx, chain, lo, hi)))
-    return _tables_check("chain_break", lhs, joined)
+    n = ctx.group.order
+    lhs = _pack_rows(cocycle_from_chain(ctx, chain).masks, n)
+    joined = reduce(or_, [_pack_rows(_subchain_masks(ctx, chain, *span), n) for span in spans])
+    return _tables_check("chain_break", n, lhs, joined)
 
 
 def _link_witness(a: int, square: int, inner: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -351,9 +362,9 @@ def _first_unsqueezed(chain: DescendingChain) -> Optional[Tuple[int, Tuple[int, 
 
 
 def _waterhouse_iff_verdict(direct, f0, witness) -> IdentityCheck:
-    """waterhouse_iff on row masks: the chain cocycle ``direct`` equals the
-    Waterhouse idempotent ``f0`` exactly when ``witness``, the first
-    unsqueezed link, is None."""
+    """waterhouse_iff on row masks or packed tables: the chain cocycle
+    ``direct`` equals the Waterhouse idempotent ``f0`` exactly when
+    ``witness``, the first unsqueezed link, is None."""
     collapses = direct == f0
     squeezed = witness is None
     if collapses == squeezed:
@@ -368,13 +379,13 @@ def _check_waterhouse_iff(ctx, chain: DescendingChain):
     return _waterhouse_iff_verdict(direct, _waterhouse_of(ctx).masks, _first_unsqueezed(chain))
 
 
-def _pair_chain(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> Cocycle:
-    """The cocycle of the two-term chain outer >= inner, by its mask key when
-    both ideals are over ctx itself and nested; otherwise the chain is built,
-    and checked, by the constructor."""
-    if outer.ctx is ctx and inner.ctx is ctx and inner <= outer:
-        return _chain_cocycle(ctx, (outer.mask, inner.mask))
-    return cocycle_from_chain(ctx, DescendingChain(ideals=(outer, inner)))
+def _pair_table(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> int:
+    """The packed table of the two-term chain outer >= inner, by its mask
+    key; unless both ideals are over ctx itself and nested, the chain is
+    first built, and checked, by the constructor."""
+    if not (outer.ctx is ctx and inner.ctx is ctx and inner <= outer):
+        cocycle_from_chain(ctx, DescendingChain(ideals=(outer, inner)))
+    return _chain_table(ctx, (outer.mask, inner.mask))
 
 
 def _require_nested(outer: MonomialIdeal, inner: Sequence[MonomialIdeal]) -> None:
@@ -385,20 +396,15 @@ def _require_nested(outer: MonomialIdeal, inner: Sequence[MonomialIdeal]) -> Non
             raise PreconditionError(f"inner ideal {i + 1} is not contained in the outer one")
 
 
-def _check_sum_product(ctx, outer: MonomialIdeal, inner: Sequence[MonomialIdeal]):
+def _check_pair_tables(name, kind, join, ctx, outer, inner: Sequence[MonomialIdeal]):
+    """sum_product (kind "sum", join &) or intersection_vee ("intersection",
+    |): the pair table of outer over the kind of all inner ideals against the
+    join of their own pair tables."""
     _require_nested(outer, inner)
-    total = reduce(lambda a, b: ideal_lattice_op("sum", a, b), inner)
-    lhs = _pair_chain(ctx, outer, total).masks
-    rhs = pointwise_product([_pair_chain(ctx, outer, i) for i in inner]).masks
-    return _tables_check("sum_product", lhs, rhs)
-
-
-def _check_intersection_vee(ctx, outer: MonomialIdeal, inner: Sequence[MonomialIdeal]):
-    _require_nested(outer, inner)
-    total = reduce(lambda a, b: ideal_lattice_op("intersection", a, b), inner)
-    lhs = _pair_chain(ctx, outer, total).masks
-    rhs = vee([_pair_chain(ctx, outer, i) for i in inner]).masks
-    return _tables_check("intersection_vee", lhs, rhs)
+    total = reduce(lambda a, b: ideal_lattice_op(kind, a, b), inner)
+    lhs = _pair_table(ctx, outer, total)
+    rhs = reduce(join, [_pair_table(ctx, outer, i) for i in inner])
+    return _tables_check(name, ctx.group.order, lhs, rhs)
 
 
 def _check_cap_zero(ctx, ideals: Sequence[MonomialIdeal]):
@@ -409,8 +415,9 @@ def _check_cap_zero(ctx, ideals: Sequence[MonomialIdeal]):
         raise PreconditionError(
             f"ideals intersect in {sorted(meet.members)}, not in zero"
         )
-    rhs = vee([cocycle_mod_ideal(ctx, i) for i in ideals]).masks
-    return _tables_check("cap_zero", ctx.cocycle.masks, rhs)
+    n = ctx.group.order
+    rhs = _pack_rows(vee([cocycle_mod_ideal(ctx, i) for i in ideals]).masks, n)
+    return _tables_check("cap_zero", n, _pack_rows(ctx.cocycle.masks, n), rhs)
 
 
 def _check_fI_eq_f(ctx, ideal: MonomialIdeal):
@@ -435,14 +442,14 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
             f"{sorted(second.members - trivial)}"
         )
     zero = MonomialIdeal(ctx=ctx, mask=0)
-    lhs = _pair_chain(ctx, first, second).masks
-    rhs = _pair_chain(ctx, first, zero).masks
-    return _tables_check("trivial_annih_replace", lhs, rhs)
+    lhs = _pair_table(ctx, first, second)
+    rhs = _pair_table(ctx, first, zero)
+    return _tables_check("trivial_annih_replace", ctx.group.order, lhs, rhs)
 
 
 def _leq_f_verdict(relation: str) -> IdentityCheck:
     """leq_f from the support order of the chain cocycle against f, as
-    ``compare`` or ``_support_order`` on the row masks gives it."""
+    ``compare`` or ``_support_order`` gives it."""
     if relation in (LESS, EQUAL):
         return _PASSED["leq_f"]
     return IdentityCheck(name="leq_f", ok=False, counterexample=(relation,))
@@ -471,8 +478,8 @@ _PASSED = {name: IdentityCheck(name=name, ok=True) for name in IDENTITY_NAMES}
 _CHECKS = {
     "chain_break": _check_chain_break,
     "waterhouse_iff": _check_waterhouse_iff,
-    "sum_product": _check_sum_product,
-    "intersection_vee": _check_intersection_vee,
+    "sum_product": partial(_check_pair_tables, "sum_product", "sum", and_),
+    "intersection_vee": partial(_check_pair_tables, "intersection_vee", "intersection", or_),
     "cap_zero": _check_cap_zero,
     "fI_eq_f": _check_fI_eq_f,
     "trivial_annih_replace": _check_trivial_annih_replace,

@@ -30,7 +30,9 @@ class Group:
 
     ``table[a][b]`` is the index of the product a*b; ``inverse[a]`` the index
     of a^-1; ``names`` are display labels used by graph and CLI output.
-    Subsets of the group are bitmasks: bit a stands for element a.
+    Subsets of the group are bitmasks: bit a stands for element a, and a set
+    of cells (s, t) is packed in one integer, row s at bits s*n .. s*n + n - 1.
+    The memos below depend on the table alone, not on any cocycle.
     """
 
     order: int
@@ -41,6 +43,8 @@ class Group:
     names: Tuple[str, ...] = field(compare=False)
     # _preimages[t] memoises left_preimage(t, mask) for the masks seen so far
     _preimages: Tuple[Dict[int, int], ...] = field(init=False, repr=False, compare=False)
+    # _cells memoises cells(mask) for the masks seen so far
+    _cells: Dict[int, int] = field(init=False, repr=False, compare=False)
     # _double_cosets memoises double_cosets per subgroup, keyed by its members
     _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         init=False, repr=False, compare=False
@@ -50,6 +54,7 @@ class Group:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
+        object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_double_cosets", {})
         object.__setattr__(self, "_waterhouse", {})
 
@@ -69,6 +74,16 @@ class Group:
                     pre |= 1 << r
             memo[mask] = pre
         return pre
+
+    def cells(self, mask: int) -> int:
+        """The packed cells (s, t) with s, t and s*t all in ``mask``."""
+        packed = self._cells.get(mask)
+        if packed is None:
+            n = self.order
+            packed = self._cells[mask] = sum(
+                (mask & self.left_preimage(s, mask)) << s * n for s in range(n) if mask >> s & 1
+            )
+        return packed
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]

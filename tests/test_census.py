@@ -6,6 +6,7 @@ import time
 import pytest
 
 import cocycle_forge as cf
+from cocycle_forge import census
 from cocycle_forge.errors import ValidationError
 
 # enumeration sizes pinned once against the brute-force oracle below (orders
@@ -211,6 +212,7 @@ def test_check_cocycle_properties_all_ones_is_vacuous():
     assert result.counts == {}
     assert result.failures == ()
     assert not result.chains_truncated
+    assert result.chains_total == 0
 
 
 def test_check_cocycle_properties_refuses_a_chain_cap_below_one(golden):
@@ -227,7 +229,27 @@ def test_check_cocycle_properties_reports_the_chain_cap():
     assert capped.chains_truncated and capped.counts["leq_f"] == 10_000
     full = cf.check_cocycle_properties(c7, max_chains=12_421)
     assert not full.chains_truncated and full.counts["leq_f"] == 12_421
+    # the capped total comes from a path count, the full one from the keys
+    assert capped.chains_total == full.chains_total == 12_421
     assert capped.failures == full.failures == ()
+
+
+def test_chain_count_matches_the_listed_keys():
+    for group in (cf.make_cyclic(4), cf.make_dihedral(3)):
+        for cocycle in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles:
+            if cf.inertial_group(cocycle).members == tuple(range(group.order)):
+                continue
+            ideals = cf.enumerate_ideals(cf.AlgebraContext(cocycle))
+            for max_len in (2, 3, 4):
+                keys, truncated = census._chain_keys(ideals, max_len, cap=10**9)
+                assert not truncated
+                assert census._chain_count(ideals, max_len) == len(keys)
+
+
+def test_property_suite_counts_every_d3_chain():
+    report = cf.property_suite(cf.CensusConfig(group=cf.make_dihedral(3)))
+    assert report.capped_cocycles == 0
+    assert report.chains_total == report.counts["leq_f"] == 278_020
 
 
 def test_property_suite_counts_the_capped_cocycles():

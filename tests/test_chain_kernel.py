@@ -21,7 +21,7 @@ import pytest
 import cocycle_forge as cf
 from cocycle_forge import census, decomposition
 from cocycle_forge.census import CHAIN_CHECKS, descending_multichains, enumerate_ideals
-from cocycle_forge.cocycles import BinaryTable
+from cocycle_forge.cocycles import _pack_rows, _unpack_rows
 from cocycle_forge.errors import ForgeError, InternalInvariantError, ValidationError
 
 # D3 census cocycle 87: 8 ideals and 397 chains; J^2 = [1, 3, 4] and
@@ -67,7 +67,9 @@ def test_chain_pass_matches_the_from_scratch_checks(group):
                 decomposition._subchain_masks(ref, chain, i, i + 2)
                 for i in range(len(chain) - 1)
             ]
-            assert join == tuple(reduce(or_, rows) for rows in zip(*pairs))
+            assert _unpack_rows(join, ctx.group.order) == tuple(
+                reduce(or_, rows) for rows in zip(*pairs)
+            )
             assert witness == decomposition._first_unsqueezed(chain)
         assert seen == len(keys)
 
@@ -114,16 +116,16 @@ def _reference_chain_failures(ctx):
     ids=["pair", "triple"],
 )
 def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
-    real = decomposition._chain_cocycle
+    real = decomposition._chain_table
     masks = tuple(_ideal(_context_87(), m).mask for m in target)
 
-    def chain_cocycle(ctx, key):
+    def chain_table(ctx, key):
         if key == masks:
             raise InternalInvariantError("injected")
         return real(ctx, key)
 
-    monkeypatch.setattr(decomposition, "_chain_cocycle", chain_cocycle)
-    monkeypatch.setattr(census, "_chain_cocycle", chain_cocycle)
+    monkeypatch.setattr(decomposition, "_chain_table", chain_table)
+    monkeypatch.setattr(census, "_chain_table", chain_table)
     failures = _suite_chain_failures(_context_87())
     assert failures == _reference_chain_failures(_context_87())
     label = f"chain={[list(m) for m in target]} raised: injected"
@@ -140,7 +142,7 @@ def test_a_wrong_pair_table_breaks_chain_break(monkeypatch):
         outer, inner = _ideal(ctx, (1, 2, 3, 4, 5)), _ideal(ctx, (1, 3, 4))
         real = cf.cocycle_from_chain(ctx, cf.DescendingChain(ideals=(outer, inner)))
         wrong = real.masks[:5] + (real.masks[5] ^ 0b100,)
-        ctx._chain_cache[(outer.mask, inner.mask)] = BinaryTable(group=ctx.group, masks=wrong)
+        ctx._chain_cache[(outer.mask, inner.mask)] = _pack_rows(wrong, ctx.group.order)
         return ctx
 
     failures = _suite_chain_failures(inject(_context_87()))

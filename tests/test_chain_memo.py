@@ -15,7 +15,13 @@ import pytest
 import cocycle_forge as cf
 from cocycle_forge import decomposition
 from cocycle_forge.census import descending_multichains, enumerate_ideals
-from cocycle_forge.cocycles import BinaryTable, Cocycle, CocycleViolation
+from cocycle_forge.cocycles import (
+    BinaryTable,
+    Cocycle,
+    CocycleViolation,
+    _pack_rows,
+    _unpack_rows,
+)
 from cocycle_forge.errors import InternalInvariantError
 
 
@@ -36,10 +42,16 @@ def _zero(ctx):
     return cf.MonomialIdeal.from_members(ctx, frozenset())
 
 
-def _finish_unmemoised(ctx, masks, what):
+def _key(table):
+    """A table's key in the validated-table memo: the packed table."""
+    return _pack_rows(table.masks, table.group.order)
+
+
+def _finish_unmemoised(ctx, packed, what):
     """_finish as it reads without the memo; the inertial group goes through
     inertial_group instead of the support mask."""
-    result = cf.validate_cocycle(BinaryTable(group=ctx.group, masks=tuple(masks)))
+    masks = _unpack_rows(packed, ctx.group.order)
+    result = cf.validate_cocycle(BinaryTable(group=ctx.group, masks=masks))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
     if cf.inertial_group(result).members != ctx.inertial.members:
@@ -56,12 +68,12 @@ def test_memo_is_per_context(d3_cocycle):
     second = cf.AlgebraContext(d3_cocycle)
     chain = cf.DescendingChain(ideals=(_radical(first), _zero(first)))
     a = cf.cocycle_from_chain(first, chain)
-    assert first._valid_tables[a.masks] is a
+    assert first._valid_tables[_key(a)] is a
     assert second._valid_tables == {}
     b = cf.cocycle_from_chain(second, chain)
     assert b.masks == a.masks and b is not a
-    assert second._valid_tables[b.masks] is b
-    assert first._valid_tables[a.masks] is a
+    assert second._valid_tables[_key(b)] is b
+    assert first._valid_tables[_key(a)] is a
 
 
 def test_equal_tables_from_different_chains_are_one_object():
@@ -101,13 +113,13 @@ def test_table_dropping_an_inertial_element_raises_on_every_call():
     smaller = cf.waterhouse(g, cf.subgroup(g, [0])).masks
     for _ in range(3):
         with pytest.raises(InternalInvariantError, match="probe changed the inertial group"):
-            decomposition._finish(ctx, list(smaller), "probe")
-    assert smaller not in ctx._valid_tables
+            decomposition._finish(ctx, _pack_rows(smaller, g.order), "probe")
+    assert _pack_rows(smaller, g.order) not in ctx._valid_tables
     bad = list(smaller)
     bad[2] |= 0b0100  # f(2,2) = 1 alone breaks the identity at (1, 2, 2)
     for _ in range(2):
         with pytest.raises(InternalInvariantError, match="probe produced an invalid cocycle"):
-            decomposition._finish(ctx, bad, "probe")
+            decomposition._finish(ctx, _pack_rows(bad, g.order), "probe")
     assert ctx._valid_tables == {}
 
 
@@ -152,4 +164,4 @@ def test_constructions_match_a_memo_free_finish(monkeypatch):
         assert fresh._valid_tables == {}
         # each memoised table is the one Cocycle every equal table came back as
         for table in chain_tables + mod_tables:
-            assert ctx._valid_tables[table.masks] is table
+            assert ctx._valid_tables[_key(table)] is table
