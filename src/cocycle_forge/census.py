@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product, repeat
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -76,7 +77,7 @@ from .decomposition import (
 from .errors import ForgeError, ValidationError
 from .generators import all_generators, n1_set, principal_via_generators
 from .groups import Group, Subgroup
-from .semilinear import chain_lift, cocycle_from_r, padded_lift, random_semilinear
+from .semilinear import SemilinearMap, chain_lift, cocycle_from_r, padded_lift, random_semilinear
 
 __all__ = [
     "CensusConfig",
@@ -312,21 +313,20 @@ class CocycleCheckResult:
     chains_total: int = 0  # the chains that exist, checked or not
 
 
-def _chain_label(key: Tuple[int, ...]) -> str:
-    return f"chain={[list(_members_of(mask)) for mask in key]}"
-
-
-def _ideal_label(ideal: MonomialIdeal) -> str:
-    return f"ideal={list(ideal.sorted_members)}"
-
-
-def _pair_label(pair: Tuple[MonomialIdeal, MonomialIdeal]) -> str:
-    a, b = pair
-    return f"pair=({list(a.sorted_members)}, {list(b.sorted_members)})"
-
-
-def _no_label(_) -> str:
-    return ""
+def _label(subject) -> str:
+    """How a failure detail names its subject: a chain key by its ideals, an
+    ideal or a pair of ideals by their members, a lifted map by its values,
+    and the context itself (None) by nothing."""
+    if subject is None:
+        return ""
+    if isinstance(subject, SemilinearMap):
+        return f"r={list(subject.values)}"
+    if isinstance(subject, MonomialIdeal):
+        return f"ideal={list(subject.sorted_members)}"
+    if isinstance(subject[0], MonomialIdeal):
+        a, b = subject
+        return f"pair=({list(a.sorted_members)}, {list(b.sorted_members)})"
+    return f"chain={[list(_members_of(mask)) for mask in subject]}"
 
 
 def _failure_suffix(result) -> Optional[str]:
@@ -414,47 +414,29 @@ def _chain_verdicts(
             ), state
 
 
-def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
-    """The property sweep of one context.  The chain identities run in one
-    pass per chain (_chain_verdicts) and are counted in bulk; every other
-    check is one guarded call.  A failure detail is formatted only then."""
-    counts: Dict[str, int] = {}
-    failures: List[PropertyFailure] = []
-    rows = ctx.cocycle.rows()
-    n = ctx.group.order
+def _outcome(check, *args, **kwargs):
+    """What check(*args, **kwargs) returned, or the ForgeError it raised,
+    without the traceback, whose frames would hold the context."""
+    try:
+        return check(*args, **kwargs)
+    except ForgeError as exc:
+        return exc.with_traceback(None)
 
-    def fail(check: str, detail: str) -> None:
-        failures.append(
-            PropertyFailure(check=check, group_order=n, cocycle_rows=rows, detail=detail)
-        )
 
-    def guarded(check: str, label, about, fn, *args, **kwargs) -> None:
-        """Count one check of kind `check` and run fn(*args, **kwargs); on a
-        failure the detail starts with label(about), formatted only then."""
-        counts[check] = counts.get(check, 0) + 1
-        try:
-            suffix = _failure_suffix(fn(*args, **kwargs))
-        except ForgeError as exc:
-            suffix = _failure_suffix(exc)
-        if suffix is not None:
-            fail(check, label(about) + suffix)
+_IDEAL_CHECKS = (
+    "n1_of_quotient", "ideal_members_trivial_in_quotient", "fI_eq_f", "morphism",
+    "trivial_annih_replace",
+)
+_PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
 
-    ideals = enumerate_ideals(ctx)
-    keys, chains_truncated = _chain_keys(ideals, cap=max_chains)
-    chains_total = _chain_count(ideals) if chains_truncated else len(keys)
 
-    if keys:
-        counts.update(dict.fromkeys(CHAIN_CHECKS, len(keys)))
-    for key, verdicts, _ in _chain_verdicts(ctx, keys):
-        if verdicts == _CHAIN_PASSED:
-            continue
-        for name, outcome in zip(CHAIN_CHECKS, verdicts):
-            suffix = _failure_suffix(outcome)
-            if suffix is not None:
-                fail(name, _chain_label(key) + suffix)
-
-    trivial, _ = classify_annihilators(ctx)
-    base_n1 = n1_set(ctx)
+def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
+    """Yield (kinds, subject, outcomes) for each ideal, each pair of ideals
+    and the context itself (subject None), in the sweep's order.  The
+    context's N_1 and annihilator classes and each pair's sum are computed
+    once; when one raised, each check that reads it has its error."""
+    trivial = _outcome(lambda: classify_annihilators(ctx)[0])
+    base_n1 = _outcome(n1_set, ctx)
 
     def n1_union(i):
         sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
@@ -473,19 +455,28 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
         return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
 
     for ideal in ideals:
-        guarded("n1_of_quotient", _ideal_label, ideal, n1_union, ideal)
-        guarded("ideal_members_trivial_in_quotient", _ideal_label, ideal, members_trivial, ideal)
-        guarded("fI_eq_f", _ideal_label, ideal, check_identity, "fI_eq_f", ctx, ideal=ideal)
-        guarded("morphism", _ideal_label, ideal, morphism_ok, ideal)
-        guarded("trivial_annih_replace", _ideal_label, ideal, replaceable, ideal)
+        yield _IDEAL_CHECKS, ideal, (
+            base_n1 if isinstance(base_n1, ForgeError) else _outcome(n1_union, ideal),
+            _outcome(members_trivial, ideal),
+            _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
+            _outcome(morphism_ok, ideal),
+            trivial if isinstance(trivial, ForgeError) else _outcome(replaceable, ideal),
+        )
 
     for pair in combinations(ideals, 2):
         a, b = pair
-        outer = ideal_lattice_op("sum", a, b)
-        for name in ("sum_product", "intersection_vee"):
-            guarded(name, _pair_label, pair, check_identity, name, ctx, outer=outer, inner=[a, b])
+        try:
+            outer = ideal_lattice_op("sum", a, b)
+        except ForgeError as exc:
+            outcomes = [exc.with_traceback(None)] * 2
+        else:
+            outcomes = [
+                _outcome(check_identity, "sum_product", ctx, outer=outer, inner=[a, b]),
+                _outcome(check_identity, "intersection_vee", ctx, outer=outer, inner=[a, b]),
+            ]
         if not a.mask & b.mask:
-            guarded("cap_zero", _pair_label, pair, check_identity, "cap_zero", ctx, ideals=[a, b])
+            outcomes.append(_outcome(check_identity, "cap_zero", ctx, ideals=[a, b]))
+        yield _PAIR_CHECKS[: len(outcomes)], pair, outcomes
 
     def principal_routes():
         gens = all_generators(ctx)
@@ -493,24 +484,57 @@ def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResul
             principal_via_generators(ctx, s, gens)
         return True
 
-    guarded("principal_two_routes", _no_label, None, principal_routes)
-
     def bstar_parts():
         decompose_by_bstar(ctx)
         return True
 
-    guarded("bstar_recombination", _no_label, None, bstar_parts)
+    def class_parts():
+        outcome = decompose_by_classes(ctx)
+        if isinstance(outcome, DecompositionReport):
+            return outcome.recombines and all(p.strict for p in outcome.parts)
+        return True
 
+    whole = {"principal_two_routes": principal_routes, "bstar_recombination": bstar_parts}
     if ctx.cocycle.masks != _waterhouse_of(ctx).masks:
+        whole["class_decomposition"] = class_parts
+    yield whole, None, [_outcome(check) for check in whole.values()]
 
-        def class_parts():
-            outcome = decompose_by_classes(ctx)
-            if isinstance(outcome, DecompositionReport):
-                return outcome.recombines and all(p.strict for p in outcome.parts)
-            return True
 
-        guarded("class_decomposition", _no_label, None, class_parts)
+def _tally(stream, rows, counts, failures) -> None:
+    """Count each check of the stream of (kinds, subject, outcomes) by kind
+    into counts, and append to failures a PropertyFailure on the cocycle
+    with these rows for each check that failed, its detail _label(subject) +
+    _failure_suffix(outcome).  A chain whose outcomes are _CHAIN_PASSED
+    counts as one integer, spread over CHAIN_CHECKS at the end."""
+    passed = 0
+    for kinds, subject, outcomes in stream:
+        if outcomes is _CHAIN_PASSED:
+            passed += 1
+            continue
+        for kind, outcome in zip(kinds, outcomes):
+            counts[kind] = counts.get(kind, 0) + 1
+            suffix = _failure_suffix(outcome)
+            if suffix is not None:
+                failures.append(PropertyFailure(
+                    check=kind, group_order=len(rows), cocycle_rows=rows,
+                    detail=_label(subject) + suffix,
+                ))
+    if passed:
+        for kind in CHAIN_CHECKS:
+            counts[kind] = counts.get(kind, 0) + passed
 
+
+def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
+    """The property sweep of one context: _tally over each chain key with its
+    verdicts, passed on from _chain_verdicts with no Python frame per chain,
+    then over the subjects of _context_subjects."""
+    ideals = enumerate_ideals(ctx)
+    keys, chains_truncated = _chain_keys(ideals, cap=max_chains)
+    chains = zip(repeat(CHAIN_CHECKS), keys, map(itemgetter(1), _chain_verdicts(ctx, keys)))
+    counts: Dict[str, int] = {}
+    failures: List[PropertyFailure] = []
+    _tally(chain(chains, _context_subjects(ctx, ideals)), ctx.cocycle.rows(), counts, failures)
+    chains_total = _chain_count(ideals) if chains_truncated else len(keys)
     return CocycleCheckResult(
         counts=counts, failures=tuple(failures),
         chains_truncated=chains_truncated, chains_total=chains_total,
@@ -522,8 +546,10 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
 
     Raising checks are reported as failures rather than propagated, so a
     fabricated (mutated) table lands in the failure list with the first
-    broken invariant named.  At most max_chains chains are checked, and
-    chains_truncated says whether more exist; chains_total counts them all.
+    broken invariant named; a check that reads a shared input that raised
+    (N_1, the annihilator classes, a pair's sum) reports that error.  At
+    most max_chains chains are checked, and chains_truncated says whether
+    more exist; chains_total counts them all.
     """
     if max_chains < 1:
         raise ValidationError("census limits must be positive")
@@ -568,7 +594,8 @@ def property_suite(
     """Sweep every census cocycle, plus sampled subadditive-map lifts.
 
     Deterministic for a fixed seed: the lift checks draw random maps from a
-    seeded generator, everything else is exhaustive.
+    seeded generator, everything else is exhaustive.  Each lift r is one
+    subject of _tally, with a lift_sandwich check per chain (at most 64).
     """
     stream = enumerate_cocycles(cfg)
     counts: Dict[str, int] = {}
@@ -585,6 +612,10 @@ def property_suite(
             counts[k] = counts.get(k, 0) + v
         failures.extend(result.failures)
 
+    def lift_sandwich(r, c):  # chain_lift checks (f_r)_c <= f_lift <= f_r
+        chain_lift(r, c)
+        return padded_lift(r, c).certified
+
     rng = random.Random(seed)
     for _ in range(lift_samples):
         r = random_semilinear(cfg.group, rng)
@@ -595,21 +626,8 @@ def property_suite(
         chains, _ = descending_multichains(
             enumerate_ideals(ctx), cap=min(64, cfg.max_chains_per_cocycle)
         )
-        for chain in chains:
-            counts["lift_sandwich"] = counts.get("lift_sandwich", 0) + 1
-            try:
-                chain_lift(r, chain)
-                if not padded_lift(r, chain).certified:
-                    raise ValidationError("padding certificate failed")
-            except ForgeError as exc:
-                failures.append(
-                    PropertyFailure(
-                        check="lift_sandwich",
-                        group_order=cfg.group.order,
-                        cocycle_rows=fr.rows(),
-                        detail=f"r={list(r.values)} {exc}",
-                    )
-                )
+        outcomes = [_outcome(lift_sandwich, r, c) for c in chains]
+        _tally([(("lift_sandwich",) * len(outcomes), r, outcomes)], fr.rows(), counts, failures)
 
     return CensusReport(
         group_order=cfg.group.order,
@@ -690,25 +708,17 @@ def census_records(stream: CensusStream) -> List[CensusRecord]:
             ctx = AlgebraContext(c)
         except ValidationError:
             # the all-ones cocycle: the algebra is simple
-            records.append(
-                CensusRecord(
-                    order=c.group.order,
-                    bits=bits,
-                    inertial=tuple(range(c.group.order)),
-                    max_power=0,
-                    nk_sizes=(),
-                    annihilator_classes=0,
-                )
-            )
-            continue
-        layers = nk_partition(ctx)
-        trivial, nontrivial = classify_annihilators(ctx)
-        classes = _classes_of(ctx, trivial | nontrivial)
+            inertial, layers, classes = tuple(range(c.group.order)), [], []
+        else:
+            inertial = ctx.inertial.members
+            layers = nk_partition(ctx)
+            trivial, nontrivial = classify_annihilators(ctx)
+            classes = _classes_of(ctx, trivial | nontrivial)
         records.append(
             CensusRecord(
                 order=c.group.order,
                 bits=bits,
-                inertial=ctx.inertial.members,
+                inertial=inertial,
                 max_power=len(layers),
                 nk_sizes=tuple(len(l) for l in layers),
                 annihilator_classes=len(classes),

@@ -459,22 +459,6 @@ def _check_leq_f(ctx, chain: DescendingChain):
     return _leq_f_verdict(compare(cocycle_from_chain(ctx, chain), ctx.cocycle))
 
 
-IDENTITY_NAMES = (
-    "chain_break",
-    "waterhouse_iff",
-    "sum_product",
-    "intersection_vee",
-    "cap_zero",
-    "fI_eq_f",
-    "trivial_annih_replace",
-    "leq_f",
-)
-
-
-# one frozen passing verdict per identity, shared by every check that passes
-_PASSED = {name: IdentityCheck(name=name, ok=True) for name in IDENTITY_NAMES}
-
-
 _CHECKS = {
     "chain_break": _check_chain_break,
     "waterhouse_iff": _check_waterhouse_iff,
@@ -485,6 +469,10 @@ _CHECKS = {
     "trivial_annih_replace": _check_trivial_annih_replace,
     "leq_f": _check_leq_f,
 }
+IDENTITY_NAMES = tuple(_CHECKS)
+
+# one frozen passing verdict per identity, shared by every check that passes
+_PASSED = {name: IdentityCheck(name=name, ok=True) for name in IDENTITY_NAMES}
 
 
 def check_identity(name: str, ctx: AlgebraContext, **kwargs) -> IdentityCheck:

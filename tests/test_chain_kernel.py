@@ -98,7 +98,7 @@ def _reference_chain_failures(ctx):
     out = []
     chains, _ = descending_multichains(enumerate_ideals(ctx))
     for chain in chains:
-        label = census._chain_label(chain.masks)
+        label = census._label(chain.masks)
         for name in CHAIN_CHECKS:
             try:
                 verdict = cf.check_identity(name, ctx, chain=chain)

@@ -1,0 +1,212 @@
+"""How the property sweep reports each kind of check, and what it does when
+an input that several checks share raises.
+
+Every failure detail is the subject's label followed by how the check
+failed: nothing for a False, the counterexample of a failed verdict, or
+``raised: <error>`` for a ForgeError.  A raise in a shared input (the
+context's N_1, its annihilator classes, a pair's sum) fails each check that
+reads it and stops no other check.
+"""
+
+from __future__ import annotations
+
+import random
+from types import SimpleNamespace
+
+import cocycle_forge as cf
+from cocycle_forge import census
+from cocycle_forge.decomposition import DecompositionReport, IdentityCheck
+from cocycle_forge.errors import InternalInvariantError
+
+# a C4 census cocycle that runs every non-chain kind; its ideals are
+# 0, [1], [2], [1, 2], [2, 3] and [1, 2, 3]
+C4_ROWS = ("1111", "1000", "1000", "1001")
+# the C3 Waterhouse table of {0}: ideals 0, [1], [2], [1, 2]
+C3_ROWS = ("111", "100", "100")
+
+
+def _mask(*members):
+    return sum(1 << s for s in members)
+
+
+def _c4_cocycle():
+    return cf.as_cocycle([[int(v) for v in row] for row in C4_ROWS], cf.make_cyclic(4))
+
+
+def _c3_waterhouse():
+    g = cf.make_cyclic(3)
+    return cf.waterhouse(g, cf.subgroup(g, [0]))
+
+
+def _failures(result):
+    return [(f.check, f.detail) for f in result.failures]
+
+
+def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
+    cocycle = _c4_cocycle()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    real_mod = census.cocycle_mod_ideal
+    real_n1 = census.n1_set
+    real_classes = census.classify_annihilators
+    real_identity = census.check_identity
+    real_morphism = census.morphism_check
+    quotient_of = []  # the ideal of the last quotient taken
+
+    def cocycle_mod_ideal(ctx, ideal):
+        quotient_of.append(ideal.mask)
+        return real_mod(ctx, ideal)
+
+    def n1_set(ctx):
+        if quotient_of[-1:] == [_mask(2)]:
+            return frozenset()
+        return real_n1(ctx)
+
+    def classify_annihilators(ctx):
+        if quotient_of[-1:] == [_mask(1, 2)]:
+            raise InternalInvariantError("no classes")
+        return real_classes(ctx)
+
+    def check_identity(name, ctx, **kwargs):
+        if name == "fI_eq_f" and kwargs["ideal"].mask == _mask(2):
+            return IdentityCheck(name=name, ok=False, counterexample=(0, 2, 1, 0))
+        if name == "trivial_annih_replace" and kwargs["first"].mask == _mask(1, 2, 3):
+            raise InternalInvariantError("no replacement")
+        pair = [i.mask for i in kwargs.get("inner", kwargs.get("ideals", ()))]
+        if name == "sum_product" and pair == [_mask(1), _mask(2)]:
+            return IdentityCheck(name=name, ok=False, counterexample=(1, 2, 0, 1))
+        if name == "intersection_vee" and pair == [_mask(1), _mask(2, 3)]:
+            raise InternalInvariantError("no vee")
+        if name == "cap_zero" and pair == [_mask(1), _mask(2, 3)]:
+            return IdentityCheck(name=name, ok=False, counterexample=(3, 3, 1, 0))
+        return real_identity(name, ctx, **kwargs)
+
+    def morphism_check(ctx, ideal):
+        if ideal.mask == _mask(1, 2):
+            return SimpleNamespace(ok=False)
+        return real_morphism(ctx, ideal)
+
+    def principal_via_generators(ctx, s, gens):
+        raise InternalInvariantError("no route")
+
+    def decompose_by_bstar(ctx):
+        raise InternalInvariantError("no parts")
+
+    def decompose_by_classes(ctx):
+        return DecompositionReport(parts=(), recombines=False)
+
+    for name, patch in [
+        ("cocycle_mod_ideal", cocycle_mod_ideal),
+        ("n1_set", n1_set),
+        ("classify_annihilators", classify_annihilators),
+        ("check_identity", check_identity),
+        ("morphism_check", morphism_check),
+        ("principal_via_generators", principal_via_generators),
+        ("decompose_by_bstar", decompose_by_bstar),
+        ("decompose_by_classes", decompose_by_classes),
+    ]:
+        monkeypatch.setattr(census, name, patch)
+    result = cf.check_cocycle_properties(cocycle)
+    assert _failures(result) == [
+        ("n1_of_quotient", "ideal=[2]"),
+        ("fI_eq_f", "ideal=[2] (0, 2, 1, 0)"),
+        ("ideal_members_trivial_in_quotient", "ideal=[1, 2] raised: no classes"),
+        ("morphism", "ideal=[1, 2]"),
+        ("trivial_annih_replace", "ideal=[1, 2, 3] raised: no replacement"),
+        ("sum_product", "pair=([1], [2]) (1, 2, 0, 1)"),
+        ("intersection_vee", "pair=([1], [2, 3]) raised: no vee"),
+        ("cap_zero", "pair=([1], [2, 3]) (3, 3, 1, 0)"),
+        ("principal_two_routes", " raised: no route"),
+        ("bstar_recombination", " raised: no parts"),
+        ("class_decomposition", ""),
+    ]
+    assert all(f.group_order == 4 and f.cocycle_rows == C4_ROWS for f in result.failures)
+    assert result.counts == unpatched
+
+
+def _raise_on_first_call(monkeypatch, name, error):
+    """Patch census.<name> to raise error on its first call only: the sweep
+    reads the context's own input before any quotient's."""
+    real = getattr(census, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InternalInvariantError(error)
+        return real(*args)
+
+    monkeypatch.setattr(census, name, patched)
+
+
+def test_a_raising_n1_fails_each_quotient_check(monkeypatch):
+    cocycle = _c3_waterhouse()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    _raise_on_first_call(monkeypatch, "n1_set", "no n1")
+    result = cf.check_cocycle_properties(cocycle)
+    assert _failures(result) == [
+        ("n1_of_quotient", f"ideal={members} raised: no n1")
+        for members in ([], [1], [2], [1, 2])
+    ]
+    assert all(f.cocycle_rows == C3_ROWS for f in result.failures)
+    assert result.counts == unpatched
+
+
+def test_raising_annihilator_classes_fail_each_replacement(monkeypatch):
+    cocycle = _c3_waterhouse()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    _raise_on_first_call(monkeypatch, "classify_annihilators", "no classes")
+    result = cf.check_cocycle_properties(cocycle)
+    assert _failures(result) == [
+        ("trivial_annih_replace", f"ideal={members} raised: no classes")
+        for members in ([], [1], [2], [1, 2])
+    ]
+    assert result.counts == unpatched
+
+
+def test_a_raising_pair_sum_fails_only_that_pairs_checks(monkeypatch):
+    cocycle = _c3_waterhouse()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    real = census.ideal_lattice_op
+
+    def ideal_lattice_op(kind, a, b):
+        if kind == "sum" and (a.mask, b.mask) == (_mask(1), _mask(2)):
+            raise InternalInvariantError("no sum")
+        return real(kind, a, b)
+
+    monkeypatch.setattr(census, "ideal_lattice_op", ideal_lattice_op)
+    result = cf.check_cocycle_properties(cocycle)
+    assert _failures(result) == [
+        ("sum_product", "pair=([1], [2]) raised: no sum"),
+        ("intersection_vee", "pair=([1], [2]) raised: no sum"),
+    ]
+    assert result.counts == unpatched
+
+
+def test_lift_failures_name_the_map(monkeypatch):
+    g = cf.make_cyclic(3)
+    cfg = cf.CensusConfig(group=g)
+    unpatched = cf.property_suite(cfg, lift_samples=1).counts
+    r = cf.random_semilinear(g, random.Random(0))  # the suite's first draw
+    fr = cf.cocycle_from_r(r)
+    zero, top = 0, cf.AlgebraContext(fr)._gstar_mask
+    real_lift, real_padded = census.chain_lift, census.padded_lift
+
+    def chain_lift(r, chain):
+        if chain.masks == (zero, zero):
+            raise InternalInvariantError("no lift")
+        return real_lift(r, chain)
+
+    def padded_lift(r, chain):
+        if chain.masks == (top, zero):
+            return SimpleNamespace(certified=False)
+        return real_padded(r, chain)
+
+    monkeypatch.setattr(census, "chain_lift", chain_lift)
+    monkeypatch.setattr(census, "padded_lift", padded_lift)
+    report = cf.property_suite(cfg, lift_samples=1)
+    assert _failures(report) == [
+        ("lift_sandwich", f"r={list(r.values)} raised: no lift"),
+        ("lift_sandwich", f"r={list(r.values)}"),
+    ]
+    assert all(f.group_order == 3 and f.cocycle_rows == fr.rows() for f in report.failures)
+    assert report.counts == unpatched
