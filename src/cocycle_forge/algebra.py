@@ -41,8 +41,9 @@ class AlgebraContext:
     G* must be nonempty: with G* empty the algebra is simple and none of the
     ideal constructions apply.  The per-context caches are declared here.
     This module fills the lattice and principal-ideal caches; the chain and
-    quotient caches, the validated-table memo and the packed f and
-    Waterhouse tables (see ``Group``) are filled by the decomposition module.
+    quotient caches and the validated-table memo are filled by the
+    decomposition module.  The packed f and Waterhouse tables are the
+    ``packed`` views of ``cocycle`` and of the Waterhouse table itself.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -74,9 +75,6 @@ class AlgebraContext:
         self._mod_cache: Dict[int, Cocycle] = {}
         # packed table -> the Cocycle that passed validation and kept H here
         self._valid_tables: Dict[int, Cocycle] = {}
-        # f and its Waterhouse idempotent packed, on the first chain build
-        self._packed_f: Optional[int] = None
-        self._packed_waterhouse: Optional[int] = None
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
         # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None

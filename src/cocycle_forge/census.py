@@ -65,7 +65,6 @@ from .decomposition import (
     _classes_of,
     _leq_f_verdict,
     _link_witness,
-    _packed_bounds,
     _tables_check,
     _waterhouse_iff_verdict,
     check_identity,
@@ -363,11 +362,13 @@ def _chain_verdicts(
     ideal built from its mask.  A chain passes when its table lies inside f,
     equals the join, and equals the Waterhouse table exactly when no link is
     unsqueezed; any other chain gets the verdicts check_identity gives.  An
-    input that raised is carried as its error, without the traceback, whose
-    frames would hold the context.
+    input that raised, the Waterhouse table included, is carried as its
+    error, without the traceback, whose frames would hold the context.
     """
     n = ctx.group.order
-    f, f0 = _packed_bounds(ctx)
+    f = ctx.cocycle.packed
+    f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
+    f0_ok = not isinstance(f0, ForgeError)
     squares: Dict[int, int] = {}
     carried: Dict[Tuple[int, ...], tuple] = {}
     for key in keys:
@@ -398,25 +399,27 @@ def _chain_verdicts(
         if isinstance(direct, ForgeError):
             yield key, (direct, direct, direct), state
         elif (
-            not direct & ~f and direct == join and not isinstance(witness, ForgeError)
-            and (direct == f0) == (witness is None)
+            not direct & ~f and direct == join and f0_ok
+            and not isinstance(witness, ForgeError) and (direct == f0) == (witness is None)
         ):
             yield key, _CHAIN_PASSED, state
         else:
             yield key, (
-                _leq_f_verdict(_support_order((direct,), (f,))),
-                join
-                if isinstance(join, ForgeError)
-                else _tables_check("chain_break", n, direct, join),
-                witness
-                if isinstance(witness, ForgeError)
-                else _waterhouse_iff_verdict(direct, f0, witness),
+                _leq_f_verdict(_support_order(direct, f)),
+                _outcome(_tables_check, "chain_break", n, direct, join),
+                _outcome(_waterhouse_iff_verdict, direct, f0, witness),
             ), state
 
 
 def _outcome(check, *args, **kwargs):
     """What check(*args, **kwargs) returned, or the ForgeError it raised,
-    without the traceback, whose frames would hold the context."""
+    without the traceback, whose frames would hold the context.  Shared
+    inputs are passed positionally: a positional argument that is a
+    ForgeError, a shared input that raised, is the outcome instead, and check
+    is not called."""
+    for arg in args:
+        if isinstance(arg, ForgeError):
+            return arg
     try:
         return check(*args, **kwargs)
     except ForgeError as exc:
@@ -428,52 +431,50 @@ _IDEAL_CHECKS = (
     "trivial_annih_replace",
 )
 _PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
+_CONTEXT_CHECKS = ("principal_two_routes", "bstar_recombination", "class_decomposition")
 
 
 def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
     """Yield (kinds, subject, outcomes) for each ideal, each pair of ideals
     and the context itself (subject None), in the sweep's order.  The
-    context's N_1 and annihilator classes and each pair's sum are computed
-    once; when one raised, each check that reads it has its error."""
+    context's N_1, annihilator classes and Waterhouse table, each ideal's
+    quotient context and each pair's sum are computed once and passed
+    through _outcome, so a raise fails each check that reads the input."""
     trivial = _outcome(lambda: classify_annihilators(ctx)[0])
     base_n1 = _outcome(n1_set, ctx)
+    f0 = _outcome(_waterhouse_of, ctx)
 
-    def n1_union(i):
-        sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
-        return n1_set(sub) == base_n1 | i.members
+    def n1_union(base, sub, i):
+        return n1_set(sub) == base | i.members
 
-    def members_trivial(i):
-        sub = AlgebraContext(cocycle_mod_ideal(ctx, i))
+    def members_trivial(sub, i):
         sub_trivial, _ = classify_annihilators(sub)
         return i.members <= sub_trivial
 
-    def morphism_ok(i):
-        return morphism_check(ctx, i).ok
-
-    def replaceable(i):
-        inner = ideal_closure(ctx, trivial & i.members)
+    def replaceable(shared, i):
+        inner = ideal_closure(ctx, shared & i.members)
         return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
 
+    def pair_check(name, outer, a, b):
+        return check_identity(name, ctx, outer=outer, inner=[a, b])
+
     for ideal in ideals:
+        sub = _outcome(lambda: AlgebraContext(cocycle_mod_ideal(ctx, ideal)))
         yield _IDEAL_CHECKS, ideal, (
-            base_n1 if isinstance(base_n1, ForgeError) else _outcome(n1_union, ideal),
-            _outcome(members_trivial, ideal),
+            _outcome(n1_union, base_n1, sub, ideal),
+            _outcome(members_trivial, sub, ideal),
             _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
-            _outcome(morphism_ok, ideal),
-            trivial if isinstance(trivial, ForgeError) else _outcome(replaceable, ideal),
+            _outcome(lambda: morphism_check(ctx, ideal).ok),
+            _outcome(replaceable, trivial, ideal),
         )
 
     for pair in combinations(ideals, 2):
         a, b = pair
-        try:
-            outer = ideal_lattice_op("sum", a, b)
-        except ForgeError as exc:
-            outcomes = [exc.with_traceback(None)] * 2
-        else:
-            outcomes = [
-                _outcome(check_identity, "sum_product", ctx, outer=outer, inner=[a, b]),
-                _outcome(check_identity, "intersection_vee", ctx, outer=outer, inner=[a, b]),
-            ]
+        outer = _outcome(ideal_lattice_op, "sum", a, b)
+        outcomes = [
+            _outcome(pair_check, "sum_product", outer, a, b),
+            _outcome(pair_check, "intersection_vee", outer, a, b),
+        ]
         if not a.mask & b.mask:
             outcomes.append(_outcome(check_identity, "cap_zero", ctx, ideals=[a, b]))
         yield _PAIR_CHECKS[: len(outcomes)], pair, outcomes
@@ -488,16 +489,16 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
         decompose_by_bstar(ctx)
         return True
 
-    def class_parts():
+    def class_parts(_f0):  # runs when f is not its Waterhouse table f0
         outcome = decompose_by_classes(ctx)
         if isinstance(outcome, DecompositionReport):
             return outcome.recombines and all(p.strict for p in outcome.parts)
         return True
 
-    whole = {"principal_two_routes": principal_routes, "bstar_recombination": bstar_parts}
-    if ctx.cocycle.masks != _waterhouse_of(ctx).masks:
-        whole["class_decomposition"] = class_parts
-    yield whole, None, [_outcome(check) for check in whole.values()]
+    outcomes = [_outcome(principal_routes), _outcome(bstar_parts)]
+    if isinstance(f0, ForgeError) or ctx.cocycle.packed != f0.packed:
+        outcomes.append(_outcome(class_parts, f0))
+    yield _CONTEXT_CHECKS[: len(outcomes)], None, outcomes
 
 
 def _tally(stream, rows, counts, failures) -> None:
@@ -547,7 +548,8 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
     Raising checks are reported as failures rather than propagated, so a
     fabricated (mutated) table lands in the failure list with the first
     broken invariant named; a check that reads a shared input that raised
-    (N_1, the annihilator classes, a pair's sum) reports that error.  At
+    (N_1, the annihilator classes, the Waterhouse table, a quotient, a
+    pair's sum) reports that error.  At
     most max_chains chains are checked, and chains_truncated says whether
     more exist; chains_total counts them all.
     """

@@ -6,21 +6,20 @@ triples.  Because the values are idempotent the Galois twist collapses and the
 checker can use plain products.
 
 A table is stored as n row masks: bit t of ``masks[s]`` is f(s,t), the same
-encoding as ``MonomialIdeal.mask``.  The 0/1 rows ``values`` and the strings
-``rows()`` are views derived on access, and ``BinaryTable.from_rows`` is the
-one entry point for raw rows.  On masks the cocycle identity at (s, t) is one
-equality over every r at once, and ``vee``, ``pointwise_product`` and
-``compare`` are per-row |, & and subset tests.  The chain code packs a
-whole table into one integer, the layout of ``Group.cells``.  ``vee`` and
-``pointwise_product`` return unvalidated BinaryTable objects on purpose: the
-set of cocycles is not closed under either operation, and callers must
-revalidate.
+encoding as ``MonomialIdeal.mask``.  The 0/1 rows ``values``, the strings
+``rows()`` and the one-integer ``packed`` form, the layout of ``Group.cells``,
+are views derived on access; ``from_rows`` and ``from_packed`` are the entry
+points.  On masks the cocycle identity at (s, t) is one equality over every
+r at once, and ``vee``, ``pointwise_product`` and ``compare`` are |, & and
+a subset test on ``packed``.  ``vee`` and ``pointwise_product`` return
+unvalidated BinaryTable objects on purpose: the set of cocycles is not
+closed under either operation, and callers must revalidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -78,6 +77,22 @@ class BinaryTable:
             group=group,
             masks=tuple(sum(1 << t for t, v in enumerate(row) if v) for row in rows),
         )
+
+    @classmethod
+    def from_packed(cls, group: Group, packed: int) -> "BinaryTable":
+        """A table from its ``packed`` form."""
+        n = group.order
+        if packed < 0 or packed >> n * n:
+            raise ValidationError(f"shape-error: table is not {n} x {n}")
+        table = cls(group=group, masks=_unpack_rows(packed, n))
+        table.__dict__["packed"] = packed  # the view, as its first read stores it
+        return table
+
+    @cached_property
+    def packed(self) -> int:
+        """The table as one integer, row s at bits s*n .. s*n + n - 1; derived
+        on first read and not a field, so equality, hash and repr ignore it."""
+        return _pack_rows(self.masks, self.group.order)
 
     @property
     def values(self) -> Tuple[Tuple[int, ...], ...]:
@@ -235,16 +250,15 @@ def compare(f: BinaryTable, g: BinaryTable) -> str:
     """Support-containment order: equal, less, greater, or incomparable."""
     if f.group is not g.group and f.group != g.group:
         raise ValidationError("domain-mismatch: cocycles live on different groups")
-    return _support_order(f.masks, g.masks)
+    return _support_order(f.packed, g.packed)
 
 
-def _support_order(a: Sequence[int], b: Sequence[int]) -> str:
-    """compare on the row masks of two tables over one group, or on two packed
-    tables as one row each: each row of the smaller is its meet with the other's."""
-    a, b = tuple(a), tuple(b)
+def _support_order(a: int, b: int) -> str:
+    """compare on two packed tables over one group: the smaller is its meet
+    with the other."""
     if a == b:
         return EQUAL
-    meet = tuple(map(and_, a, b))
+    meet = a & b
     if meet == a:
         return LESS
     if meet == b:
@@ -264,15 +278,13 @@ def _same_group(tables: Sequence[BinaryTable]) -> Group:
 def vee(tables: Sequence[BinaryTable]) -> BinaryTable:
     """Pointwise maximum.  The result is not validated."""
     g = _same_group(tables)
-    rows = zip(*(t.masks for t in tables))
-    return BinaryTable(group=g, masks=tuple(reduce(or_, row) for row in rows))
+    return BinaryTable.from_packed(g, reduce(or_, [t.packed for t in tables]))
 
 
 def pointwise_product(tables: Sequence[BinaryTable]) -> BinaryTable:
     """Entrywise product.  The result is not validated."""
     g = _same_group(tables)
-    rows = zip(*(t.masks for t in tables))
-    return BinaryTable(group=g, masks=tuple(reduce(and_, row) for row in rows))
+    return BinaryTable.from_packed(g, reduce(and_, [t.packed for t in tables]))
 
 
 Constraint = Tuple[int, ...]

@@ -38,7 +38,6 @@ from .cocycles import (
     LESS,
     _lowest_bit,
     _pack_rows,
-    _unpack_rows,
     compare,
     validate_cocycle,
     vee,
@@ -78,8 +77,7 @@ def _finish(ctx: AlgebraContext, packed: int, what: str) -> Cocycle:
     hit = ctx._valid_tables.get(packed)
     if hit is not None:
         return hit
-    masks = _unpack_rows(packed, ctx.group.order)
-    result = validate_cocycle(BinaryTable(group=ctx.group, masks=masks))
+    result = validate_cocycle(BinaryTable.from_packed(ctx.group, packed))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
     inverse = ctx.group.inverse
@@ -111,21 +109,14 @@ def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
     return _finish(ctx, _chain_table(ctx, key), "cocycle_from_chain")
 
 
-def _packed_bounds(ctx: AlgebraContext) -> Tuple[int, int]:
-    """The packed f and Waterhouse tables of ctx, packed on first use."""
-    if ctx._packed_f is None:
-        ctx._packed_waterhouse = _pack_rows(_waterhouse_of(ctx).masks, ctx.group.order)
-        ctx._packed_f = _pack_rows(ctx._masks, ctx.group.order)
-    return ctx._packed_f, ctx._packed_waterhouse
-
-
 def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
     """The packed table of the chain of ideals of ctx whose masks are
     ``key``, which the caller has checked descend: built from the key by the
     layer rule of ``cocycle_from_chain``, through ``_finish`` unless its memo
     holds it, and cached only for two-term keys.  The first build in a
-    context checks that no product of two G* elements lands in H and packs f
-    and W: a pass is remembered, a failure raises on every call."""
+    context checks that no product of two G* elements lands in H: a pass is
+    remembered, a failure raises on every call.  f and W are read as the
+    ``packed`` views of their tables."""
     hit = ctx._chain_cache.get(key)
     if hit is not None:
         return hit
@@ -137,7 +128,6 @@ def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
                 raise InternalInvariantError(
                     "product of non-inertial elements landed in the inertial group"
                 )
-        _packed_bounds(ctx)
         ctx._gstar_products_avoid_h = True
     memo = g._cells  # Group.cells' memo, read inline: hot loop
     inside = 0
@@ -145,7 +135,8 @@ def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
         layer = outer & ~inner
         cells = memo.get(layer)
         inside |= g.cells(layer) if cells is None else cells
-    packed = ctx._packed_waterhouse | ctx._packed_f & inside
+    # W through _waterhouse_of's memo, read inline: hot loop
+    packed = (ctx._waterhouse or _waterhouse_of(ctx)).packed | ctx.cocycle.packed & inside
     if packed not in ctx._valid_tables:
         _finish(ctx, packed, "cocycle_from_chain")
     if len(key) == 2:
@@ -295,11 +286,8 @@ def decompose_by_bstar(ctx: AlgebraContext) -> List[Tuple[Word, Cocycle]]:
     for word in words:
         chain = DescendingChain(ideals=(radical, ideal_of_word(word), zero))
         parts.append((word, cocycle_from_chain(ctx, chain)))
-    if parts:
-        joined = vee([c for _, c in parts]).masks
-    else:
-        joined = _waterhouse_of(ctx).masks
-    if joined != ctx.cocycle.masks:
+    # the join of no parts is the least table, the Waterhouse idempotent
+    if vee([c for _, c in parts] or [_waterhouse_of(ctx)]).packed != ctx.cocycle.packed:
         raise InternalInvariantError("maximal-word parts do not recombine to f")
     return parts
 
@@ -321,10 +309,10 @@ def _tables_check(name: str, n: int, lhs: int, rhs: int) -> IdentityCheck:
     return IdentityCheck(name, False, (s, t, lhs >> bit & 1, rhs >> bit & 1))
 
 
-def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> Tuple[int, ...]:
-    """Row masks of the cocycle of chain.ideals[lo:hi], by its mask key.  The
+def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> int:
+    """The packed cocycle of chain.ideals[lo:hi], by its mask key.  The
     caller has already checked that the chain belongs to ctx."""
-    return _chain_cocycle(ctx, chain.masks[lo:hi]).masks
+    return _chain_cocycle(ctx, chain.masks[lo:hi]).packed
 
 
 def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None):
@@ -335,10 +323,9 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
         spans = [(0, split), (split - 1, k)]
     else:
         raise PreconditionError(f"split position must lie in [2, {k - 1}]")
-    n = ctx.group.order
-    lhs = _pack_rows(cocycle_from_chain(ctx, chain).masks, n)
-    joined = reduce(or_, [_pack_rows(_subchain_masks(ctx, chain, *span), n) for span in spans])
-    return _tables_check("chain_break", n, lhs, joined)
+    lhs = cocycle_from_chain(ctx, chain).packed
+    joined = reduce(or_, [_subchain_masks(ctx, chain, *span) for span in spans])
+    return _tables_check("chain_break", ctx.group.order, lhs, joined)
 
 
 def _link_witness(a: int, square: int, inner: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -362,9 +349,9 @@ def _first_unsqueezed(chain: DescendingChain) -> Optional[Tuple[int, Tuple[int, 
 
 
 def _waterhouse_iff_verdict(direct, f0, witness) -> IdentityCheck:
-    """waterhouse_iff on row masks or packed tables: the chain cocycle
-    ``direct`` equals the Waterhouse idempotent ``f0`` exactly when
-    ``witness``, the first unsqueezed link, is None."""
+    """waterhouse_iff on packed tables: the chain cocycle ``direct`` equals
+    the Waterhouse idempotent ``f0`` exactly when ``witness``, the first
+    unsqueezed link, is None."""
     collapses = direct == f0
     squeezed = witness is None
     if collapses == squeezed:
@@ -375,8 +362,8 @@ def _waterhouse_iff_verdict(direct, f0, witness) -> IdentityCheck:
 
 
 def _check_waterhouse_iff(ctx, chain: DescendingChain):
-    direct = cocycle_from_chain(ctx, chain).masks
-    return _waterhouse_iff_verdict(direct, _waterhouse_of(ctx).masks, _first_unsqueezed(chain))
+    direct = cocycle_from_chain(ctx, chain).packed
+    return _waterhouse_iff_verdict(direct, _waterhouse_of(ctx).packed, _first_unsqueezed(chain))
 
 
 def _pair_table(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> int:
@@ -415,9 +402,8 @@ def _check_cap_zero(ctx, ideals: Sequence[MonomialIdeal]):
         raise PreconditionError(
             f"ideals intersect in {sorted(meet.members)}, not in zero"
         )
-    n = ctx.group.order
-    rhs = _pack_rows(vee([cocycle_mod_ideal(ctx, i) for i in ideals]).masks, n)
-    return _tables_check("cap_zero", n, _pack_rows(ctx.cocycle.masks, n), rhs)
+    rhs = vee([cocycle_mod_ideal(ctx, i) for i in ideals]).packed
+    return _tables_check("cap_zero", ctx.group.order, ctx.cocycle.packed, rhs)
 
 
 def _check_fI_eq_f(ctx, ideal: MonomialIdeal):

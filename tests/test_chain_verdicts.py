@@ -101,7 +101,8 @@ def test_failing_chain_break_keeps_its_counterexample(d3_ctx, monkeypatch):
     chain = _one_chain(d3_ctx)
     direct = cf.cocycle_from_chain(d3_ctx, chain).masks
     flipped = (direct[0],) + (direct[1] ^ 0b100,) + direct[2:]
-    monkeypatch.setattr(decomposition, "_subchain_masks", lambda ctx, ch, lo, hi: flipped)
+    packed = cf.BinaryTable(group=d3_ctx.group, masks=flipped).packed
+    monkeypatch.setattr(decomposition, "_subchain_masks", lambda ctx, ch, lo, hi: packed)
     verdict = cf.check_identity("chain_break", d3_ctx, chain=chain)
     assert verdict == IdentityCheck(
         name="chain_break",

@@ -1,9 +1,9 @@
 """Row-mask tables against elementwise oracles.
 
 The package stores a table as row masks and checks the cocycle identity one
-(s, t) pair at a time.  The oracles here work entry by entry on 0/1 rows, the
-way the definitions read, so a slip in the bit arithmetic shows up as a
-disagreement.
+(s, t) pair at a time; every other table identity runs on the packed view.
+The oracles here work entry by entry on 0/1 rows, the way the definitions
+read, so a slip in the bit arithmetic shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -199,6 +199,12 @@ def test_table_operations_match_elementwise_oracles():
                 assert table.values == oracle_chain(ctx, chain)
                 tables.append(table)
             views = [t.values for t in tables]
+            n = group.order
+            for t, view in zip(tables, views):
+                assert t.packed == sum(
+                    v << s * n + u for s, row in enumerate(view) for u, v in enumerate(row)
+                )
+                assert cf.BinaryTable.from_packed(group, t.packed).masks == t.masks
             for i in range(len(tables) - 2):
                 a, b, c = tables[i:i + 3]
                 va, vb, vc = views[i:i + 3]

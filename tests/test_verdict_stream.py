@@ -4,8 +4,9 @@ an input that several checks share raises.
 Every failure detail is the subject's label followed by how the check
 failed: nothing for a False, the counterexample of a failed verdict, or
 ``raised: <error>`` for a ForgeError.  A raise in a shared input (the
-context's N_1, its annihilator classes, a pair's sum) fails each check that
-reads it and stops no other check.
+context's N_1, its annihilator classes, its Waterhouse table, an ideal's
+quotient context, a pair's sum) fails each check that reads it and stops no
+other check.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from types import SimpleNamespace
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import algebra, census
 from cocycle_forge.decomposition import DecompositionReport, IdentityCheck
 from cocycle_forge.errors import InternalInvariantError
 
@@ -180,6 +181,57 @@ def test_a_raising_pair_sum_fails_only_that_pairs_checks(monkeypatch):
         ("intersection_vee", "pair=([1], [2]) raised: no sum"),
     ]
     assert result.counts == unpatched
+
+
+def _raise_waterhouse(*args):
+    raise InternalInvariantError("no waterhouse")
+
+
+def _chain_labels(cocycle):
+    ideals = census.enumerate_ideals(cf.AlgebraContext(cocycle))
+    keys, _ = census._chain_keys(ideals)
+    return [census._label(key) for key in keys]
+
+
+def test_a_raising_waterhouse_read_fails_each_waterhouse_check(monkeypatch):
+    cocycle = _c4_cocycle()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    monkeypatch.setattr(census, "_waterhouse_of", _raise_waterhouse)
+    result = cf.check_cocycle_properties(cocycle)
+    assert _failures(result) == [
+        ("waterhouse_iff", f"{label} raised: no waterhouse") for label in _chain_labels(cocycle)
+    ] + [("class_decomposition", " raised: no waterhouse")]
+    assert result.counts == unpatched
+
+
+def test_a_raising_waterhouse_table_is_reported_not_raised(monkeypatch):
+    cocycle = _c4_cocycle()
+    unpatched = cf.check_cocycle_properties(cocycle).counts
+    monkeypatch.setattr(algebra, "waterhouse", _raise_waterhouse)
+    result = cf.check_cocycle_properties(cocycle)
+    failures = _failures(result)
+    assert [f for f in failures if f[0] == "waterhouse_iff"] == [
+        ("waterhouse_iff", f"{label} raised: no waterhouse") for label in _chain_labels(cocycle)
+    ]
+    assert ("class_decomposition", " raised: no waterhouse") in failures
+    assert result.counts == unpatched
+
+
+def test_each_ideal_has_one_quotient_context(monkeypatch):
+    cocycle = _c4_cocycle()
+    real = census.cocycle_mod_ideal
+    quotients = []
+
+    def cocycle_mod_ideal(ctx, ideal):
+        quotients.append(ideal.mask)
+        return real(ctx, ideal)
+
+    monkeypatch.setattr(census, "cocycle_mod_ideal", cocycle_mod_ideal)
+    result = cf.check_cocycle_properties(cocycle)
+    assert result.failures == ()
+    ideals = census.enumerate_ideals(cf.AlgebraContext(cocycle))
+    assert quotients == [ideal.mask for ideal in ideals]
+    assert len(quotients) == 6
 
 
 def test_lift_failures_name_the_map(monkeypatch):
