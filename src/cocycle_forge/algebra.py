@@ -78,6 +78,9 @@ class AlgebraContext:
         self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
         # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None
+        # (trivial, nontrivial) annihilators, kept by classify_annihilators;
+        # a raise is never stored
+        self._annihilators: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
         # the Waterhouse idempotent of H, read once by _waterhouse_of
         self._waterhouse: Optional[Cocycle] = None
         # set by the first chain build once no product of two G* elements
@@ -354,8 +357,12 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
 
     Trivial means the element also lies in N_1.  Both sets are closed under
     the double coset action h1 s h2: each double coset H s H lies wholly
-    inside or wholly outside the annihilators, which is asserted.
+    inside or wholly outside the annihilators, which is asserted.  The
+    result is kept on the context; a raise is not, and comes back on every
+    call.
     """
+    if ctx._annihilators is not None:
+        return ctx._annihilators
     ann = _annihilator_mask(ctx)
     n1 = _n1_mask(ctx)
     for cls in double_cosets(ctx.group, ctx.inertial):
@@ -365,11 +372,11 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
                 raise InternalInvariantError(
                     "annihilator set is not closed under the double coset action"
                 )
-    trivial = ann & n1
-    return (
-        frozenset(_members_of(trivial)),
+    ctx._annihilators = (
+        frozenset(_members_of(ann & n1)),
         frozenset(_members_of(ann & ~n1)),
     )
+    return ctx._annihilators
 
 
 @dataclass(frozen=True)

@@ -432,14 +432,77 @@ _IDEAL_CHECKS = (
 )
 _PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
 _CONTEXT_CHECKS = ("principal_two_routes", "bstar_recombination", "class_decomposition")
+# a pair's kinds by whether its ideals meet in zero, and each one's shared
+# all-pass tuple
+_PAIR_KINDS = (_PAIR_CHECKS[:2], _PAIR_CHECKS)
+_PAIR_PASSED = {kinds: tuple(_PASSED[name] for name in kinds) for kinds in _PAIR_KINDS}
+
+
+def _pair_verdicts(
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], quotients: Dict[int, int]
+) -> Iterator[tuple]:
+    """Yield (kinds, pair, outcomes) for each pair of ideals, in the order of
+    ``combinations``: sum_product and intersection_vee, and cap_zero when the
+    two meet in zero.  quotients maps an ideal's mask to its packed quotient
+    table, and lacks the ideals whose quotient raised.
+
+    The sum u comes from ``ideal_lattice_op`` and must be the union of the
+    masks; the intersection x, the mask AND, must be an enumerated ideal.
+    The pair tables (u, a), (u, b), (u, u) and (u, x) are read by their own
+    keys through ``_chain_table``.  sum_product passes when t(u,a) & t(u,b)
+    is t(u,u), intersection_vee when t(u,a) | t(u,b) is t(u,x), and cap_zero
+    when f is the join of the two quotients, decided on those quotients.
+    A pair where all pass yields its kinds' shared all-pass tuple; any other
+    pair gets what check_identity gives for the first two, and cap_zero's
+    own verdict, or check_identity's when a quotient is missing.
+    """
+    n = ctx.group.order
+    f = ctx.cocycle.packed
+    masks = {ideal.mask for ideal in ideals}
+    for pair in combinations(ideals, 2):
+        a, b = pair
+        x = a.mask & b.mask
+        kinds = _PAIR_KINDS[not x]
+        outer = _outcome(ideal_lattice_op, "sum", a, b)
+        if x:
+            cap = None
+        elif a.mask in quotients and b.mask in quotients:
+            cap = _tables_check("cap_zero", n, f, quotients[a.mask] | quotients[b.mask])
+        else:
+            cap = _outcome(check_identity, "cap_zero", ctx, ideals=[a, b])
+        passed = False
+        if not isinstance(outer, ForgeError) and outer.mask == a.mask | b.mask and x in masks:
+            u = outer.mask
+            try:
+                ta = _chain_table(ctx, (u, a.mask))
+                tb = _chain_table(ctx, (u, b.mask))
+                passed = (
+                    ta & tb == _chain_table(ctx, (u, u))
+                    and ta | tb == _chain_table(ctx, (u, x))
+                )
+            except ForgeError:
+                pass
+        if passed and (x or cap is _PASSED["cap_zero"]):
+            yield kinds, pair, _PAIR_PASSED[kinds]
+            continue
+        outcomes = [
+            outer if isinstance(outer, ForgeError)
+            else _outcome(check_identity, name, ctx, outer=outer, inner=[a, b])
+            for name in _PAIR_CHECKS[:2]
+        ]
+        if not x:
+            outcomes.append(cap)
+        yield kinds, pair, outcomes
 
 
 def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
     """Yield (kinds, subject, outcomes) for each ideal, each pair of ideals
-    and the context itself (subject None), in the sweep's order.  The
-    context's N_1, annihilator classes and Waterhouse table, each ideal's
-    quotient context and each pair's sum are computed once and passed
-    through _outcome, so a raise fails each check that reads the input."""
+    and the context itself (subject None), in the sweep's order; the pairs
+    come from _pair_verdicts, given the packed quotient tables of the ideal
+    pass.  The context's N_1, annihilator classes and Waterhouse table, each
+    ideal's quotient context and each pair's sum are computed once and
+    passed through _outcome, so a raise fails each check that reads the
+    input."""
     trivial = _outcome(lambda: classify_annihilators(ctx)[0])
     base_n1 = _outcome(n1_set, ctx)
     f0 = _outcome(_waterhouse_of, ctx)
@@ -455,11 +518,11 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
         inner = ideal_closure(ctx, shared & i.members)
         return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
 
-    def pair_check(name, outer, a, b):
-        return check_identity(name, ctx, outer=outer, inner=[a, b])
-
+    quotients: Dict[int, int] = {}
     for ideal in ideals:
         sub = _outcome(lambda: AlgebraContext(cocycle_mod_ideal(ctx, ideal)))
+        if not isinstance(sub, ForgeError):
+            quotients[ideal.mask] = sub.cocycle.packed
         yield _IDEAL_CHECKS, ideal, (
             _outcome(n1_union, base_n1, sub, ideal),
             _outcome(members_trivial, sub, ideal),
@@ -468,16 +531,7 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
             _outcome(replaceable, trivial, ideal),
         )
 
-    for pair in combinations(ideals, 2):
-        a, b = pair
-        outer = _outcome(ideal_lattice_op, "sum", a, b)
-        outcomes = [
-            _outcome(pair_check, "sum_product", outer, a, b),
-            _outcome(pair_check, "intersection_vee", outer, a, b),
-        ]
-        if not a.mask & b.mask:
-            outcomes.append(_outcome(check_identity, "cap_zero", ctx, ideals=[a, b]))
-        yield _PAIR_CHECKS[: len(outcomes)], pair, outcomes
+    yield from _pair_verdicts(ctx, ideals, quotients)
 
     def principal_routes():
         gens = all_generators(ctx)
@@ -505,15 +559,21 @@ def _tally(stream, rows, counts, failures) -> None:
     """Count each check of the stream of (kinds, subject, outcomes) by kind
     into counts, and append to failures a PropertyFailure on the cocycle
     with these rows for each check that failed, its detail _label(subject) +
-    _failure_suffix(outcome).  A chain whose outcomes are _CHAIN_PASSED
-    counts as one integer, spread over CHAIN_CHECKS at the end."""
+    _failure_suffix(outcome).  Outcomes that are a kernel's shared all-pass
+    tuple (_CHAIN_PASSED, or _PAIR_PASSED of their kinds) count each of their
+    kinds once and are read no further; the chain kernel's, which come
+    first, are summed and spread over CHAIN_CHECKS at the end, so the chain
+    kinds keep their place after the context's."""
     passed = 0
     for kinds, subject, outcomes in stream:
         if outcomes is _CHAIN_PASSED:
             passed += 1
             continue
-        for kind, outcome in zip(kinds, outcomes):
+        for kind in kinds:
             counts[kind] = counts.get(kind, 0) + 1
+        if outcomes is _PAIR_PASSED.get(kinds):
+            continue
+        for kind, outcome in zip(kinds, outcomes):
             suffix = _failure_suffix(outcome)
             if suffix is not None:
                 failures.append(PropertyFailure(

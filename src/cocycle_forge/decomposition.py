@@ -73,6 +73,7 @@ def _finish(ctx: AlgebraContext, packed: int, what: str) -> Cocycle:
     are unpacked only on a miss: equal tables reached through different
     chains or ideals are validated once per context and come back as one
     Cocycle.  A table that fails is never memoised and raises on every call.
+    The memoised Cocycle keeps ``packed`` as its view, so no reader repacks it.
     """
     hit = ctx._valid_tables.get(packed)
     if hit is not None:
@@ -86,6 +87,7 @@ def _finish(ctx: AlgebraContext, packed: int, what: str) -> Cocycle:
         support |= (row >> inverse[s] & 1) << s
     if support != ctx._hmask:
         raise InternalInvariantError(f"{what} changed the inertial group")
+    result.__dict__["packed"] = packed  # the view, as from_packed stores it
     ctx._valid_tables[packed] = result
     return result
 

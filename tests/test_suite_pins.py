@@ -64,7 +64,7 @@ def test_failure_details_keep_their_format(monkeypatch):
     g = cf.make_cyclic(3)
     cocycle = cf.waterhouse(g, cf.subgroup(g, [0]))
     real_chain_verdicts = census._chain_verdicts
-    real_identity = census.check_identity
+    real_pair_verdicts = census._pair_verdicts
     real_morphism = census.morphism_check
 
     def chain_verdicts(ctx, keys):
@@ -74,10 +74,11 @@ def test_failure_details_keep_their_format(monkeypatch):
                 verdicts = (failed,) + verdicts[1:]
             yield key, verdicts, carried
 
-    def check_identity(name, ctx, **kwargs):
-        if name == "sum_product" and [i.mask for i in kwargs["inner"]] == [0b010, 0b100]:
-            raise InternalInvariantError("boom")
-        return real_identity(name, ctx, **kwargs)
+    def pair_verdicts(ctx, ideals, quotients):
+        for kinds, pair, outcomes in real_pair_verdicts(ctx, ideals, quotients):
+            if [i.mask for i in pair] == [0b010, 0b100]:
+                outcomes = (InternalInvariantError("boom"),) + tuple(outcomes[1:])
+            yield kinds, pair, outcomes
 
     def morphism_check(ctx, ideal):
         if ideal.mask == 0b100:
@@ -88,7 +89,7 @@ def test_failure_details_keep_their_format(monkeypatch):
         raise InternalInvariantError("no words")
 
     monkeypatch.setattr(census, "_chain_verdicts", chain_verdicts)
-    monkeypatch.setattr(census, "check_identity", check_identity)
+    monkeypatch.setattr(census, "_pair_verdicts", pair_verdicts)
     monkeypatch.setattr(census, "morphism_check", morphism_check)
     monkeypatch.setattr(census, "all_generators", all_generators)
     result = cf.check_cocycle_properties(cocycle)
