@@ -40,10 +40,12 @@ class AlgebraContext:
 
     G* must be nonempty: with G* empty the algebra is simple and none of the
     ideal constructions apply.  The per-context caches are declared here.
-    This module fills the lattice and principal-ideal caches; the chain and
-    quotient caches and the validated-table memo are filled by the
-    decomposition module.  The packed f and Waterhouse tables are the
-    ``packed`` views of ``cocycle`` and of the Waterhouse table itself.
+    This module fills the principal-mask cache; the chain and quotient caches
+    and the validated-table memo are filled by the decomposition module.
+    Every cache holds masks, member sets, packed tables or validated tables,
+    none of which points back at the context, so reference counting frees
+    it.  The packed f and Waterhouse tables are the ``packed`` views of
+    ``cocycle`` and of the Waterhouse table itself.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -70,12 +72,12 @@ class AlgebraContext:
                 links[s] |= bit
                 links[t] |= bit
         self._links: Tuple[int, ...] = tuple(links)
-        self._lattice_cache: Dict[Tuple[str, int, int], MonomialIdeal] = {}
         self._chain_cache: Dict[Tuple[int, int], int] = {}  # packed, two-term keys only
         self._mod_cache: Dict[int, Cocycle] = {}
         # packed table -> the Cocycle that passed validation and kept H here
         self._valid_tables: Dict[int, Cocycle] = {}
-        self._principal_cache: Optional[Dict[int, MonomialIdeal]] = None
+        # s -> the mask of the principal ideal of s, for s in G*
+        self._principal_cache: Optional[Dict[int, int]] = None
         # N_1 by its defining property, computed once by _n1_mask
         self._n1_mask: Optional[int] = None
         # (trivial, nontrivial) annihilators, kept by classify_annihilators;
@@ -226,10 +228,11 @@ def principal_ideal(ctx: AlgebraContext, s: int) -> MonomialIdeal:
     return _ideal_from_mask(ctx, _closure_mask(ctx, 1 << s))
 
 
-def _principal_ideals(ctx: AlgebraContext) -> Dict[int, MonomialIdeal]:
-    """The principal ideal of every element of G*, built once per context."""
+def _principal_masks(ctx: AlgebraContext) -> Dict[int, int]:
+    """The mask of the principal ideal of every element of G*, each checked
+    by the ideal constructor once and kept per context as a plain int."""
     if ctx._principal_cache is None:
-        ctx._principal_cache = {s: principal_ideal(ctx, s) for s in ctx.gstar}
+        ctx._principal_cache = {s: principal_ideal(ctx, s).mask for s in ctx.gstar}
     return ctx._principal_cache
 
 
@@ -258,11 +261,6 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
     """
     if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ValidationError("ctx mismatch between ideals")
-    cache = a.ctx._lattice_cache
-    key = (kind, a.mask, b.mask)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if kind == "sum":
         mask = a.mask | b.mask
     elif kind == "intersection":
@@ -273,9 +271,7 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
             raise InternalInvariantError("ideal product is not closed")
     else:
         raise ValidationError(f"unknown lattice operation {kind!r}")
-    result = _ideal_from_mask(a.ctx, mask)
-    cache[key] = result
-    return result
+    return _ideal_from_mask(a.ctx, mask)
 
 
 def radical_powers(ctx: AlgebraContext) -> Tuple[List[MonomialIdeal], int]:

@@ -41,7 +41,7 @@ from .algebra import (
     MonomialIdeal,
     _ideal_from_mask,
     _members_of,
-    _principal_ideals,
+    _principal_masks,
     _waterhouse_of,
     classify_annihilators,
     ideal_closure,
@@ -242,8 +242,8 @@ def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
     if g > 20:
         raise ValidationError(f"size-error: |G*| = {g} exceeds the ideal enumeration cap")
     masks = {0}
-    for principal in _principal_ideals(ctx).values():
-        masks |= {mask | principal.mask for mask in masks}
+    for principal in _principal_masks(ctx).values():
+        masks |= {mask | principal for mask in masks}
     ideals = [_ideal_from_mask(ctx, mask) for mask in masks]
     ideals.sort(key=lambda i: (len(i), i.sorted_members))
     return ideals
@@ -620,13 +620,7 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
     except ValidationError:
         # the all-ones cocycle: the algebra has no radical, nothing to check
         return CocycleCheckResult(counts={}, failures=())
-    try:
-        return _run_suite_checks(ctx, max_chains)
-    finally:
-        # the ideals these caches hold point back at ctx; emptying them lets
-        # reference counting free ctx here, not the cycle collector later
-        ctx._lattice_cache.clear()
-        ctx._principal_cache = None
+    return _run_suite_checks(ctx, max_chains)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .algebra import (
     _ideal_from_mask,
     _members_of,
     _n1_mask,
-    _principal_ideals,
+    _principal_masks,
     _waterhouse_of,
     classify_annihilators,
     ideal_lattice_op,
@@ -192,7 +192,7 @@ def unique_class_ideal(ctx: AlgebraContext, rho: int) -> MonomialIdeal:
         raise ValidationError(f"not-in-gstar: {rho}")
     if _n1_mask(ctx) >> rho & 1:
         raise ValidationError(f"rho-in-n1: {rho} admits no factorization")
-    avoiding = [p.mask for p in _principal_ideals(ctx).values() if rho not in p]
+    avoiding = [p for p in _principal_masks(ctx).values() if not p >> rho & 1]
     ideal = _ideal_from_mask(ctx, reduce(or_, avoiding, 0))
     sub_ctx = AlgebraContext(cocycle_mod_ideal(ctx, ideal))
     _, sub_nontrivial = classify_annihilators(sub_ctx)

@@ -251,13 +251,6 @@ def cocycle_from_r(r: SemilinearMap) -> Cocycle:
     return result
 
 
-def _match_context(r: SemilinearMap, chain: DescendingChain) -> AlgebraContext:
-    ctx = chain.ctx
-    if ctx.group != r.group or cocycle_from_r(r).masks != ctx.cocycle.masks:
-        raise ValidationError("chain context does not match the induced cocycle of r")
-    return ctx
-
-
 def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
     """Grade r by chain depth into a lexicographic power of its monoid.
 
@@ -267,7 +260,9 @@ def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
     the original: (f_r)_chain <= f_lift <= f_r, with equality on the left
     when the chain runs from J all the way down to the zero ideal.
     """
-    ctx = _match_context(r, chain)
+    ctx = chain.ctx
+    if ctx.group != r.group or cocycle_from_r(r).masks != ctx.cocycle.masks:
+        raise ValidationError("chain context does not match the induced cocycle of r")
     k = len(chain)
     levels = chain_levels(chain)
     target = LexProduct((r.monoid,) * (k + 1))
@@ -310,9 +305,9 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
     The prefix inserts J and the sums J^(2^i) + I_1 until the power falls
     inside I_1; the suffix squares I_k down to the zero ideal.  Certified
     means the lift of the padded chain induces exactly the chain cocycle of
-    the original chain.
+    the original chain.  r is matched to the chain's context by chain_lift.
     """
-    ctx = _match_context(r, chain)
+    ctx = chain.ctx
     radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
     zero = MonomialIdeal(ctx=ctx, mask=0)
     first, last = chain.ideals[0], chain.ideals[-1]

@@ -3,10 +3,14 @@ table, and the annihilator classes.
 
 A memoised table read again must not be repacked, and the classes must be
 computed once per context; a raise is never kept, so it comes back on every
-call.
+call.  Nothing a context keeps points back at it, so reference counting
+frees it as soon as its caller lets go.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -15,6 +19,10 @@ from cocycle_forge import algebra, decomposition
 from cocycle_forge.census import enumerate_ideals
 from cocycle_forge.cocycles import _pack_rows
 from cocycle_forge.errors import InternalInvariantError
+
+
+# a D3 census cocycle that decompose_by_classes splits into parts
+ROWS_D3_PARTS = ("111111", "100000", "100000", "100000", "100000", "101010")
 
 
 def _non_simple(group):
@@ -75,3 +83,25 @@ def test_a_raising_classification_is_not_kept(monkeypatch):
     first = cf.classify_annihilators(ctx)
     assert first == expected
     assert cf.classify_annihilators(ctx) is first
+
+
+def test_a_context_that_filled_its_caches_is_freed_by_reference_counting():
+    rows = [[int(v) for v in row] for row in ROWS_D3_PARTS]
+    cocycle = cf.as_cocycle(rows, cf.make_dihedral(3))
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = cf.AlgebraContext(cocycle)
+        ideals = enumerate_ideals(ctx)
+        cf.ideal_lattice_op("sum", ideals[1], ideals[2])
+        cf.ideal_lattice_op("product", ideals[-1], ideals[-1])
+        report = cf.decompose_by_classes(ctx)
+        is_report = isinstance(report, cf.DecompositionReport)
+        filled = ctx._principal_cache is not None
+        ref = weakref.ref(ctx)
+        del ctx, ideals, report
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert is_report and filled
+    assert not alive

@@ -119,8 +119,9 @@ def test_chain_lift_partial_chain_sandwich(golden_r, golden_ctx):
 
 def test_chain_lift_requires_matching_cocycle(golden_r, d3_ctx):
     chain = cf.DescendingChain(ideals=(_radical(d3_ctx), _ideal(d3_ctx)))
-    with pytest.raises(ValidationError, match="does not match the induced"):
-        cf.chain_lift(golden_r, chain)
+    for lift in (cf.chain_lift, cf.padded_lift):
+        with pytest.raises(ValidationError, match="does not match the induced"):
+            lift(golden_r, chain)
 
 
 def test_padded_lift_pads_to_full_endpoints(golden_r, golden_ctx):
