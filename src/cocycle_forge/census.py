@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, islice, product, repeat, tee
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -267,6 +267,8 @@ def _chain_keys(
     2..max_len, at most cap of them, and whether more exist.  Shorter keys
     come first, each length in the lexicographic order of the ideal indices,
     and a key of length k + 1 is its length-k parent plus one mask."""
+    if cap < 1:
+        raise ValidationError("census limits must be positive")
     below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
     keys: List[Tuple[int, ...]] = []
     # (key, index of its last ideal); a lone mask is no chain yet
@@ -346,69 +348,93 @@ _CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
 
 
 def _chain_verdicts(
-    ctx: AlgebraContext, keys: Sequence[Tuple[int, ...]]
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int = 10_000, max_len: int = 4
 ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
-    """Yield (key, verdicts, (join, witness)) for each chain key, in order.
+    """Yield (key, verdicts, (join, witness)) for the first cap keys of
+    ``_chain_keys(ideals, max_len, cap)``, in its order; a cap below 1
+    raises.  verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
+    check_identity returns or the ForgeError it raises.
 
-    Each key, a chain's ideal masks, must come after its parent
-    ``key[:-1]``, as in _chain_keys.  verdicts holds, per CHAIN_CHECKS name,
-    the IdentityCheck that check_identity returns or the ForgeError it raises.
-
-    The tables are packed, and the chain's own table is built from its key,
-    once per chain.  The join of the pair tables is the parent's join OR the
-    last pair's table, read from the chain cache by mask key.  The witness,
-    the first unsqueezed link, is the parent's unless that is None; then the
-    last link is tested, reading each ideal's square once per context, the
-    ideal built from its mask.  A chain passes when its table lies inside f,
+    One walk down the ``below`` relation lists the keys level by level, and
+    each chain carries its layer cells cells(L_1) | .. | cells(L_{k-1}), join
+    and witness to its children.  Each link I_a >= I_{a+1} is read once, on
+    first use: its ``Group.cells``, its pair table through ``_chain_table``
+    and the square of I_a, once per ideal.  A chain's own table is built by
+    ``_chain_table`` from its parent's cells OR the link's, never taken from
+    the pair cache past two terms; its join is the parent's OR the link's
+    pair table, and its witness, the first unsqueezed link, the parent's
+    unless that is None.  A chain passes when its table lies inside f,
     equals the join, and equals the Waterhouse table exactly when no link is
     unsqueezed; any other chain gets the verdicts check_identity gives.  An
     input that raised, the Waterhouse table included, is carried as its
     error, without the traceback, whose frames would hold the context.
     """
+    if cap < 1:
+        raise ValidationError("census limits must be positive")
     n = ctx.group.order
     f = ctx.cocycle.packed
     f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
     f0_ok = not isinstance(f0, ForgeError)
-    squares: Dict[int, int] = {}
-    carried: Dict[Tuple[int, ...], tuple] = {}
-    for key in keys:
-        outer, inner = key[-2:]
-        try:
-            direct = _chain_table(ctx, key)
-        except ForgeError as exc:
-            direct = exc.with_traceback(None)
-        join, witness = carried[key[:-1]] if len(key) > 2 else (None, None)
-        if not isinstance(join, ForgeError):
-            try:
-                pair = _chain_table(ctx, (outer, inner))
-            except ForgeError as exc:
-                join = exc.with_traceback(None)
-            else:
-                join = pair if join is None else join | pair
-        if witness is None:
-            square = squares.get(outer)
-            try:
-                if square is None:
-                    ideal = MonomialIdeal(ctx=ctx, mask=outer)
-                    square = squares[outer] = ideal_lattice_op("product", ideal, ideal).mask
-            except ForgeError as exc:
-                witness = exc.with_traceback(None)
-            else:
-                witness = _link_witness(len(key) - 1, square, inner)
-        state = carried[key] = (join, witness)
-        if isinstance(direct, ForgeError):
-            yield key, (direct, direct, direct), state
-        elif (
-            not direct & ~f and direct == join and f0_ok
-            and not isinstance(witness, ForgeError) and (direct == f0) == (witness is None)
-        ):
-            yield key, _CHAIN_PASSED, state
-        else:
-            yield key, (
-                _leq_f_verdict(_support_order(direct, f)),
-                _outcome(_tables_check, "chain_break", n, direct, join),
-                _outcome(_waterhouse_iff_verdict, direct, f0, witness),
-            ), state
+    masks = [ideal.mask for ideal in ideals]
+    below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
+    links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
+    squares: Dict[int, object] = {}  # by mask: the square's mask, or the error
+
+    def square_of(mask):
+        ideal = MonomialIdeal(ctx=ctx, mask=mask)
+        return ideal_lattice_op("product", ideal, ideal).mask
+
+    # (key, index of its last ideal, layer cells, join, witness); the join
+    # of no pair tables is 0
+    level = [((mask,), i, 0, 0, None) for i, mask in enumerate(masks)]
+    listed = 0
+    for a in range(1, max_len):
+        nxt = []
+        for parent, i, above, parent_join, parent_witness in level:
+            outer, row = masks[i], links[i]
+            for j in below[i]:
+                if listed == cap:
+                    return
+                listed += 1
+                link = row.get(j)
+                if link is None:
+                    if outer not in squares:
+                        squares[outer] = _outcome(square_of, outer)
+                    inner, square = masks[j], squares[outer]
+                    link = row[j] = (
+                        inner, ctx.group.cells(outer & ~inner),
+                        _outcome(_chain_table, ctx, (outer, inner)),
+                        # its witness by its position in a chain
+                        [_outcome(_link_witness, b, square, inner) for b in range(max_len)],
+                    )
+                inner, layer, pair, witnesses = link
+                key = parent + (inner,)
+                cells = above | layer
+                try:
+                    join = parent_join | pair
+                except TypeError:  # a carried or read error is no table
+                    join = parent_join if isinstance(parent_join, ForgeError) else pair
+                witness = witnesses[a] if parent_witness is None else parent_witness
+                nxt.append((key, j, cells, join, witness))
+                try:
+                    direct = _chain_table(ctx, key, cells)
+                except ForgeError as exc:
+                    verdicts = (exc.with_traceback(None),) * 3
+                else:
+                    if (
+                        not direct & ~f and direct == join and f0_ok
+                        and not isinstance(witness, ForgeError)
+                        and (direct == f0) == (witness is None)
+                    ):
+                        verdicts = _CHAIN_PASSED
+                    else:
+                        verdicts = (
+                            _leq_f_verdict(_support_order(direct, f)),
+                            _outcome(_tables_check, "chain_break", n, direct, join),
+                            _outcome(_waterhouse_iff_verdict, direct, f0, witness),
+                        )
+                yield key, verdicts, (join, witness)
+        level = nxt
 
 
 def _outcome(check, *args, **kwargs):
@@ -587,18 +613,20 @@ def _tally(stream, rows, counts, failures) -> None:
 
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
     """The property sweep of one context: _tally over each chain key with its
-    verdicts, passed on from _chain_verdicts with no Python frame per chain,
-    then over the subjects of _context_subjects."""
+    verdicts, split from _chain_verdicts by tee with no Python frame per
+    chain, then over the subjects of _context_subjects.  Each chain checked
+    runs one leq_f; a path count gives the total when the walk hit the cap."""
     ideals = enumerate_ideals(ctx)
-    keys, chains_truncated = _chain_keys(ideals, cap=max_chains)
-    chains = zip(repeat(CHAIN_CHECKS), keys, map(itemgetter(1), _chain_verdicts(ctx, keys)))
+    walk, shadow = tee(_chain_verdicts(ctx, ideals, max_chains))
+    chains = zip(repeat(CHAIN_CHECKS), map(itemgetter(0), walk), map(itemgetter(1), shadow))
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
     _tally(chain(chains, _context_subjects(ctx, ideals)), ctx.cocycle.rows(), counts, failures)
-    chains_total = _chain_count(ideals) if chains_truncated else len(keys)
+    listed = counts.get(CHAIN_CHECKS[0], 0)
+    chains_total = _chain_count(ideals) if listed == max_chains else listed
     return CocycleCheckResult(
         counts=counts, failures=tuple(failures),
-        chains_truncated=chains_truncated, chains_total=chains_total,
+        chains_truncated=chains_total > max_chains, chains_total=chains_total,
     )
 
 

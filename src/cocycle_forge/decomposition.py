@@ -111,14 +111,15 @@ def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
     return _finish(ctx, _chain_table(ctx, key), "cocycle_from_chain")
 
 
-def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
+def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...], inside: Optional[int] = None) -> int:
     """The packed table of the chain of ideals of ctx whose masks are
-    ``key``, which the caller has checked descend: built from the key by the
-    layer rule of ``cocycle_from_chain``, through ``_finish`` unless its memo
-    holds it, and cached only for two-term keys.  The first build in a
-    context checks that no product of two G* elements lands in H: a pass is
-    remembered, a failure raises on every call.  f and W are read as the
-    ``packed`` views of their tables."""
+    ``key``, which the caller has checked descend: built by the layer rule
+    of ``cocycle_from_chain``, through ``_finish`` unless its memo holds it,
+    and cached only for two-term keys.  inside, when given, is the OR of the
+    key's layer cells, computed by the caller in place of the walk over its
+    links.  The first build in a context checks that no product of two G*
+    elements lands in H: a pass is remembered, a failure raises on every
+    call.  f and W are read as the ``packed`` views of their tables."""
     hit = ctx._chain_cache.get(key)
     if hit is not None:
         return hit
@@ -131,12 +132,13 @@ def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...]) -> int:
                     "product of non-inertial elements landed in the inertial group"
                 )
         ctx._gstar_products_avoid_h = True
-    memo = g._cells  # Group.cells' memo, read inline: hot loop
-    inside = 0
-    for outer, inner in zip(key, key[1:]):
-        layer = outer & ~inner
-        cells = memo.get(layer)
-        inside |= g.cells(layer) if cells is None else cells
+    if inside is None:
+        memo = g._cells  # Group.cells' memo, read inline: hot loop
+        inside = 0
+        for outer, inner in zip(key, key[1:]):
+            layer = outer & ~inner
+            cells = memo.get(layer)
+            inside |= g.cells(layer) if cells is None else cells
     # W through _waterhouse_of's memo, read inline: hot loop
     packed = (ctx._waterhouse or _waterhouse_of(ctx)).packed | ctx.cocycle.packed & inside
     if packed not in ctx._valid_tables:

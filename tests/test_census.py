@@ -221,6 +221,15 @@ def test_check_cocycle_properties_refuses_a_chain_cap_below_one(golden):
             cf.check_cocycle_properties(golden, cap)
 
 
+def test_chain_listings_refuse_a_cap_below_one(d3_ctx):
+    ideals = cf.enumerate_ideals(d3_ctx)
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="census limits must be positive"):
+            cf.descending_multichains(ideals, cap=cap)
+        with pytest.raises(ValidationError, match="census limits must be positive"):
+            next(census._chain_verdicts(d3_ctx, ideals, cap))
+
+
 def test_check_cocycle_properties_reports_the_chain_cap():
     # a C7 census cocycle with 12,421 weakly descending chains of length 2-4
     rows = ["1111111"] + ["1000000"] * 5 + ["1000001"]

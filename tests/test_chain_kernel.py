@@ -1,17 +1,20 @@
 """The property sweep checks each chain's three identities in one pass.
 
 leq_f, chain_break and waterhouse_iff are decided per chain by
-census._chain_verdicts from the chain cocycle, the join of the pair tables
-and the first unsqueezed link, the last two carried from the parent chain.
-Every verdict must equal what check_identity computes from scratch, the
-carried inputs must equal their from-scratch values, and the failure
-reports under injected faults must match a loop through check_identity
-byte for byte.
+census._chain_verdicts, which walks the chains in the order of
+census._chain_keys, from the chain cocycle, built from the layer cells
+carried from the parent chain, the join of the pair tables and the first
+unsqueezed link, the last two also carried.  The walk must list the keys of
+_chain_keys under every cap, every verdict must equal what check_identity
+computes from scratch, the carried inputs must equal their from-scratch
+values, and the failure reports under injected faults must match a loop
+through check_identity byte for byte.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from functools import reduce
 from operator import or_
@@ -29,9 +32,14 @@ from cocycle_forge.errors import ForgeError, InternalInvariantError, ValidationE
 ROWS_87 = ("111111", "100000", "100001", "100001", "100000", "101010")
 
 
-def _census_contexts(group):
+def _census_contexts(group, sample=None):
+    """The contexts of the group's census cocycles, or of a seeded sample of
+    that many of them."""
+    cocycles = cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles
+    if sample is not None:
+        cocycles = random.Random(0).sample(cocycles, sample)
     out = []
-    for c in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles:
+    for c in cocycles:
         try:
             out.append(cf.AlgebraContext(c))
         except ValidationError:
@@ -48,17 +56,34 @@ def _ideal(ctx, members):
     return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
-@pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
-def test_chain_pass_matches_the_from_scratch_checks(group):
-    for ctx in _census_contexts(group):
+# (group, contexts, chains checked per context): every C4 and D3 census
+# context and chain; a seeded sample of C7 and D4 contexts, each walked in
+# full and a seeded sample of its chains checked, so that chains with four
+# distinct layers on orders 7 and 8 are covered (the level order reaches
+# them only past half of a context's chains)
+SWEEPS = {
+    "c4": (cf.make_cyclic(4), None, None),
+    "d3": (cf.make_dihedral(3), None, None),
+    "c7": (cf.make_cyclic(7), 8, 400),
+    "d4": (cf.make_dihedral(4), 8, 400),
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_chain_pass_matches_the_from_scratch_checks(sweep):
+    group, sample, checked = SWEEPS[sweep]
+    rng = random.Random(0)
+    distinct = 0
+    for ctx in _census_contexts(group, sample):
         ref = cf.AlgebraContext(ctx.cocycle)  # caches of its own
         ideals = enumerate_ideals(ctx)
         by_mask = {ideal.mask: ideal for ideal in ideals}
-        keys, _ = census._chain_keys(ideals)
-        seen = 0
-        for key, verdicts, (join, witness) in census._chain_verdicts(ctx, keys):
-            assert key is keys[seen]
-            seen += 1
+        keys, truncated = census._chain_keys(ideals, cap=census._chain_count(ideals))
+        assert not truncated
+        walk = list(census._chain_verdicts(ctx, ideals, len(keys)))
+        assert [key for key, _, _ in walk] == keys
+        for key, verdicts, (join, witness) in walk if checked is None else rng.sample(walk, checked):
+            distinct += len(set(key)) == 4
             chain = cf.DescendingChain(ideals=tuple(by_mask[m] for m in key))
             assert verdicts == tuple(
                 cf.check_identity(name, ref, chain=chain) for name in CHAIN_CHECKS
@@ -69,7 +94,23 @@ def test_chain_pass_matches_the_from_scratch_checks(group):
             ]
             assert join == reduce(or_, pairs)
             assert witness == decomposition._first_unsqueezed(chain)
-        assert seen == len(keys)
+    assert distinct
+
+
+@pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
+def test_the_walk_lists_the_chain_keys_up_to_the_cap(group):
+    swept = set()  # the chain count depends only on the containment relation
+    for ctx in _census_contexts(group):
+        ideals = enumerate_ideals(ctx)
+        total = census._chain_count(ideals)
+        contained = tuple(tuple(small <= big for big in ideals) for small in ideals)
+        for cap in sorted({1, 7, max(total // 2, 1), total, total + 1}):
+            walked = [key for key, _, _ in census._chain_verdicts(ctx, ideals, cap)]
+            assert walked == census._chain_keys(ideals, cap=cap)[0]
+            if contained not in swept:
+                result = cf.check_cocycle_properties(ctx.cocycle, cap)
+                assert (result.chains_truncated, result.chains_total) == (total > cap, total)
+        swept.add(contained)
 
 
 @pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
@@ -110,17 +151,21 @@ def _reference_chain_failures(ctx):
 
 @pytest.mark.parametrize(
     "target",
-    [((1, 3, 4, 5), (1, 3, 4)), ((1, 2, 3, 4, 5), (1, 3, 4), (1,))],
-    ids=["pair", "triple"],
+    [
+        ((1, 3, 4, 5), (1, 3, 4)),
+        ((1, 2, 3, 4, 5), (1, 3, 4), (1,)),
+        ((1, 2, 3, 4, 5), (1, 3, 4), (1,), ()),
+    ],
+    ids=["pair", "triple", "quadruple"],
 )
 def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
     real = decomposition._chain_table
     masks = tuple(_ideal(_context_87(), m).mask for m in target)
 
-    def chain_table(ctx, key):
+    def chain_table(ctx, key, *rest):
         if key == masks:
             raise InternalInvariantError("injected")
-        return real(ctx, key)
+        return real(ctx, key, *rest)
 
     monkeypatch.setattr(decomposition, "_chain_table", chain_table)
     monkeypatch.setattr(census, "_chain_table", chain_table)
@@ -128,7 +173,8 @@ def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
     assert failures == _reference_chain_failures(_context_87())
     label = f"chain={[list(m) for m in target]} raised: injected"
     assert failures[:3] == [(name, label) for name in CHAIN_CHECKS]
-    if len(target) == 3:
+    if len(target) > 2:
+        # a chain's raise reaches none of its children
         assert len(failures) == 3
     else:
         # every longer chain with this link reads the pair table and raises

@@ -67,8 +67,8 @@ def test_failure_details_keep_their_format(monkeypatch):
     real_pair_verdicts = census._pair_verdicts
     real_morphism = census.morphism_check
 
-    def chain_verdicts(ctx, keys):
-        for key, verdicts, carried in real_chain_verdicts(ctx, keys):
+    def chain_verdicts(ctx, *args):
+        for key, verdicts, carried in real_chain_verdicts(ctx, *args):
             if key == (0b110, 0b010):
                 failed = IdentityCheck(name="leq_f", ok=False, counterexample=("incomparable",))
                 verdicts = (failed,) + verdicts[1:]
