@@ -249,7 +249,10 @@ def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
     return ideals
 
 
-def _chain_count(ideals: Sequence[MonomialIdeal], max_len: int = 4) -> int:
+_MAX_CHAIN_LEN = 4  # the longest chains listed by default, and by the sweep
+
+
+def _chain_count(ideals: Sequence[MonomialIdeal], max_len: int = _MAX_CHAIN_LEN) -> int:
     """How many keys ``_chain_keys`` lists with no cap, without listing them:
     the chains one longer ending at an ideal step down from the chains
     ending at each ideal that contains it."""
@@ -261,7 +264,7 @@ def _chain_count(ideals: Sequence[MonomialIdeal], max_len: int = 4) -> int:
 
 
 def _chain_keys(
-    ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
+    ideals: Sequence[MonomialIdeal], max_len: int = _MAX_CHAIN_LEN, cap: int = 10_000
 ) -> Tuple[List[Tuple[int, ...]], bool]:
     """Mask tuples of the weakly descending ideal sequences of length
     2..max_len, at most cap of them, and whether more exist.  Shorter keys
@@ -287,7 +290,7 @@ def _chain_keys(
 
 
 def descending_multichains(
-    ideals: Sequence[MonomialIdeal], max_len: int = 4, cap: int = 10_000
+    ideals: Sequence[MonomialIdeal], max_len: int = _MAX_CHAIN_LEN, cap: int = 10_000
 ) -> Tuple[List[DescendingChain], bool]:
     """Weakly descending ideal sequences of length 2..max_len, capped: the
     keys and flag of ``_chain_keys``, each key built into a chain by the
@@ -348,11 +351,11 @@ _CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
 
 
 def _chain_verdicts(
-    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int = 10_000, max_len: int = 4
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int
 ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
     """Yield (key, verdicts, (join, witness)) for the first cap keys of
-    ``_chain_keys(ideals, max_len, cap)``, in its order; a cap below 1
-    raises.  verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
+    ``_chain_keys(ideals, cap=cap)``, in its order; a cap below 1 raises.
+    verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
     check_identity returns or the ForgeError it raises.
 
     One walk down the ``below`` relation lists the keys level by level, and
@@ -362,12 +365,13 @@ def _chain_verdicts(
     and the square of I_a, once per ideal.  A chain's own table is built by
     ``_chain_table`` from its parent's cells OR the link's, never taken from
     the pair cache past two terms; its join is the parent's OR the link's
-    pair table, and its witness, the first unsqueezed link, the parent's
-    unless that is None.  A chain passes when its table lies inside f,
-    equals the join, and equals the Waterhouse table exactly when no link is
-    unsqueezed; any other chain gets the verdicts check_identity gives.  An
-    input that raised, the Waterhouse table included, is carried as its
-    error, without the traceback, whose frames would hold the context.
+    pair table, and its witness, the first unsqueezed link, the parent's,
+    or the link's own when the parent's is None.  A chain passes when its
+    table lies inside f, equals the join, and equals the Waterhouse table
+    exactly when no link is unsqueezed; any other chain gets the verdicts
+    check_identity gives.  An input that raised, the Waterhouse table
+    included, is carried as its error, without the traceback, whose frames
+    would hold the context.
     """
     if cap < 1:
         raise ValidationError("census limits must be positive")
@@ -378,17 +382,11 @@ def _chain_verdicts(
     masks = [ideal.mask for ideal in ideals]
     below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
     links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
-    squares: Dict[int, object] = {}  # by mask: the square's mask, or the error
-
-    def square_of(mask):
-        ideal = MonomialIdeal(ctx=ctx, mask=mask)
-        return ideal_lattice_op("product", ideal, ideal).mask
-
-    # (key, index of its last ideal, layer cells, join, witness); the join
-    # of no pair tables is 0
+    squares: Dict[int, object] = {}  # by ideal index: its square's mask, or the error
+    # (key, index of its last ideal, layer cells, join, witness); no pairs join to 0
     level = [((mask,), i, 0, 0, None) for i, mask in enumerate(masks)]
     listed = 0
-    for a in range(1, max_len):
+    for a in range(1, _MAX_CHAIN_LEN):
         nxt = []
         for parent, i, above, parent_join, parent_witness in level:
             outer, row = masks[i], links[i]
@@ -398,24 +396,26 @@ def _chain_verdicts(
                 listed += 1
                 link = row.get(j)
                 if link is None:
-                    if outer not in squares:
-                        squares[outer] = _outcome(square_of, outer)
-                    inner, square = masks[j], squares[outer]
+                    if i not in squares:
+                        big = ideals[i]
+                        squares[i] = _outcome(lambda: ideal_lattice_op("product", big, big).mask)
+                    inner = masks[j]
                     link = row[j] = (
                         inner, ctx.group.cells(outer & ~inner),
-                        _outcome(_chain_table, ctx, (outer, inner)),
-                        # its witness by its position in a chain
-                        [_outcome(_link_witness, b, square, inner) for b in range(max_len)],
+                        _outcome(_chain_table, ctx, (outer, inner)), squares[i],
                     )
-                inner, layer, pair, witnesses = link
+                inner, layer, pair, square = link
                 key = parent + (inner,)
                 cells = above | layer
                 try:
                     join = parent_join | pair
                 except TypeError:  # a carried or read error is no table
                     join = parent_join if isinstance(parent_join, ForgeError) else pair
-                witness = witnesses[a] if parent_witness is None else parent_witness
-                nxt.append((key, j, cells, join, witness))
+                witness = parent_witness
+                if witness is None:  # a square that raised is carried as its error
+                    witness = _link_witness(a, square, inner) if type(square) is int else square
+                if a + 1 < _MAX_CHAIN_LEN:  # the last level has no children
+                    nxt.append((key, j, cells, join, witness))
                 try:
                     direct = _chain_table(ctx, key, cells)
                 except ForgeError as exc:
