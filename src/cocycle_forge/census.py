@@ -13,8 +13,9 @@ prefix is cut early (forward checking).  Each step makes one call of
 ``_products_agree``, which checks that step's implications and then the
 triples it closes.  Position 0 of the search is a constant 1 that stands
 for every cell normalization pins, so each check reads the cell values
-directly.  Every enumerated table is still validated before it is
-returned.
+directly.  Every enumerated table is still validated, the moment the
+search yields it, so the census is one stream from the search to the
+written line and no step holds every table.
 
 ``census_records`` fingerprints each cocycle by the radical filtration,
 the N_k layers and the annihilator classes, all read from one
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product, repeat, tee
+from itertools import chain, combinations, product, repeat, tee
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -112,6 +113,10 @@ class CensusConfig:
 
 @dataclass(frozen=True)
 class CensusStream:
+    """The cocycles of a census, in search order, and whether the search
+    stopped at the first table past ``max_candidates``.  Only
+    ``enumerate_cocycles`` holds them all; the ``census`` command streams."""
+
     cocycles: Tuple[Cocycle, ...]
     truncated: bool
 
@@ -196,16 +201,16 @@ def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
     return BinaryTable(group=group, masks=tuple(masks))
 
 
-def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
-    """Every idempotent cocycle of the group, in flattened-bits order.
+def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
+    """Each cocycle of the census as the search finds it, then None if the
+    search stopped at the first table past max_candidates.
 
     Each search step checks the implications of ``_implications`` that it
     decides, then the identities of ``_triple_constraints`` that it closes;
     the implications only cut dead prefixes sooner, so the tables and
-    their order are those of the identities alone.  The optional inertial
-    filter keeps only the tables with that exact inertial subgroup.  The
-    search stops at the first table past max_candidates and sets the
-    truncation flag.
+    their order are those of the identities alone.  Each table is validated
+    the moment the search yields it, and is counted before the inertial
+    filter, which keeps only the tables with that exact inertial subgroup.
     """
     group = cfg.group
     size = (group.order - 1) ** 2 + 1
@@ -215,19 +220,26 @@ def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
         _closing_schedule(size, _implications(identities)),
         _closing_schedule(size, identities),
     ))
-    tables = list(
-        islice(_depth_first(domains, schedule, _products_agree), cfg.max_candidates + 1)
-    )
-    truncated = len(tables) > cfg.max_candidates
-    cocycles = []
-    for cells in tables[: cfg.max_candidates]:
+    for count, cells in enumerate(_depth_first(domains, schedule, _products_agree)):
+        if count == cfg.max_candidates:
+            yield None
+            return
         result = validate_cocycle(_table_from_cells(group, cells))
         if isinstance(result, CocycleViolation):
             raise ValidationError(f"enumerated table failed validation: {result}")
-        if cfg.inertial is not None and inertial_group(result).members != cfg.inertial.members:
-            continue
-        cocycles.append(result)
-    return CensusStream(cocycles=tuple(cocycles), truncated=truncated)
+        if cfg.inertial is None or inertial_group(result).members == cfg.inertial.members:
+            yield result
+
+
+def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
+    """Every idempotent cocycle of the group, in flattened-bits order, with
+    the truncation flag; see ``_census``, which validates each table as the
+    search finds it, so the peak memory is about that of the cocycles
+    returned."""
+    cocycles = tuple(_census(cfg))
+    if cocycles and cocycles[-1] is None:
+        return CensusStream(cocycles=cocycles[:-1], truncated=True)
+    return CensusStream(cocycles=cocycles, truncated=False)
 
 
 def enumerate_ideals(ctx: AlgebraContext) -> List[MonomialIdeal]:
@@ -778,34 +790,35 @@ class CensusRecord:
     annihilator_classes: int
 
 
-def census_records(stream: CensusStream) -> List[CensusRecord]:
-    """Fingerprint every cocycle of a census for the text output.
+def _census_record(c: Cocycle) -> CensusRecord:
+    """The fingerprint of one cocycle.
 
-    One AlgebraContext per cocycle serves every invariant: the all-ones
-    cocycle is the one whose context has no G*, and the largest radical
-    power is read off the N_k layers, one layer per nonzero power.
+    One AlgebraContext serves every invariant: the all-ones cocycle is the
+    one whose context has no G*, and the largest radical power is read off
+    the N_k layers, one layer per nonzero power.
     """
-    records = []
-    for c in stream.cocycles:
-        bits = "".join(c.rows())
-        try:
-            ctx = AlgebraContext(c)
-        except ValidationError:
-            # the all-ones cocycle: the algebra is simple
-            inertial, layers, classes = tuple(range(c.group.order)), [], []
-        else:
-            inertial = ctx.inertial.members
-            layers = nk_partition(ctx)
-            trivial, nontrivial = classify_annihilators(ctx)
-            classes = _classes_of(ctx, trivial | nontrivial)
-        records.append(
-            CensusRecord(
-                order=c.group.order,
-                bits=bits,
-                inertial=inertial,
-                max_power=len(layers),
-                nk_sizes=tuple(len(l) for l in layers),
-                annihilator_classes=len(classes),
-            )
-        )
-    return records
+    try:
+        ctx = AlgebraContext(c)
+    except ValidationError:
+        # the all-ones cocycle: the algebra is simple
+        inertial, layers, classes = tuple(range(c.group.order)), [], []
+    else:
+        inertial = ctx.inertial.members
+        layers = nk_partition(ctx)
+        trivial, nontrivial = classify_annihilators(ctx)
+        classes = _classes_of(ctx, trivial | nontrivial)
+    return CensusRecord(
+        order=c.group.order,
+        bits="".join(c.rows()),
+        inertial=inertial,
+        max_power=len(layers),
+        nk_sizes=tuple(len(l) for l in layers),
+        annihilator_classes=len(classes),
+    )
+
+
+def census_records(stream: CensusStream) -> List[CensusRecord]:
+    """Fingerprint every cocycle of a census for the text output, one
+    ``_census_record`` each; the ``census`` command calls that per cocycle
+    and writes each line as it is made."""
+    return [_census_record(c) for c in stream.cocycles]

@@ -2,14 +2,15 @@
 
 Exit codes: 0 on success, 1 when validation or a checked identity fails,
 2 for parse and usage errors.  All output is deterministic; --out - streams
-to standard output.
+to standard output.  ``census`` writes each record as it is made, so the
+lines written before an internal error stay written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .algebra import (
     AlgebraContext,
@@ -18,7 +19,7 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .census import CHAIN_CHECKS, CensusConfig, census_records, enumerate_cocycles
+from .census import CHAIN_CHECKS, CensusConfig, _census, _census_record
 from .cocycles import inertial_group
 from .decomposition import (
     IDENTITY_NAMES,
@@ -31,7 +32,7 @@ from .decomposition import (
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
 from .files import (
     Workspace,
-    emit_census,
+    _census_line,
     emit_cocycle,
     emit_decomposition,
     emit_rmap,
@@ -51,12 +52,14 @@ from .semilinear import SemilinearMap, chain_lift, padded_lift, search_realizati
 __all__ = ["run_command", "main"]
 
 
-def _write(out: str, text: str) -> None:
+def _write(out: str, text: Union[str, Iterable[str]]) -> None:
+    """Write a text, or each string of an iterable as it comes."""
+    lines = (text,) if isinstance(text, str) else text
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,7 +319,14 @@ def _cmd_search_r(args) -> Tuple[str, int]:
     return text, 1
 
 
-def _cmd_census(args) -> Tuple[str, int]:
+def _census_lines(cfg: CensusConfig) -> Iterator[str]:
+    """One line per cocycle, made as the search finds it, then the
+    truncated=true trailer if the search stopped early."""
+    for cocycle in _census(cfg):
+        yield "truncated=true\n" if cocycle is None else _census_line(_census_record(cocycle))
+
+
+def _cmd_census(args) -> Tuple[Iterator[str], int]:
     if args.order is not None and args.group:
         raise ParseError("census takes --order or --group, not both")
     if args.order is not None:
@@ -325,11 +335,7 @@ def _cmd_census(args) -> Tuple[str, int]:
         group = resolve_group(args.group)
     else:
         raise ParseError("census needs --order or --group")
-    stream = enumerate_cocycles(CensusConfig(group=group))
-    text = emit_census(census_records(stream))
-    if stream.truncated:
-        text += "truncated=true\n"
-    return text, 0
+    return _census_lines(CensusConfig(group=group)), 0
 
 
 _COMMANDS = {
@@ -363,6 +369,7 @@ def run_command(argv: Sequence[str]) -> int:
         return 2
     try:
         text, code = _COMMANDS[args.command](args)
+        _write(args.out, text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -372,7 +379,6 @@ def run_command(argv: Sequence[str]) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    _write(args.out, text)
     return code
 
 

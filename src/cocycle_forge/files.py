@@ -210,16 +210,19 @@ def emit_decomposition(
     return "\n".join(lines) + "\n"
 
 
+def _census_line(rec: CensusRecord) -> str:
+    """One census record as one line, newline included."""
+    h = ",".join(str(s) for s in rec.inertial)
+    nk = ",".join(str(v) for v in rec.nk_sizes)
+    return (
+        f"n={rec.order} bits={rec.bits} H={h} max_power={rec.max_power}"
+        f" layers={nk} classes={rec.annihilator_classes}\n"
+    )
+
+
 def emit_census(records: Sequence[CensusRecord]) -> str:
-    lines = []
-    for rec in records:
-        h = ",".join(str(s) for s in rec.inertial)
-        nk = ",".join(str(v) for v in rec.nk_sizes)
-        lines.append(
-            f"n={rec.order} bits={rec.bits} H={h} max_power={rec.max_power}"
-            f" layers={nk} classes={rec.annihilator_classes}"
-        )
-    return "\n".join(lines) + "\n"
+    """One line per record; no records give the empty text."""
+    return "".join(map(_census_line, records))
 
 
 def emit_artifacts(obj, format: str) -> str:

@@ -83,6 +83,21 @@ def test_enumeration_truncation_flag():
     assert len(stream.cocycles) == 3
 
 
+def test_the_census_validates_each_table_as_the_search_finds_it(monkeypatch):
+    # C9 has 170,780 cocycles: the first one comes after a single validation
+    validated = []
+    real = census.validate_cocycle
+
+    def counted(table):
+        validated.append(table)
+        return real(table)
+
+    monkeypatch.setattr(census, "validate_cocycle", counted)
+    first = next(census._census(cf.CensusConfig(group=cf.make_cyclic(9))))
+    assert len(validated) == 1
+    assert first.masks == validated[0].masks
+
+
 def test_census_config_validation():
     g = cf.make_cyclic(3)
     with pytest.raises(ValidationError, match="positive"):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import cocycle_forge as cf
 from cocycle_forge import cli
 from cocycle_forge.cli import run_command
-from cocycle_forge.errors import ParseError, ValidationError
+from cocycle_forge.errors import InternalInvariantError, ParseError, ValidationError
 
 from conftest import D3_ROWS, GOLDEN_R_VALUES, GOLDEN_ROWS, int_rows
 
@@ -161,6 +162,11 @@ def test_emit_census_records():
         "n=3 bits=111110100 H=0 max_power=2 layers=1,1 classes=1\n"
         "n=3 bits=111111111 H=0,1,2 max_power=0 layers= classes=0\n"
     )
+
+
+def test_emit_census_of_no_records_is_empty():
+    assert cf.emit_census([]) == ""
+    assert cf.emit_artifacts([], "report") == ""
 
 
 def test_emit_artifacts_dispatch(golden, golden_ctx, z9):
@@ -492,11 +498,44 @@ def test_cli_census_refuses_order_with_group(capsys, monkeypatch):
     def no_enumeration(cfg):
         raise AssertionError("census enumerated before checking its input")
 
-    monkeypatch.setattr(cli, "enumerate_cocycles", no_enumeration)
+    monkeypatch.setattr(cli, "_census", no_enumeration)
     assert run_command(["census", "--order", "2", "--group", "d3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: census takes --order or --group, not both\n"
+
+
+def test_cli_census_keeps_the_lines_written_before_an_internal_error(capsys, monkeypatch):
+    real = cli._census_record
+    seen = []
+
+    def third_raises(cocycle):
+        seen.append(cocycle)
+        if len(seen) == 3:
+            raise InternalInvariantError("injected on the third cocycle")
+        return real(cocycle)
+
+    monkeypatch.setattr(cli, "_census_record", third_raises)
+    assert run_command(["census", "--order", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "n=3 bits=111100100 H=0 max_power=1 layers=2 classes=2\n"
+        "n=3 bits=111100101 H=0 max_power=2 layers=1,1 classes=1\n"
+    )
+    assert captured.err == "internal error: injected on the third cocycle\n"
+
+
+def test_cli_census_streams_in_bounded_memory(tmp_path):
+    # the 2,084 records of C7 and their text, held at once, take about 2 MB
+    argv = ["census", "--order", "7", "--out", str(tmp_path / "c7.txt")]
+    assert run_command(argv) == 0  # warm-up: imports and per-group caches
+    tracemalloc.start()
+    try:
+        assert run_command(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cli_out_file(golden_files, tmp_path, capsys):

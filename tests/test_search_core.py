@@ -8,6 +8,7 @@ import itertools
 import random
 
 import cocycle_forge as cf
+from cocycle_forge import cli
 from cocycle_forge.cocycles import _closing_schedule, _depth_first
 
 SMALL_GROUPS = {
@@ -77,6 +78,17 @@ def test_truncation_returns_a_prefix_at_every_cut():
             stream = cf.enumerate_cocycles(cf.CensusConfig(group=group, max_candidates=k))
             assert [c.masks for c in stream.cocycles] == full[:k], (name, k)
             assert stream.truncated == (k < len(full)), (name, k)
+
+
+def test_census_lines_are_a_prefix_then_the_trailer_at_every_cut():
+    for name, cuts in (("C4", range(1, 17)), ("D3", (1, 2, 3, 50, 131, 261, 262, 263, 500))):
+        group = SMALL_GROUPS[name]
+        full = list(cli._census_lines(cf.CensusConfig(group=group)))
+        assert len(full) == len(_census(name))
+        for k in cuts:
+            lines = list(cli._census_lines(cf.CensusConfig(group=group, max_candidates=k)))
+            trailer = ["truncated=true\n"] if k < len(full) else []
+            assert lines == full[:k] + trailer, (name, k)
 
 
 def test_search_realization_node_counts_d3(d3_ctx):
