@@ -57,9 +57,13 @@ def _write(out: str, text: Union[str, Iterable[str]]) -> None:
     lines = (text,) if isinstance(text, str) else text
     if out == "-":
         sys.stdout.writelines(lines)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {out!r}: {exc}") from exc
+    with fh:
+        fh.writelines(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,9 +132,9 @@ def _workspace(args) -> Workspace:
     )
 
 
-def _load(args, need_cocycle=True, need_chain=False, need_r=False):
+def _load(args, need_chain=False, need_r=False):
     group, cocycle, rmap, chain = parse_artifacts(_workspace(args))
-    if need_cocycle and cocycle is None:
+    if cocycle is None:
         raise ParseError("this command needs --cocycle or --r")
     if need_chain and chain is None:
         raise ParseError("this command needs --chain")

@@ -230,19 +230,15 @@ def inertial_group(f: Cocycle) -> Subgroup:
 def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
     """The minimum cocycle with inertial group H: 1 iff an argument is in H.
 
-    Built and validated once per Group and H, and memoised on the Group, so
-    the result always carries the caller's Group and names.
+    Built and validated on every call; an AlgebraContext keeps its own.
     """
-    f = group._waterhouse.get(sub.members)
-    if f is None:
-        # rows: all ones for s in H, the mask h of H for s outside
-        h = sum(1 << s for s in sub.members)
-        full = (1 << group.order) - 1
-        masks = tuple(full if h >> s & 1 else h for s in range(group.order))
-        f = as_cocycle(BinaryTable(group=group, masks=masks))
-        if tuple(inertial_group(f).members) != sub.members:
-            raise InternalInvariantError("waterhouse table has the wrong inertial group")
-        group._waterhouse[sub.members] = f
+    # rows: all ones for s in H, the mask h of H for s outside
+    h = sum(1 << s for s in sub.members)
+    full = (1 << group.order) - 1
+    masks = tuple(full if h >> s & 1 else h for s in range(group.order))
+    f = as_cocycle(BinaryTable(group=group, masks=masks))
+    if tuple(inertial_group(f).members) != sub.members:
+        raise InternalInvariantError("waterhouse table has the wrong inertial group")
     return f
 
 
@@ -303,7 +299,6 @@ def _depth_first(
     domains: Sequence[Sequence[int]],
     schedule: Sequence[Sequence[Constraint]],
     holds: Callable[[Sequence[Constraint], List[int]], bool],
-    tried: Optional[List[int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Every assignment of a value from domains[i] to each position i under
     which holds(schedule[i], vals) is true at every position i, in the
@@ -313,8 +308,8 @@ def _depth_first(
     setting position i makes one call holds(schedule[i], vals), which checks
     every constraint that i closes in one loop, so a failing prefix is cut
     as soon as it fails.  The census enumeration and the realization search
-    both run on this core.  When given, tried[i] counts the values tried at
-    position i.
+    both run on this core; a caller that counts or budgets the values tried
+    does so in its predicate.
     """
     size = len(domains)
     widths = [len(d) for d in domains]
@@ -329,8 +324,6 @@ def _depth_first(
             continue
         nxt[i] = k + 1
         vals[i] = domains[i][k]
-        if tried is not None:
-            tried[i] += 1
         if holds(schedule[i], vals):
             if i + 1 == size:
                 yield tuple(vals)

@@ -266,12 +266,7 @@ def resolve_group(spec: str) -> Group:
     match = re.fullmatch(r"d(\d+)", spec)
     if match:
         return make_dihedral(int(match.group(1)))
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read group file {spec!r}: {exc}") from exc
-    return parse_group(text)
+    return parse_group(_read(spec, "group"))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,9 @@ file format and API in the package relies on that normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from .cocycles import Cocycle
 
 __all__ = [
     "Group",
@@ -32,7 +29,7 @@ class Group:
     of a^-1; ``names`` are display labels used by graph and CLI output.
     Subsets of the group are bitmasks: bit a stands for element a, and a set
     of cells (s, t) is packed in one integer, row s at bits s*n .. s*n + n - 1.
-    The memos below depend on the table alone, not on any cocycle.
+    The memos below hold plain data of the table alone, never a cocycle.
     """
 
     order: int
@@ -49,14 +46,11 @@ class Group:
     _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # _waterhouse memoises cocycles.waterhouse per subgroup, keyed by its members
-    _waterhouse: Dict[Tuple[int, ...], Cocycle] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_double_cosets", {})
-        object.__setattr__(self, "_waterhouse", {})
 
     def left_preimage(self, t: int, mask: int) -> int:
         """The mask of the r with t*r in ``mask``.

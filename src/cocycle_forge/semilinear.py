@@ -331,9 +331,8 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
 
     padded = DescendingChain(ideals=tuple(prefix) + chain.ideals + tuple(suffix))
     lifted = chain_lift(r, padded)
-    certified = (
-        cocycle_from_chain(ctx, chain).masks == cocycle_from_r(lifted).masks
-    )
+    # padded runs from J to 0, so chain_lift checked that lifted induces its cocycle
+    certified = cocycle_from_chain(ctx, chain).packed == cocycle_from_chain(ctx, padded).packed
     return PaddedLift(chain=padded, lifted=lifted, certified=certified)
 
 
@@ -365,10 +364,10 @@ def search_realization(
     Each assignment is checked by one call of a per-step predicate against
     every pair constraint it completes: r(st) = r(s) + r(t) where f is 1,
     r(st) < r(s) + r(t) where f is 0.
-    Only values tried on G* count as nodes explored.  The witness is
-    re-verified through cocycle_from_r before being returned.  With
-    max_nodes, the search stops before its node max_nodes + 1 and returns a
-    truncated certificate; without it, the predicate carries no counter.
+    The predicate also counts the values tried on G*, the nodes explored.
+    The witness is re-verified through cocycle_from_r before being returned.
+    With max_nodes, the search stops before its node max_nodes + 1 and
+    returns a truncated certificate.
     """
     if bound < 1:
         raise ValidationError("bound must be at least 1")
@@ -383,33 +382,28 @@ def search_realization(
         (position[s], position[t], position[ctx.mul(s, t)]) for s in range(n) for t in range(n)
     ]
 
+    pinned = len(ctx.inertial.members)
+    # each pinned position is set once, first; the count numbers the nodes
+    nodes = itertools.count(1 - pinned)
+    limit = float("inf") if max_nodes is None else max_nodes
+
     def holds(cs: Sequence[Tuple[int, int, int]], vals: List[int]) -> bool:
+        if next(nodes) > limit:
+            raise _NodeBudgetSpent
         for s, t, p in cs:
             total = vals[s] + vals[t]
             if vals[p] != total if tight[s][t] else vals[p] >= total:
                 return False
         return True
 
-    pinned = len(ctx.inertial.members)
-    step = holds
-    if max_nodes is not None:
-        # each pinned position is set once, first; every later call is a node
-        calls = itertools.count(-pinned)
-
-        def step(cs: Sequence[Tuple[int, int, int]], vals: List[int]) -> bool:
-            if next(calls) >= max_nodes:
-                raise _NodeBudgetSpent
-            return holds(cs, vals)
-
     domains = [(0,)] * pinned + [range(1, bound + 1)] * len(ctx.gstar)
-    tried = [0] * n
-    search = _depth_first(domains, _closing_schedule(n, constraints), step, tried)
+    search = _depth_first(domains, _closing_schedule(n, constraints), holds)
     try:
         completion = next(search, None)
     except _NodeBudgetSpent:
         return ExhaustionCertificate(bound=bound, nodes_explored=max_nodes, truncated=True)
     if completion is None:
-        return ExhaustionCertificate(bound=bound, nodes_explored=sum(tried[pinned:]))
+        return ExhaustionCertificate(bound=bound, nodes_explored=next(nodes) - 1)
     witness = [0] * n
     for s, v in zip(order, completion):
         witness[s] = v

@@ -3,8 +3,8 @@ table, and the annihilator classes.
 
 A memoised table read again must not be repacked, and the classes must be
 computed once per context; a raise is never kept, so it comes back on every
-call.  Nothing a context keeps points back at it, so reference counting
-frees it as soon as its caller lets go.
+call.  Nothing a context keeps points back at it, and its group keeps no
+cocycle, so reference counting frees both as soon as the caller lets go.
 """
 
 from __future__ import annotations
@@ -99,9 +99,12 @@ def test_a_context_that_filled_its_caches_is_freed_by_reference_counting():
         is_report = isinstance(report, cf.DecompositionReport)
         filled = ctx._principal_cache is not None
         ref = weakref.ref(ctx)
-        del ctx, ideals, report
+        group_ref = weakref.ref(cocycle.group)
+        del ctx, ideals, report, cocycle
         alive = ref() is not None
+        group_alive = group_ref() is not None
     finally:
         gc.enable()
     assert is_report and filled
     assert not alive
+    assert not group_alive

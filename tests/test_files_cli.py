@@ -547,6 +547,20 @@ def test_cli_out_file(golden_files, tmp_path, capsys):
     assert target.read_text() == "0\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "census"])
+def test_cli_unwritable_out_file_is_an_error(golden_files, tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.txt"
+    inputs = {
+        "validate": ["--group", golden_files["group"], "--cocycle", golden_files["cocycle"]],
+        "census": ["--order", "3"],
+    }[command]
+    assert run_command([command, *inputs, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output file {str(target)!r}: ")
+    assert not target.parent.exists()
+
+
 def test_cli_r_only_derives_cocycle(golden_files, capsys):
     rc = run_command(["nk", "--group", golden_files["group"], "--r", golden_files["r"]])
     assert rc == 0

@@ -54,13 +54,14 @@ def test_depth_first_matches_filtered_product():
             if all(holds(c, vals) for c in constraints)
         ]
         schedule = _closing_schedule(size, constraints)
-        tried = [0] * size
-        assert list(
-            _depth_first(
-                domains, schedule, lambda cs, vals: all(holds(c, vals) for c in cs), tried
-            )
-        ) == expected
-        assert tried[0] == len(domains[0])
+        steps = []
+
+        def step(cs, vals):
+            steps.append(cs)
+            return all(holds(c, vals) for c in cs)
+
+        assert list(_depth_first(domains, schedule, step)) == expected
+        assert sum(cs is schedule[0] for cs in steps) == len(domains[0])
 
 
 def test_enumeration_is_in_flattened_bits_order():
