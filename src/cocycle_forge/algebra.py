@@ -163,7 +163,10 @@ def _closure_mask(ctx: AlgebraContext, seed_mask: int) -> int:
 
 def _is_closed_mask(ctx: AlgebraContext, mask: int) -> bool:
     links = ctx._links
-    return not any(links[s] & ~mask for s in _members_of(mask))
+    for s in _members_of(mask):
+        if links[s] & ~mask:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,9 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
+    _closure_mask,
     _ideal_from_mask,
+    _mask_of,
     _members_of,
     _principal_masks,
     _waterhouse_of,
@@ -474,6 +476,72 @@ _CONTEXT_CHECKS = ("principal_two_routes", "bstar_recombination", "class_decompo
 # all-pass tuple
 _PAIR_KINDS = (_PAIR_CHECKS[:2], _PAIR_CHECKS)
 _PAIR_PASSED = {kinds: tuple(_PASSED[name] for name in kinds) for kinds in _PAIR_KINDS}
+# what the from-scratch ideal checks return when all five pass
+_IDEAL_PASSED = (True, True, _PASSED["fI_eq_f"], True, _PASSED["trivial_annih_replace"])
+
+
+def _ideal_verdicts(
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], trivial, base_n1,
+    quotients: Dict[int, int],
+) -> Iterator[tuple]:
+    """Yield (_IDEAL_CHECKS, ideal, outcomes) for each ideal, and put each
+    packed quotient table that did not raise into quotients by mask.
+    trivial and base_n1 are the context's trivial annihilators and N_1, or
+    the errors they raised.  The first two checks are read off the quotient
+    context; with m the ideal's mask, q the quotient and T the trivial mask,
+    fI_eq_f passes when q == f exactly when m & ~T is 0, morphism on the
+    scaling and psi tests of morphism_check row by row, and
+    trivial_annih_replace when inner, the closure of T & m, lies in m and
+    in T and the pair tables (m, inner) and (m, 0) agree.  An ideal where
+    all five pass yields the shared _IDEAL_PASSED.  Any other ideal, and
+    every ideal when trivial is not the set the context keeps (the one the
+    from-scratch checks read), gets what check_identity and morphism_check
+    give.
+    """
+    g = ctx.group
+    full = (1 << g.order) - 1
+    f = ctx.cocycle.packed
+    kept_trivial = ctx._annihilators is not None and trivial is ctx._annihilators[0]
+    t_mask = _mask_of(trivial) if kept_trivial else 0
+
+    def n1_union(base, sub, i):
+        return n1_set(sub) == base | i.members
+
+    def members_trivial(sub, i):
+        return i.members <= classify_annihilators(sub)[0]
+
+    def replaceable(shared, i):
+        inner = ideal_closure(ctx, shared & i.members)
+        return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
+
+    def passes(m, sub):
+        if (sub.cocycle.packed == f) != (not m & ~t_mask):
+            return False
+        keep = full & ~m
+        for s, (f_s, q_s) in enumerate(zip(ctx._masks, sub._masks)):
+            kept = g.left_preimage(s, keep)
+            if f_s & kept != (q_s & keep if keep >> s & 1 else 0) or (q_s ^ f_s) & kept:
+                return False
+        inner = _closure_mask(ctx, t_mask & m)
+        return (
+            not inner & ~m and not inner & ~t_mask
+            and _chain_table(ctx, (m, inner)) == _chain_table(ctx, (m, 0))
+        )
+
+    for ideal in ideals:
+        sub = _outcome(lambda: AlgebraContext(cocycle_mod_ideal(ctx, ideal)))
+        if not isinstance(sub, ForgeError):
+            quotients[ideal.mask] = sub.cocycle.packed
+        n1_ok = _outcome(n1_union, base_n1, sub, ideal)
+        members_ok = _outcome(members_trivial, sub, ideal)
+        decided = kept_trivial and n1_ok is True and members_ok is True
+        if decided and _outcome(passes, ideal.mask, sub) is True:
+            yield _IDEAL_CHECKS, ideal, _IDEAL_PASSED
+            continue
+        yield _IDEAL_CHECKS, ideal, (
+            n1_ok, members_ok, _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
+            _outcome(lambda: morphism_check(ctx, ideal).ok), _outcome(replaceable, trivial, ideal),
+        )
 
 
 def _pair_verdicts(
@@ -535,40 +603,17 @@ def _pair_verdicts(
 
 def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
     """Yield (kinds, subject, outcomes) for each ideal, each pair of ideals
-    and the context itself (subject None), in the sweep's order; the pairs
-    come from _pair_verdicts, given the packed quotient tables of the ideal
-    pass.  The context's N_1, annihilator classes and Waterhouse table, each
-    ideal's quotient context and each pair's sum are computed once and
-    passed through _outcome, so a raise fails each check that reads the
-    input."""
+    and the context itself (subject None), in the sweep's order; the ideals
+    come from _ideal_verdicts and the pairs from _pair_verdicts, given the
+    packed quotient tables of the ideal pass.  The context's N_1,
+    annihilator classes and Waterhouse table, each ideal's quotient context
+    and each pair's sum are computed once and passed through _outcome, so a
+    raise fails each check that reads the input."""
     trivial = _outcome(lambda: classify_annihilators(ctx)[0])
     base_n1 = _outcome(n1_set, ctx)
     f0 = _outcome(_waterhouse_of, ctx)
-
-    def n1_union(base, sub, i):
-        return n1_set(sub) == base | i.members
-
-    def members_trivial(sub, i):
-        sub_trivial, _ = classify_annihilators(sub)
-        return i.members <= sub_trivial
-
-    def replaceable(shared, i):
-        inner = ideal_closure(ctx, shared & i.members)
-        return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
-
     quotients: Dict[int, int] = {}
-    for ideal in ideals:
-        sub = _outcome(lambda: AlgebraContext(cocycle_mod_ideal(ctx, ideal)))
-        if not isinstance(sub, ForgeError):
-            quotients[ideal.mask] = sub.cocycle.packed
-        yield _IDEAL_CHECKS, ideal, (
-            _outcome(n1_union, base_n1, sub, ideal),
-            _outcome(members_trivial, sub, ideal),
-            _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
-            _outcome(lambda: morphism_check(ctx, ideal).ok),
-            _outcome(replaceable, trivial, ideal),
-        )
-
+    yield from _ideal_verdicts(ctx, ideals, trivial, base_n1, quotients)
     yield from _pair_verdicts(ctx, ideals, quotients)
 
     def principal_routes():
@@ -598,10 +643,10 @@ def _tally(stream, rows, counts, failures) -> None:
     into counts, and append to failures a PropertyFailure on the cocycle
     with these rows for each check that failed, its detail _label(subject) +
     _failure_suffix(outcome).  Outcomes that are a kernel's shared all-pass
-    tuple (_CHAIN_PASSED, or _PAIR_PASSED of their kinds) count each of their
-    kinds once and are read no further; the chain kernel's, which come
-    first, are summed and spread over CHAIN_CHECKS at the end, so the chain
-    kinds keep their place after the context's."""
+    tuple (_CHAIN_PASSED, _IDEAL_PASSED, or _PAIR_PASSED of their kinds)
+    count each of their kinds once and are read no further; the chain
+    kernel's, which come first, are summed and spread over CHAIN_CHECKS at
+    the end, so the chain kinds keep their place after the context's."""
     passed = 0
     for kinds, subject, outcomes in stream:
         if outcomes is _CHAIN_PASSED:
@@ -609,7 +654,7 @@ def _tally(stream, rows, counts, failures) -> None:
             continue
         for kind in kinds:
             counts[kind] = counts.get(kind, 0) + 1
-        if outcomes is _PAIR_PASSED.get(kinds):
+        if outcomes is _IDEAL_PASSED or outcomes is _PAIR_PASSED.get(kinds):
             continue
         for kind, outcome in zip(kinds, outcomes):
             suffix = _failure_suffix(outcome)

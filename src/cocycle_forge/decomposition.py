@@ -114,15 +114,18 @@ def _chain_cocycle(ctx: AlgebraContext, key: Tuple[int, ...]) -> Cocycle:
 def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...], inside: Optional[int] = None) -> int:
     """The packed table of the chain of ideals of ctx whose masks are
     ``key``, which the caller has checked descend: built by the layer rule
-    of ``cocycle_from_chain``, through ``_finish`` unless its memo holds it,
-    and cached only for two-term keys.  inside, when given, is the OR of the
-    key's layer cells, computed by the caller in place of the walk over its
-    links.  The first build in a context checks that no product of two G*
-    elements lands in H: a pass is remembered, a failure raises on every
-    call.  f and W are read as the ``packed`` views of their tables."""
-    hit = ctx._chain_cache.get(key)
-    if hit is not None:
-        return hit
+    of ``cocycle_from_chain``, through ``_finish`` unless its memo holds it;
+    only two-term keys are looked up in the cache and stored there.
+    inside, when given, is the OR of the key's layer cells, computed by the
+    caller in place of the walk over its links.  The first build in a
+    context checks that no product of two G* elements lands in H: a pass
+    is remembered, a failure raises on every call.  f and W are read as the
+    ``packed`` views of their tables."""
+    pair = len(key) == 2
+    if pair:
+        hit = ctx._chain_cache.get(key)
+        if hit is not None:
+            return hit
     g = ctx.group
     if not ctx._gstar_products_avoid_h:
         gstar = ctx._gstar_mask
@@ -143,7 +146,7 @@ def _chain_table(ctx: AlgebraContext, key: Tuple[int, ...], inside: Optional[int
     packed = (ctx._waterhouse or _waterhouse_of(ctx)).packed | ctx.cocycle.packed & inside
     if packed not in ctx._valid_tables:
         _finish(ctx, packed, "cocycle_from_chain")
-    if len(key) == 2:
+    if pair:
         ctx._chain_cache[key] = packed
     return packed
 

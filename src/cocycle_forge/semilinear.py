@@ -260,6 +260,11 @@ def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
     the original: (f_r)_chain <= f_lift <= f_r, with equality on the left
     when the chain runs from J all the way down to the zero ideal.
     """
+    return _chain_lift(r, chain)[0]
+
+
+def _chain_lift(r: SemilinearMap, chain: DescendingChain) -> Tuple[SemilinearMap, Cocycle]:
+    """``chain_lift``'s lift and the chain cocycle it was checked against."""
     ctx = chain.ctx
     if ctx.group != r.group or cocycle_from_r(r).masks != ctx.cocycle.masks:
         raise ValidationError("chain context does not match the induced cocycle of r")
@@ -289,7 +294,7 @@ def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
         raise InternalInvariantError(
             "full-span chain lift does not reproduce the chain cocycle"
         )
-    return lifted
+    return lifted, lower
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,7 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
     The prefix inserts J and the sums J^(2^i) + I_1 until the power falls
     inside I_1; the suffix squares I_k down to the zero ideal.  Certified
     means the lift of the padded chain induces exactly the chain cocycle of
-    the original chain.  r is matched to the chain's context by chain_lift.
+    the original chain.  r is matched to the chain's context as in chain_lift.
     """
     ctx = chain.ctx
     radical = MonomialIdeal(ctx=ctx, mask=ctx._gstar_mask)
@@ -330,9 +335,9 @@ def padded_lift(r: SemilinearMap, chain: DescendingChain) -> PaddedLift:
         suffix.append(zero)
 
     padded = DescendingChain(ideals=tuple(prefix) + chain.ideals + tuple(suffix))
-    lifted = chain_lift(r, padded)
-    # padded runs from J to 0, so chain_lift checked that lifted induces its cocycle
-    certified = cocycle_from_chain(ctx, chain).packed == cocycle_from_chain(ctx, padded).packed
+    lifted, lower = _chain_lift(r, padded)
+    # padded runs from J to 0, so _chain_lift checked that lifted induces lower
+    certified = cocycle_from_chain(ctx, chain).packed == lower.packed
     return PaddedLift(chain=padded, lifted=lifted, certified=certified)
 
 

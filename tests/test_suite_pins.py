@@ -7,8 +7,6 @@ built only when a check fails; their text is pinned byte for byte.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 import cocycle_forge as cf
@@ -65,7 +63,7 @@ def test_failure_details_keep_their_format(monkeypatch):
     cocycle = cf.waterhouse(g, cf.subgroup(g, [0]))
     real_chain_verdicts = census._chain_verdicts
     real_pair_verdicts = census._pair_verdicts
-    real_morphism = census.morphism_check
+    real_ideal_verdicts = census._ideal_verdicts
 
     def chain_verdicts(ctx, *args):
         for key, verdicts, carried in real_chain_verdicts(ctx, *args):
@@ -80,17 +78,18 @@ def test_failure_details_keep_their_format(monkeypatch):
                 outcomes = (InternalInvariantError("boom"),) + tuple(outcomes[1:])
             yield kinds, pair, outcomes
 
-    def morphism_check(ctx, ideal):
-        if ideal.mask == 0b100:
-            return SimpleNamespace(ok=False)
-        return real_morphism(ctx, ideal)
+    def ideal_verdicts(ctx, *args):
+        for kinds, ideal, outcomes in real_ideal_verdicts(ctx, *args):
+            if ideal.mask == 0b100:
+                outcomes = tuple(outcomes[:3]) + (False,) + tuple(outcomes[4:])
+            yield kinds, ideal, outcomes
 
     def all_generators(ctx):
         raise InternalInvariantError("no words")
 
     monkeypatch.setattr(census, "_chain_verdicts", chain_verdicts)
     monkeypatch.setattr(census, "_pair_verdicts", pair_verdicts)
-    monkeypatch.setattr(census, "morphism_check", morphism_check)
+    monkeypatch.setattr(census, "_ideal_verdicts", ideal_verdicts)
     monkeypatch.setattr(census, "all_generators", all_generators)
     result = cf.check_cocycle_properties(cocycle)
     assert [(f.check, f.detail) for f in result.failures] == [

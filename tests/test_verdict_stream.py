@@ -49,9 +49,8 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
     real_mod = census.cocycle_mod_ideal
     real_n1 = census.n1_set
     real_classes = census.classify_annihilators
-    real_identity = census.check_identity
+    real_ideal_verdicts = census._ideal_verdicts
     real_pair_verdicts = census._pair_verdicts
-    real_morphism = census.morphism_check
     quotient_of = []  # the ideal of the last quotient taken
 
     def cocycle_mod_ideal(ctx, ideal):
@@ -68,12 +67,16 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
             raise InternalInvariantError("no classes")
         return real_classes(ctx)
 
-    def check_identity(name, ctx, **kwargs):
-        if name == "fI_eq_f" and kwargs["ideal"].mask == _mask(2):
-            return IdentityCheck(name=name, ok=False, counterexample=(0, 2, 1, 0))
-        if name == "trivial_annih_replace" and kwargs["first"].mask == _mask(1, 2, 3):
-            raise InternalInvariantError("no replacement")
-        return real_identity(name, ctx, **kwargs)
+    def ideal_verdicts(ctx, ideals, trivial, base_n1, quotients):
+        for kinds, ideal, outcomes in real_ideal_verdicts(ctx, ideals, trivial, base_n1, quotients):
+            outcomes = list(outcomes)
+            if ideal.mask == _mask(2):
+                outcomes[2] = IdentityCheck(name="fI_eq_f", ok=False, counterexample=(0, 2, 1, 0))
+            if ideal.mask == _mask(1, 2):
+                outcomes[3] = False
+            if ideal.mask == _mask(1, 2, 3):
+                outcomes[4] = InternalInvariantError("no replacement")
+            yield kinds, ideal, outcomes
 
     def pair_verdicts(ctx, ideals, quotients):
         for kinds, pair, outcomes in real_pair_verdicts(ctx, ideals, quotients):
@@ -84,11 +87,6 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
                 outcomes[1] = InternalInvariantError("no vee")
                 outcomes[2] = IdentityCheck(name="cap_zero", ok=False, counterexample=(3, 3, 1, 0))
             yield kinds, pair, outcomes
-
-    def morphism_check(ctx, ideal):
-        if ideal.mask == _mask(1, 2):
-            return SimpleNamespace(ok=False)
-        return real_morphism(ctx, ideal)
 
     def principal_via_generators(ctx, s, gens):
         raise InternalInvariantError("no route")
@@ -103,9 +101,8 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
         ("cocycle_mod_ideal", cocycle_mod_ideal),
         ("n1_set", n1_set),
         ("classify_annihilators", classify_annihilators),
-        ("check_identity", check_identity),
+        ("_ideal_verdicts", ideal_verdicts),
         ("_pair_verdicts", pair_verdicts),
-        ("morphism_check", morphism_check),
         ("principal_via_generators", principal_via_generators),
         ("decompose_by_bstar", decompose_by_bstar),
         ("decompose_by_classes", decompose_by_classes),
