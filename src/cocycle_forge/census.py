@@ -364,19 +364,37 @@ CHAIN_CHECKS = ("leq_f", "chain_break", "waterhouse_iff")
 _CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
 
 
+def _read_link(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], links, squares, i, j):
+    """Read the link I_i >= I_j of a chain walk into links[i][j] and return
+    it: (mask of I_j, ``Group.cells`` of the layer I_i \\ I_j, the pair table
+    through ``_chain_table``, the mask of the square of I_i).  The square is
+    read once per ideal into squares.  An input that raised is kept as its
+    error, without the traceback, whose frames would hold the context."""
+    if i not in squares:
+        big = ideals[i]
+        squares[i] = _outcome(lambda: ideal_lattice_op("product", big, big).mask)
+    outer, inner = ideals[i].mask, ideals[j].mask
+    link = links[i][j] = (
+        inner, ctx.group.cells(outer & ~inner),
+        _outcome(_chain_table, ctx, (outer, inner)), squares[i],
+    )
+    return link
+
+
 def _chain_verdicts(
     ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int
 ) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
     """Yield (key, verdicts, (join, witness)) for the first cap keys of
     ``_chain_keys(ideals, cap=cap)``, in its order; a cap below 1 raises.
     verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
-    check_identity returns or the ForgeError it raises.
+    check_identity returns or the ForgeError it raises.  This is the exact,
+    ordered and capped walk: the sweep runs it when ``_chain_pass_count``
+    gives no count, and it alone reports chain failures.
 
     One walk down the ``below`` relation lists the keys level by level, and
     each chain carries its layer cells cells(L_1) | .. | cells(L_{k-1}), join
     and witness to its children.  Each link I_a >= I_{a+1} is read once, on
-    first use: its ``Group.cells``, its pair table through ``_chain_table``
-    and the square of I_a, once per ideal.  A chain's own table is built by
+    first use, by ``_read_link``.  A chain's own table is built by
     ``_chain_table`` from its parent's cells OR the link's, never taken from
     the pair cache past two terms; its join is the parent's OR the link's
     pair table, and its witness, the first unsqueezed link, the parent's,
@@ -384,8 +402,7 @@ def _chain_verdicts(
     table lies inside f, equals the join, and equals the Waterhouse table
     exactly when no link is unsqueezed; any other chain gets the verdicts
     check_identity gives.  An input that raised, the Waterhouse table
-    included, is carried as its error, without the traceback, whose frames
-    would hold the context.
+    included, is carried as its error.
     """
     if cap < 1:
         raise ValidationError("census limits must be positive")
@@ -393,32 +410,23 @@ def _chain_verdicts(
     f = ctx.cocycle.packed
     f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
     f0_ok = not isinstance(f0, ForgeError)
-    masks = [ideal.mask for ideal in ideals]
     below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
     links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
     squares: Dict[int, object] = {}  # by ideal index: its square's mask, or the error
     # (key, index of its last ideal, layer cells, join, witness); no pairs join to 0
-    level = [((mask,), i, 0, 0, None) for i, mask in enumerate(masks)]
+    level = [((ideal.mask,), i, 0, 0, None) for i, ideal in enumerate(ideals)]
     listed = 0
     for a in range(1, _MAX_CHAIN_LEN):
         nxt = []
         for parent, i, above, parent_join, parent_witness in level:
-            outer, row = masks[i], links[i]
+            row = links[i]
             for j in below[i]:
                 if listed == cap:
                     return
                 listed += 1
-                link = row.get(j)
-                if link is None:
-                    if i not in squares:
-                        big = ideals[i]
-                        squares[i] = _outcome(lambda: ideal_lattice_op("product", big, big).mask)
-                    inner = masks[j]
-                    link = row[j] = (
-                        inner, ctx.group.cells(outer & ~inner),
-                        _outcome(_chain_table, ctx, (outer, inner)), squares[i],
-                    )
-                inner, layer, pair, square = link
+                inner, layer, pair, square = (
+                    row.get(j) or _read_link(ctx, ideals, links, squares, i, j)
+                )
                 key = parent + (inner,)
                 cells = above | layer
                 try:
@@ -449,6 +457,70 @@ def _chain_verdicts(
                         )
                 yield key, verdicts, (join, witness)
         level = nxt
+
+
+def _chain_pass_count(
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int
+) -> Optional[int]:
+    """How many chains ``_chain_verdicts(ctx, ideals, cap)`` lists, when it
+    would list them all and every one passes; None otherwise.
+
+    The walk goes down the same ``below`` relation to the same depth, level
+    by level, but it merges the chains of a level whose state is equal and
+    counts the chains of each state.  The state is (index of the last
+    ideal, OR of the layer cells, join, whether some link is unsqueezed),
+    and it fixes the three verdicts of each of its chains and of all their
+    descendants: the chain table is W | f & cells, chain_break compares it
+    with the join, and waterhouse_iff compares it with W given the flag.
+    So each state's table is built once, by ``_chain_table`` from the
+    state's first key and its cells, and the pass condition of
+    ``_chain_verdicts`` is evaluated once per state.  States never merge
+    across lengths, and the join stays in the state, so a wrong pair table
+    still fails chain_break.  Links are read by ``_read_link``.  The walk
+    gives None as soon as a state misses, an input raised (a pair table, a
+    square, W or a state's own table) or the count passes cap; the exact
+    walk then decides every chain.
+    """
+    f = ctx.cocycle.packed
+    f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
+    if isinstance(f0, ForgeError):
+        return None
+    below = [[j for j, small in enumerate(ideals) if small <= big] for big in ideals]
+    links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
+    squares: Dict[int, object] = {}  # by ideal index: its square's mask, or the error
+    # state (index of the last ideal, layer cells, join, unsqueezed) ->
+    # [its chains, its first key]; a lone ideal is no chain yet
+    level = {(i, 0, 0, False): [1, (ideal.mask,)] for i, ideal in enumerate(ideals)}
+    total = 0
+    for _ in range(1, _MAX_CHAIN_LEN):
+        nxt: Dict[tuple, list] = {}
+        for (i, above, parent_join, unsqueezed), (count, parent) in level.items():
+            row = links[i]
+            for j in below[i]:
+                link = row.get(j)
+                if link is None:
+                    link = _read_link(ctx, ideals, links, squares, i, j)
+                    if isinstance(link[2], ForgeError) or isinstance(link[3], ForgeError):
+                        return None
+                inner, layer, pair, square = link
+                state = (j, above | layer, parent_join | pair, unsqueezed or square & ~inner != 0)
+                merged = nxt.get(state)
+                if merged is None:
+                    nxt[state] = [count, parent + (inner,)]
+                else:
+                    merged[0] += count
+        for (_, cells, join, unsqueezed), (count, key) in nxt.items():
+            total += count
+            if total > cap:
+                return None
+            try:
+                direct = _chain_table(ctx, key, cells)
+            except ForgeError:
+                return None
+            if direct & ~f or direct != join or (direct == f0) == unsqueezed:
+                return None
+        level = nxt
+    return total
 
 
 def _outcome(check, *args, **kwargs):
@@ -490,10 +562,16 @@ def _ideal_verdicts(
     the errors they raised.  The first two checks are read off the quotient
     context; with m the ideal's mask, q the quotient and T the trivial mask,
     fI_eq_f passes when q == f exactly when m & ~T is 0, morphism on the
-    scaling and psi tests of morphism_check row by row, and
-    trivial_annih_replace when inner, the closure of T & m, lies in m and
-    in T and the pair tables (m, inner) and (m, 0) agree.  An ideal where
-    all five pass yields the shared _IDEAL_PASSED.  Any other ideal, and
+    psi test of morphism_check row by row (q and f agree at each (s, t)
+    with st outside m), and trivial_annih_replace when inner, the closure
+    of T & m, lies in m and in T and the pair tables (m, inner) and (m, 0)
+    agree.  The scaling test of morphism_check is not run: once the first
+    two checks pass, it holds exactly when the psi test does.  The two
+    differ only where q has a 1 at a cell (s, t) with s and t outside m and
+    st in m, which makes st factorable and fails n1_of_quotient, or with s
+    in m and st outside m, which makes s a non-annihilator and fails
+    ideal_members_trivial_in_quotient.  An ideal where all five pass
+    yields the shared _IDEAL_PASSED.  Any other ideal, and
     every ideal when trivial is not the set the context keeps (the one the
     from-scratch checks read), gets what check_identity and morphism_check
     give.
@@ -519,8 +597,7 @@ def _ideal_verdicts(
             return False
         keep = full & ~m
         for s, (f_s, q_s) in enumerate(zip(ctx._masks, sub._masks)):
-            kept = g.left_preimage(s, keep)
-            if f_s & kept != (q_s & keep if keep >> s & 1 else 0) or (q_s ^ f_s) & kept:
+            if (q_s ^ f_s) & g.left_preimage(s, keep):
                 return False
         inner = _closure_mask(ctx, t_mask & m)
         return (
@@ -638,16 +715,16 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
     yield _CONTEXT_CHECKS[: len(outcomes)], None, outcomes
 
 
-def _tally(stream, rows, counts, failures) -> None:
+def _tally(stream, rows, counts, failures, passed: int = 0) -> None:
     """Count each check of the stream of (kinds, subject, outcomes) by kind
     into counts, and append to failures a PropertyFailure on the cocycle
     with these rows for each check that failed, its detail _label(subject) +
     _failure_suffix(outcome).  Outcomes that are a kernel's shared all-pass
     tuple (_CHAIN_PASSED, _IDEAL_PASSED, or _PAIR_PASSED of their kinds)
-    count each of their kinds once and are read no further; the chain
-    kernel's, which come first, are summed and spread over CHAIN_CHECKS at
-    the end, so the chain kinds keep their place after the context's."""
-    passed = 0
+    count each of their kinds once and are read no further.  The chains that
+    passed, the given passed plus the chain kernel's, which come first, are
+    summed and spread over CHAIN_CHECKS at the end, so the chain kinds keep
+    their place after the context's."""
     for kinds, subject, outcomes in stream:
         if outcomes is _CHAIN_PASSED:
             passed += 1
@@ -669,16 +746,24 @@ def _tally(stream, rows, counts, failures) -> None:
 
 
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
-    """The property sweep of one context: _tally over each chain key with its
-    verdicts, split from _chain_verdicts by tee with no Python frame per
-    chain, then over the subjects of _context_subjects.  Each chain checked
-    runs one leq_f; a path count gives the total when the walk hit the cap."""
+    """The property sweep of one context: _tally over the subjects of
+    _context_subjects, after the chains.  The chains are first counted by
+    _chain_pass_count, and when every one passes, _tally is given that
+    count.  Otherwise it reads each chain key with its verdicts, split from
+    _chain_verdicts by tee with no Python frame per chain, so chain failures,
+    their order and their text come from the exact walk alone.  Each chain
+    checked runs one leq_f; a path count gives the total when the walk hit
+    the cap."""
     ideals = enumerate_ideals(ctx)
-    walk, shadow = tee(_chain_verdicts(ctx, ideals, max_chains))
-    chains = zip(repeat(CHAIN_CHECKS), map(itemgetter(0), walk), map(itemgetter(1), shadow))
+    passed = _chain_pass_count(ctx, ideals, max_chains)
+    stream = _context_subjects(ctx, ideals)
+    if passed is None:
+        walk, shadow = tee(_chain_verdicts(ctx, ideals, max_chains))
+        chains = zip(repeat(CHAIN_CHECKS), map(itemgetter(0), walk), map(itemgetter(1), shadow))
+        stream, passed = chain(chains, stream), 0
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
-    _tally(chain(chains, _context_subjects(ctx, ideals)), ctx.cocycle.rows(), counts, failures)
+    _tally(stream, ctx.cocycle.rows(), counts, failures, passed)
     listed = counts.get(CHAIN_CHECKS[0], 0)
     chains_total = _chain_count(ideals) if listed == max_chains else listed
     return CocycleCheckResult(

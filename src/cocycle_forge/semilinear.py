@@ -60,7 +60,8 @@ class OrderedMonoid(ABC):
 
     The order must be strictly translation compatible: x < y implies
     xz < yz and zx < zy.  Nothing here enforces cancellativity; the axioms
-    above are the only ones relied on.
+    above are the only ones relied on, and ``cocycle_from_r`` reports a
+    monoid that breaks the last one on a map's values.
     """
 
     @property
@@ -234,8 +235,34 @@ def as_semilinear(group: Group, monoid: OrderedMonoid, values: Sequence) -> Semi
     return result
 
 
+def _require_strict_translation(monoid: OrderedMonoid, values: Sequence) -> None:
+    """Raise ValidationError when the monoid breaks strict translation
+    compatibility on the values: x < y but not xz < yz, or not zx < zy, for
+    x and y values or products of two, and z a value.  The proof that an
+    induced table is a cocycle with the neutral fiber as inertial group
+    uses the axiom on these elements only."""
+    combine, lt = monoid.combine, monoid.lt
+    elements: List = []
+    for x in itertools.chain(values, (combine(a, b) for a in values for b in values)):
+        if x not in elements:
+            elements.append(x)
+    for x, y, z in itertools.product(elements, elements, values):
+        if lt(x, y):
+            for left, right in ((combine(x, z), combine(y, z)), (combine(z, x), combine(z, y))):
+                if not lt(left, right):
+                    raise ValidationError(
+                        f"the monoid is not strictly translation compatible: {x!r} < {y!r}, "
+                        f"but not {left!r} < {right!r} after combining with {z!r}"
+                    )
+
+
 def cocycle_from_r(r: SemilinearMap) -> Cocycle:
-    """The induced cocycle: 1 exactly where subadditivity is an equality."""
+    """The induced cocycle: 1 exactly where subadditivity is an equality.
+
+    A table that fails validation, or whose inertial group is not the
+    neutral fiber, raises ValidationError when the monoid breaks strict
+    translation compatibility on the map's values (as (N, max) or a
+    saturating addition does), and InternalInvariantError otherwise."""
     n = r.group.order
     v = r.values
     combine = r.monoid.combine
@@ -245,10 +272,13 @@ def cocycle_from_r(r: SemilinearMap) -> Cocycle:
     )
     result = validate_cocycle(BinaryTable(group=r.group, masks=masks))
     if isinstance(result, CocycleViolation):
-        raise InternalInvariantError(f"induced table is not a cocycle: {result}")
-    if inertial_group(result).members != r.m_subgroup.members:
-        raise InternalInvariantError("inertial group differs from the neutral fiber")
-    return result
+        problem = f"induced table is not a cocycle: {result}"
+    elif inertial_group(result).members != r.m_subgroup.members:
+        problem = "inertial group differs from the neutral fiber"
+    else:
+        return result
+    _require_strict_translation(r.monoid, v)
+    raise InternalInvariantError(problem)
 
 
 def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:

@@ -18,11 +18,12 @@ import random
 import weakref
 from functools import reduce
 from operator import or_
+from types import SimpleNamespace
 
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census, decomposition
+from cocycle_forge import algebra, census, decomposition
 from cocycle_forge.census import CHAIN_CHECKS, descending_multichains, enumerate_ideals
 from cocycle_forge.cocycles import _pack_rows
 from cocycle_forge.errors import ForgeError, InternalInvariantError, ValidationError
@@ -172,6 +173,11 @@ def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
 
     monkeypatch.setattr(decomposition, "_chain_table", chain_table)
     monkeypatch.setattr(census, "_chain_table", chain_table)
+    if len(target) > 2:
+        # past two terms the real _chain_table depends only on ctx and the
+        # layer cells, and the state walk builds one table per state from
+        # its first key, so a raise for one key is met by the exact walk only
+        monkeypatch.setattr(census, "_chain_pass_count", lambda *args: None)
     failures = _suite_chain_failures(_context_87())
     assert failures == _reference_chain_failures(_context_87())
     label = f"chain={[list(m) for m in target]} raised: injected"
@@ -237,3 +243,102 @@ def test_the_context_is_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
     assert result.failures == ()
     assert not alive
+
+
+@pytest.mark.parametrize("sweep", list(SWEEPS))
+def test_the_state_walk_counts_every_chain(sweep):
+    group, searched, sample, _ = SWEEPS[sweep]
+    for ctx in _census_contexts(group, sample, searched):
+        ideals = enumerate_ideals(ctx)
+        total = census._chain_count(ideals)
+        assert census._chain_pass_count(ctx, ideals, total) == total
+        assert census._chain_pass_count(ctx, ideals, total - 1) is None
+
+
+# C5 census cocycle 25: the table of J >= [1, 3] >= 0 is the table of no
+# two-term chain, so the state walk meets it only as a state's own table
+ROWS_C5_25 = ("11111", "10000", "10101", "10010", "10100")
+
+
+def _context_c5_25():
+    c5 = cf.make_cyclic(5)
+    return cf.AlgebraContext(cf.as_cocycle([[int(v) for v in row] for row in ROWS_C5_25], c5))
+
+
+@pytest.mark.parametrize(
+    "context, target, pair_table",
+    [
+        (_context_87, ((1, 2, 3, 4, 5), (1, 3, 4), (1,)), True),
+        (_context_c5_25, ((1, 2, 3, 4), (1, 3), ()), False),
+    ],
+    ids=["d3-87", "c5-25"],
+)
+def test_a_refused_chain_table_sends_the_sweep_to_the_exact_walk(
+    monkeypatch, context, target, pair_table
+):
+    ctx = context()
+    ideals = enumerate_ideals(ctx)
+    refused = decomposition._chain_table(ctx, tuple(_ideal(ctx, m).mask for m in target))
+    keys, _ = census._chain_keys(ideals)
+    pairs = {decomposition._chain_table(ctx, key) for key in keys if len(key) == 2}
+    assert (refused in pairs) == pair_table
+    real = decomposition._finish
+
+    def finish(ctx, packed, what):
+        if packed == refused:
+            raise InternalInvariantError("refused")
+        return real(ctx, packed, what)
+
+    monkeypatch.setattr(decomposition, "_finish", finish)
+    ctx = context()
+    assert census._chain_pass_count(ctx, enumerate_ideals(ctx), 10_000) is None
+    failures = _suite_chain_failures(context())
+    assert failures == _reference_chain_failures(context())
+    assert ("leq_f", f"chain={[list(m) for m in target]} raised: refused") in failures
+
+
+def _outside_f_in_w(monkeypatch, ctx):
+    # the Waterhouse table with the cell (1, 1), where f is 0, and no
+    # validation of the tables built on it: every chain table leaves f
+    monkeypatch.setattr(decomposition, "_finish", lambda ctx, packed, what: None)
+    ctx._waterhouse = SimpleNamespace(packed=algebra._waterhouse_of(ctx).packed | 1 << 7)
+
+
+def _pair_table_without_a_cell(monkeypatch, ctx):
+    # J >= [1] loses the cell (5, 2), which its longer chains keep
+    key = (_ideal(ctx, (1, 2, 3, 4, 5)).mask, _ideal(ctx, (1,)).mask)
+    ctx._chain_cache[key] = decomposition._chain_table(ctx, key) & ~(1 << 5 * 6 + 2)
+
+
+def _square_of_j_read_as_zero(monkeypatch, ctx):
+    # every link below J looks squeezed, but J >= [1] keeps cells above W
+    real = census.ideal_lattice_op
+
+    def ideal_lattice_op(kind, a, b):
+        if kind == "product" and a.mask == ctx._gstar_mask:
+            return cf.MonomialIdeal(ctx=a.ctx, mask=0)
+        return real(kind, a, b)
+
+    monkeypatch.setattr(census, "ideal_lattice_op", ideal_lattice_op)
+
+
+@pytest.mark.parametrize(
+    "kind, fault",
+    [
+        ("leq_f", _outside_f_in_w),
+        ("chain_break", _pair_table_without_a_cell),
+        ("waterhouse_iff", _square_of_j_read_as_zero),
+    ],
+)
+def test_each_chain_check_failing_alone_makes_the_state_walk_miss(monkeypatch, kind, fault):
+    ctx = _context_87()
+    fault(monkeypatch, ctx)
+    ideals = enumerate_ideals(ctx)
+    failed = {
+        name
+        for _, verdicts, _ in census._chain_verdicts(ctx, ideals, 10_000)
+        for name, verdict in zip(CHAIN_CHECKS, verdicts)
+        if not verdict.ok
+    }
+    assert failed == {kind}
+    assert census._chain_pass_count(ctx, ideals, 10_000) is None

@@ -14,9 +14,9 @@ from itertools import combinations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import census, decomposition
 from cocycle_forge.census import enumerate_ideals
-from cocycle_forge.errors import ValidationError
+from cocycle_forge.errors import InternalInvariantError, ValidationError
 
 PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
 # D3 census cocycle 87: 8 ideals, J^2 = [1, 3, 4]
@@ -120,3 +120,26 @@ def test_a_wrong_quotient_fails_cap_zero():
         else:
             assert verdicts["cap_zero"].ok
     assert failed
+
+
+def test_a_disjoint_pair_with_one_missing_quotient_fails_cap_zero_as_check_identity(monkeypatch):
+    ctx = _context_87()
+    ideals = enumerate_ideals(ctx)
+    target = ideals[-1]  # J; only the zero ideal is disjoint from it
+    real = decomposition.cocycle_mod_ideal
+
+    def cocycle_mod_ideal(ctx, ideal):
+        if ideal.mask == target.mask:
+            raise InternalInvariantError("no quotient")
+        return real(ctx, ideal)
+
+    monkeypatch.setattr(decomposition, "cocycle_mod_ideal", cocycle_mod_ideal)
+    quotients = _quotients(ctx, [ideal for ideal in ideals if ideal is not target])
+    seen = 0
+    for kinds, (a, b), outcomes in census._pair_verdicts(ctx, ideals, quotients):
+        if "cap_zero" in kinds and target in (a, b):
+            seen += 1
+            expected = census._outcome(cf.check_identity, "cap_zero", ctx, ideals=[a, b])
+            assert census._failure_suffix(outcomes[2]) == census._failure_suffix(expected)
+            assert census._failure_suffix(expected) == " raised: no quotient"
+    assert seen == 1

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge.errors import ValidationError
+from cocycle_forge import semilinear
+from cocycle_forge.cocycles import CocycleViolation
+from cocycle_forge.errors import InternalInvariantError, ValidationError
 
 from conftest import GOLDEN_R_VALUES, GOLDEN_ROWS
 
@@ -174,3 +177,43 @@ def test_random_semilinear_always_validates():
             assert isinstance(r, cf.SemilinearMap)
             f = cf.cocycle_from_r(r)
             assert isinstance(cf.validate_cocycle(f.values, g), cf.Cocycle)
+
+
+class _MaxNaturals(cf.AdditiveNaturals):
+    """(N, max): a totally ordered monoid, not strictly translation compatible."""
+
+    def combine(self, x, y):
+        return max(x, y)
+
+
+class _SaturatingNaturals(cf.AdditiveNaturals):
+    """Addition capped at 3, on 0..3."""
+
+    def combine(self, x, y):
+        return min(x + y, 3)
+
+    def contains(self, x):
+        return super().contains(x) and x <= 3
+
+
+@pytest.mark.parametrize("monoid", [_MaxNaturals(), _SaturatingNaturals()], ids=["max", "saturating"])
+@pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
+def test_cocycle_from_r_names_the_broken_axiom(monoid, group):
+    refused = 0
+    for tail in product(range(4), repeat=group.order - 1):
+        r = cf.validate_r(group, monoid, (0,) + tail)
+        if not isinstance(r, cf.SemilinearMap):
+            continue
+        try:
+            cf.cocycle_from_r(r)
+        except ValidationError as exc:
+            assert "not strictly translation compatible" in str(exc)
+            refused += 1
+    assert refused
+
+
+def test_cocycle_from_r_keeps_the_invariant_error_for_a_lawful_monoid(monkeypatch, golden_r):
+    violation = CocycleViolation(kind="identity", where=(1, 1, 1), detail="injected")
+    monkeypatch.setattr(semilinear, "validate_cocycle", lambda table: violation)
+    with pytest.raises(InternalInvariantError, match="induced table is not a cocycle"):
+        cf.cocycle_from_r(golden_r)

@@ -88,6 +88,9 @@ def test_failure_details_keep_their_format(monkeypatch):
         raise InternalInvariantError("no words")
 
     monkeypatch.setattr(census, "_chain_verdicts", chain_verdicts)
+    # the injected leq_f failure is on a chain that passes: the state walk
+    # must miss, so that the exact walk, and the injection, run
+    monkeypatch.setattr(census, "_chain_pass_count", lambda *args: None)
     monkeypatch.setattr(census, "_pair_verdicts", pair_verdicts)
     monkeypatch.setattr(census, "_ideal_verdicts", ideal_verdicts)
     monkeypatch.setattr(census, "all_generators", all_generators)
