@@ -13,12 +13,13 @@ G*, but the algebra itself is never an ideal value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .cocycles import Cocycle, inertial_group, waterhouse
 from .errors import InternalInvariantError, ValidationError
-from .groups import Group, Subgroup, double_cosets
+from .groups import Group, Subgroup, _double_coset_masks
 
 __all__ = [
     "AlgebraContext",
@@ -169,6 +170,20 @@ def _is_closed_mask(ctx: AlgebraContext, mask: int) -> bool:
     return True
 
 
+def _check_ideal_mask(ctx: AlgebraContext, mask: int) -> None:
+    """Raise unless mask lies in G* and is closed under basis
+    multiplication: the checks of the ideal constructor, and of each radical
+    power read as a mask.  A negative mask is refused before it is unpacked."""
+    if mask < 0:
+        raise ValidationError(f"not-in-gstar: negative mask {mask}")
+    if mask & ~ctx._gstar_mask:
+        raise ValidationError(f"not-in-gstar: {list(_members_of(mask & ~ctx._gstar_mask))}")
+    if not _is_closed_mask(ctx, mask):
+        raise ValidationError(
+            f"set {list(_members_of(mask))} is not closed under basis multiplication"
+        )
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A two-sided monomial ideal, stored as the bitmask of its subset of G*;
@@ -179,17 +194,8 @@ class MonomialIdeal:
     mask: int
 
     def __post_init__(self) -> None:
-        """The one checked path: the mask lies in G* and is closed under basis
-        multiplication.  A negative mask is refused before it is unpacked."""
-        ctx, mask = self.ctx, self.mask
-        if mask < 0:
-            raise ValidationError(f"not-in-gstar: negative mask {mask}")
-        if mask & ~ctx._gstar_mask:
-            raise ValidationError(f"not-in-gstar: {list(_members_of(mask & ~ctx._gstar_mask))}")
-        if not _is_closed_mask(ctx, mask):
-            raise ValidationError(
-                f"set {list(_members_of(mask))} is not closed under basis multiplication"
-            )
+        """The one checked path, ``_check_ideal_mask``."""
+        _check_ideal_mask(self.ctx, self.mask)
 
     @classmethod
     def from_members(cls, ctx: AlgebraContext, members: Iterable[int]) -> "MonomialIdeal":
@@ -248,9 +254,14 @@ def _product_mask(ctx: AlgebraContext, a: int, b: int) -> int:
     """The products s t with s in a, t in b and f(s,t) = 1."""
     g = ctx.group
     masks = ctx._masks
+    inverse, preimages = g.inverse, g._preimages
     out = 0
     for s in _members_of(a):
-        out |= g.left_preimage(g.inverse[s], masks[s] & b)  # s * (row s within b)
+        row = masks[s] & b
+        image = preimages[inverse[s]].get(row)  # left_preimage's memo, read inline
+        if image is None:
+            image = g.left_preimage(inverse[s], row)
+        out |= image  # s * (row s within b)
     return out
 
 
@@ -277,17 +288,27 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
     return _ideal_from_mask(a.ctx, mask)
 
 
-def radical_powers(ctx: AlgebraContext) -> Tuple[List[MonomialIdeal], int]:
-    """All nonzero powers [J, J^2, .., J^t] and the nilpotency t + 1."""
-    powers_masks = [ctx._gstar_mask]
+def _power_masks(ctx: AlgebraContext) -> List[int]:
+    """The masks of the nonzero powers J, J^2, .., J^t, each checked by
+    ``_check_ideal_mask``; a power equal to the one before means J is not
+    nilpotent, and raises."""
+    gstar = ctx._gstar_mask
+    masks = [gstar]
+    _check_ideal_mask(ctx, gstar)
     while True:
-        nxt = _product_mask(ctx, powers_masks[-1], ctx._gstar_mask)
+        nxt = _product_mask(ctx, masks[-1], gstar)
         if nxt == 0:
-            break
-        if nxt == powers_masks[-1]:
+            return masks
+        if nxt == masks[-1]:
             raise InternalInvariantError("radical is not nilpotent")
-        powers_masks.append(nxt)
-    powers = [_ideal_from_mask(ctx, m) for m in powers_masks]
+        _check_ideal_mask(ctx, nxt)
+        masks.append(nxt)
+
+
+def radical_powers(ctx: AlgebraContext) -> Tuple[List[MonomialIdeal], int]:
+    """All nonzero powers [J, J^2, .., J^t] and the nilpotency t + 1: the
+    ideals of ``_power_masks``."""
+    powers = [_ideal_from_mask(ctx, m) for m in _power_masks(ctx)]
     return powers, len(powers) + 1
 
 
@@ -319,24 +340,27 @@ def _waterhouse_of(ctx: AlgebraContext) -> Cocycle:
     return ctx._waterhouse
 
 
-def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
-    """The sets N_k = J^k \\ J^{k+1}; their union is G*.
+def _layer_masks(ctx: AlgebraContext) -> List[int]:
+    """The masks of N_k = J^k \\ J^{k+1} from ``_power_masks``; their union
+    is G*.
 
     N_1 is computed both from the radical filtration and from the
     no-factorization characterization, and the two must agree; the latter
     is computed once per context and shared with classify_annihilators.
     """
-    powers, _ = radical_powers(ctx)
-    masks = [p.mask for p in powers] + [0]
-    layers = [masks[i] & ~masks[i + 1] for i in range(len(powers))]
+    powers = _power_masks(ctx)
+    layers = [power & ~below for power, below in zip(powers, powers[1:] + [0])]
     if layers[0] != _n1_mask(ctx):
         raise InternalInvariantError("the two N_1 characterizations disagree")
-    union = 0
-    for m in layers:
-        union |= m
-    if union != ctx._gstar_mask:
+    if reduce(or_, layers) != ctx._gstar_mask:
         raise InternalInvariantError("N_k layers do not cover G*")
-    return [frozenset(_members_of(m)) for m in layers]
+    return layers
+
+
+def nk_partition(ctx: AlgebraContext) -> List[FrozenSet[int]]:
+    """The sets N_k = J^k \\ J^{k+1}, the members of ``_layer_masks``; their
+    union is G*."""
+    return [frozenset(_members_of(m)) for m in _layer_masks(ctx)]
 
 
 def _annihilator_mask(ctx: AlgebraContext) -> int:
@@ -351,6 +375,23 @@ def _annihilator_mask(ctx: AlgebraContext) -> int:
     return gstar & ~factors
 
 
+def _annihilator_classes(ctx: AlgebraContext) -> Tuple[int, int]:
+    """The annihilator mask and the number of double cosets H s H it meets.
+    Each double coset lies wholly inside or wholly outside the annihilators,
+    which is asserted on the masks of ``_double_coset_masks``."""
+    ann = _annihilator_mask(ctx)
+    classes = 0
+    for cls in _double_coset_masks(ctx.group, ctx.inertial):
+        meet = ann & cls
+        if meet:
+            if meet != cls:
+                raise InternalInvariantError(
+                    "annihilator set is not closed under the double coset action"
+                )
+            classes += 1
+    return ann, classes
+
+
 def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSet[int]]:
     """Two-sided annihilators of J split into (trivial, nontrivial).
 
@@ -362,15 +403,8 @@ def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSe
     """
     if ctx._annihilators is not None:
         return ctx._annihilators
-    ann = _annihilator_mask(ctx)
+    ann, _ = _annihilator_classes(ctx)
     n1 = _n1_mask(ctx)
-    for cls in double_cosets(ctx.group, ctx.inertial):
-        inside = ann >> cls[0] & 1
-        for s in cls:
-            if ann >> s & 1 != inside:
-                raise InternalInvariantError(
-                    "annihilator set is not closed under the double coset action"
-                )
     ctx._annihilators = (
         frozenset(_members_of(ann & n1)),
         frozenset(_members_of(ann & ~n1)),

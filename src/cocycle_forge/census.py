@@ -9,20 +9,24 @@ is assigned, which prunes the raw 2^((n-1)^2) space to the tiny set of
 valid tables.  Over 0/1 values a triple a b = c d also implies a b <= c,
 a b <= d, c d <= a and c d <= b; each of these that is decided before the
 triple's last cell is checked at the step that decides it, so a dead
-prefix is cut early (forward checking).  Each step makes one call of
-``_products_agree``, which checks that step's implications and then the
-triples it closes.  Position 0 of the search is a constant 1 that stands
-for every cell normalization pins, so each check reads the cell values
-directly.  Every enumerated table is still validated, the moment the
-search yields it, so the census is one stream from the search to the
-written line and no step holds every table.
+prefix is cut early (forward checking).  Each enumeration of a group of
+order 7 or more compiles every step's implications and the triples it
+closes into one expression (``_compiled_steps``), and each step makes one
+call of it.  ``_products_agree`` is the same check written as two loops:
+the reference the compiled steps are tested against, and the check of
+the smaller groups, whose search is too short to repay the compile.
+Position 0 of the
+search is a constant 1 that stands for every cell normalization pins, so
+each check reads the cell values directly.  Every enumerated table is
+still validated, the moment the search yields it, so the census is one
+stream from the search to the written line and no step holds every table.
 
 ``census_records`` fingerprints each cocycle by the radical filtration,
-the N_k layers and the annihilator classes, all read from one
-AlgebraContext: the radical powers are built once, inside ``nk_partition``,
-and the direct N_1 mask is computed once and shared by ``nk_partition``
-and ``classify_annihilators``, which still compare it with the filtration
-and the double cosets.
+the N_k layers and the annihilator classes, all read as masks from one
+AlgebraContext: the layer masks that ``nk_partition`` views, which build
+the radical powers once and compare the filtration's N_1 with the direct
+N_1 mask, and the annihilator mask with the number of double cosets it
+meets, which ``classify_annihilators`` views.
 
 The property sweep is also the negative control: a fabricated table with
 one flipped entry must fail either validation or at least one check here.
@@ -32,16 +36,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product, repeat, tee
+from functools import lru_cache
+from itertools import chain, combinations, compress, product, repeat, tee
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
+    _annihilator_classes,
     _closure_mask,
     _ideal_from_mask,
+    _layer_masks,
     _mask_of,
     _members_of,
     _principal_masks,
@@ -49,7 +56,6 @@ from .algebra import (
     classify_annihilators,
     ideal_closure,
     ideal_lattice_op,
-    nk_partition,
 )
 from .cocycles import (
     BinaryTable,
@@ -57,7 +63,9 @@ from .cocycles import (
     CocycleViolation,
     _closing_schedule,
     _depth_first,
+    _pack_rows,
     _support_order,
+    _unpack_rows,
     inertial_group,
     validate_cocycle,
 )
@@ -65,7 +73,6 @@ from .decomposition import (
     DecompositionReport,
     _PASSED,
     _chain_table,
-    _classes_of,
     _leq_f_verdict,
     _link_witness,
     _tables_check,
@@ -172,10 +179,10 @@ def _implications(
     ))
 
 
-def _products_agree(
-    step: Tuple[Sequence[Tuple[int, int, int]], Sequence[Tuple[int, int, int, int]]],
-    vals: List[int],
-) -> bool:
+Step = Tuple[Sequence[Tuple[int, int, int]], Sequence[Tuple[int, int, int, int]]]
+
+
+def _products_agree(step: Step, vals: List[int]) -> bool:
     """One search step's checks, in one loop each: vals[x] vals[y] <= vals[z]
     for every implication (x, y, z) of the step, then vals[c1] vals[c2] =
     vals[c3] vals[c4] for every identity (c1, c2, c3, c4) it closes."""
@@ -189,18 +196,65 @@ def _products_agree(
     return True
 
 
+def _census_steps(group: Group) -> List[Step]:
+    """Each search step's (implications, identities): the implications of
+    ``_implications`` that it decides and the identities of
+    ``_triple_constraints`` that it closes."""
+    size = (group.order - 1) ** 2 + 1
+    identities = _triple_constraints(group)
+    return list(zip(
+        _closing_schedule(size, _implications(identities)),
+        _closing_schedule(size, identities),
+    ))
+
+
+def _compiled_steps(steps: Sequence[Step]) -> Tuple[Callable[[List[int]], bool], ...]:
+    """Each step as one function of vals that returns what
+    ``_products_agree(step, vals)`` returns when vals holds only 0 and 1.
+
+    A step is one expression: not (v[x] and v[y] and not v[z]) for each
+    implication, then (v[c1] and v[c2]) == (v[c3] and v[c4]) for each
+    identity, joined by and in that order, or True for a step with no
+    checks; over 0/1, a and b is a b.  The source is built from the steps'
+    integer positions alone and compiled with no builtins, one eval per
+    step, which keeps the compiler's peak memory to one step's.
+    """
+    env: Dict[str, object] = {"__builtins__": {}}
+
+    def compiled(implications, identities) -> Callable[[List[int]], bool]:
+        terms = ["not (v[%d] and v[%d] and not v[%d])" % imp for imp in implications]
+        terms += ["(v[%d] and v[%d]) == (v[%d] and v[%d])" % c for c in identities]
+        return eval("lambda v: " + (" and ".join(terms) or "True"), env)
+
+    return tuple([compiled(*step) for step in steps])
+
+
+# Compiling costs about 25 us a term on a 2-vCPU Xeon with CPython 3.11 (5 ms
+# for the 193 terms of D3): below order 7 it costs more than the compiled
+# steps save, and at order 7 it about breaks even.
+_COMPILED_FROM_ORDER = 7
+
+
+def _holds(step: Callable[[List[int]], bool], vals: List[int]) -> bool:
+    """The predicate ``_census`` hands the search core: one compiled step's
+    verdict on vals (``operator.call`` is not in Python 3.10)."""
+    return step(vals)
+
+
+@lru_cache(maxsize=16)
+def _cell_weights(n: int) -> Tuple[int, ...]:
+    """The packed weight of each search position of order n; position 0
+    stands for the identity row and column."""
+    pinned = (1 << n) - 1 | sum(1 << s * n for s in range(1, n))
+    return (pinned,) + tuple(1 << s * n + t for s in range(1, n) for t in range(1, n))
+
+
 def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
-    """Row masks of a completed cell assignment; the identity row and
-    column are all ones."""
+    """Row masks of a completed cell assignment, cut from the sum of the
+    packed weights of the positions set to 1; cells[0] is the pinned 1 of
+    the identity row and column, which are all ones."""
     n = group.order
-    m = n - 1
-    masks = [(1 << n) - 1]
-    for s in range(1, n):
-        row = 1
-        for t, v in enumerate(cells[(s - 1) * m + 1 : s * m + 1], start=1):
-            row |= v << t
-        masks.append(row)
-    return BinaryTable(group=group, masks=tuple(masks))
+    return BinaryTable(group=group, masks=_unpack_rows(sum(compress(_cell_weights(n), cells)), n))
 
 
 def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
@@ -209,20 +263,22 @@ def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
 
     Each search step checks the implications of ``_implications`` that it
     decides, then the identities of ``_triple_constraints`` that it closes;
-    the implications only cut dead prefixes sooner, so the tables and
-    their order are those of the identities alone.  Each table is validated
-    the moment the search yields it, and is counted before the inertial
-    filter, which keeps only the tables with that exact inertial subgroup.
+    the implications only cut dead prefixes sooner, so the tables and their
+    order are those of the identities alone.  From order
+    _COMPILED_FROM_ORDER the steps are compiled once per enumeration by
+    ``_compiled_steps``; below it ``_products_agree`` checks them.  Each
+    table is validated the moment the search yields it, and is counted
+    before the inertial filter, which keeps only the tables with that
+    exact inertial subgroup.
     """
     group = cfg.group
     size = (group.order - 1) ** 2 + 1
     domains = [(1,)] + [(0, 1)] * (size - 1)
-    identities = _triple_constraints(group)
-    schedule = list(zip(
-        _closing_schedule(size, _implications(identities)),
-        _closing_schedule(size, identities),
-    ))
-    for count, cells in enumerate(_depth_first(domains, schedule, _products_agree)):
+    steps: Sequence = _census_steps(group)
+    holds = _products_agree
+    if group.order >= _COMPILED_FROM_ORDER:
+        steps, holds = _compiled_steps(steps), _holds
+    for count, cells in enumerate(_depth_first(domains, steps, holds)):
         if count == cfg.max_candidates:
             yield None
             return
@@ -923,27 +979,30 @@ class CensusRecord:
 def _census_record(c: Cocycle) -> CensusRecord:
     """The fingerprint of one cocycle.
 
-    One AlgebraContext serves every invariant: the all-ones cocycle is the
-    one whose context has no G*, and the largest radical power is read off
-    the N_k layers, one layer per nonzero power.
+    One AlgebraContext serves every invariant, each read as masks: the
+    all-ones cocycle is the one whose context has no G*, the largest
+    radical power is read off the N_k layer masks of ``_layer_masks``, one
+    layer per nonzero power, and the classes are counted by
+    ``_annihilator_classes``.  bits is the packed table in bit order,
+    formatted once; the cocycle does not keep its packed view.
     """
+    n = c.group.order
     try:
         ctx = AlgebraContext(c)
     except ValidationError:
         # the all-ones cocycle: the algebra is simple
-        inertial, layers, classes = tuple(range(c.group.order)), [], []
+        inertial, layers, classes = tuple(range(n)), [], 0
     else:
         inertial = ctx.inertial.members
-        layers = nk_partition(ctx)
-        trivial, nontrivial = classify_annihilators(ctx)
-        classes = _classes_of(ctx, trivial | nontrivial)
+        layers = _layer_masks(ctx)
+        _, classes = _annihilator_classes(ctx)
     return CensusRecord(
-        order=c.group.order,
-        bits="".join(c.rows()),
+        order=n,
+        bits=format(_pack_rows(c.masks, n), f"0{n * n}b")[::-1],
         inertial=inertial,
         max_power=len(layers),
-        nk_sizes=tuple(len(l) for l in layers),
-        annihilator_classes=len(classes),
+        nk_sizes=tuple([layer.bit_count() for layer in layers]),
+        annihilator_classes=classes,
     )
 
 

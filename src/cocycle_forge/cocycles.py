@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import and_, lshift, or_
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalInvariantError, ValidationError
@@ -135,12 +135,13 @@ def _lowest_bit(mask: int) -> int:
 
 def _pack_rows(masks: Sequence[int], n: int) -> int:
     """n row masks as one packed table, row s at bits s*n .. s*n + n - 1."""
-    return sum(row << s * n for s, row in enumerate(masks))
+    return sum(map(lshift, masks, range(0, n * n, n)))
 
 
 def _unpack_rows(packed: int, n: int) -> Tuple[int, ...]:
     """The n row masks of a packed table."""
-    return tuple([packed >> s * n & (1 << n) - 1 for s in range(n)])
+    row = (1 << n) - 1
+    return tuple([packed >> k & row for k in range(0, n * n, n)])
 
 
 def _coerce(table: Union[BinaryTable, Sequence[Sequence[int]]], group: Optional[Group]) -> BinaryTable:

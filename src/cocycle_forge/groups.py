@@ -46,11 +46,16 @@ class Group:
     _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         init=False, repr=False, compare=False
     )
+    # _double_coset_masks memoises _double_coset_masks the same way
+    _double_coset_masks: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_double_cosets", {})
+        object.__setattr__(self, "_double_coset_masks", {})
 
     def left_preimage(self, t: int, mask: int) -> int:
         """The mask of the r with t*r in ``mask``.
@@ -256,3 +261,16 @@ def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
         raise ValidationError("double cosets do not partition the group")
     result = group._double_cosets[sub.members] = tuple(classes)
     return result
+
+
+def _double_coset_masks(group: Group, sub: Subgroup) -> Tuple[int, ...]:
+    """The double cosets of ``double_cosets`` as masks, in its order;
+    memoised on the group per subgroup."""
+    if sub.group is not group and sub.group != group:
+        raise ValidationError("invalid-subgroup: subgroup belongs to a different group")
+    hit = group._double_coset_masks.get(sub.members)
+    if hit is None:
+        hit = group._double_coset_masks[sub.members] = tuple(
+            sum(1 << s for s in cls) for cls in double_cosets(group, sub)
+        )
+    return hit

@@ -1,16 +1,21 @@
 """The implications the census search files next to the cocycle identities:
 each follows from its identity, and with them the search visits fewer
-prefixes but yields the same tables in the same order."""
+prefixes but yields the same tables in the same order.  Each step the
+census compiles returns what ``_products_agree`` returns on the step, and
+the census compiles its steps from order 7."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 import cocycle_forge as cf
 from cocycle_forge import census
 from cocycle_forge.census import (
+    _census_steps,
+    _compiled_steps,
     _implications,
     _products_agree,
     _table_from_cells,
@@ -91,3 +96,64 @@ def test_pruning_cuts_the_search_steps(monkeypatch):
         group = GROUPS[name]
         assert _plain_search(group)[1] == before, name
         assert _pruned_census(group, monkeypatch)[1] == after, name
+
+
+def test_the_census_compiles_its_steps_from_order_7(monkeypatch):
+    handed = []
+
+    def recording(domains, schedule, holds):
+        handed.append(holds)
+        return _depth_first(domains, schedule, holds)
+
+    monkeypatch.setattr(census, "_depth_first", recording)
+    for name in ("C6", "D3", "C7", "D4"):
+        cf.enumerate_cocycles(cf.CensusConfig(group=GROUPS[name], max_candidates=1))
+    assert handed == [_products_agree, _products_agree, census._holds, census._holds]
+
+
+def _step_values(step, size, tables, rng):
+    """0/1 value lists for one step: every assignment of the positions it
+    reads when they are at most 10 (the rest 1), else each table's cells and
+    each of those with one read position flipped, and 200 seeded draws at
+    densities 0.2, 0.5 and 0.8."""
+    implications, identities = step
+    read = sorted({p for c in (*implications, *identities) for p in c})
+    if len(read) <= 10:
+        for bits in itertools.product((0, 1), repeat=len(read)):
+            vals = [1] * size
+            for p, v in zip(read, bits):
+                vals[p] = v
+            yield vals
+        return
+    for cells in tables:
+        yield list(cells)
+        for p in read:
+            vals = list(cells)
+            vals[p] ^= 1
+            yield vals
+    for k in range(200):
+        density = (0.2, 0.5, 0.8)[k % 3]
+        yield [int(rng.random() < density) for _ in range(size)]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_each_compiled_step_agrees_with_products_agree(name):
+    group = GROUPS[name]
+    size = (group.order - 1) ** 2 + 1
+    steps = _census_steps(group)
+    compiled = _compiled_steps(steps)
+    assert len(compiled) == len(steps) == size, name
+    rng = random.Random(size)
+    cocycles = cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles
+    # the cell values of 40 census tables: position 0 and then row-major cells
+    tables = [
+        [1] + [c.masks[s] >> t & 1 for s in range(1, group.order) for t in range(1, group.order)]
+        for c in rng.sample(cocycles, min(40, len(cocycles)))
+    ]
+    verdicts = set()
+    for i, (step, check) in enumerate(zip(steps, compiled)):
+        for vals in _step_values(step, size, tables, rng):
+            expected = _products_agree(step, vals)
+            assert check(vals) is expected, (name, i, vals)
+            verdicts.add(expected)
+    assert verdicts == ({True, False} if size > 2 else {True}), name

@@ -14,10 +14,10 @@ import hashlib
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import algebra
+from cocycle_forge import algebra, groups
 from cocycle_forge.cli import run_command
 from cocycle_forge.cocycles import Cocycle
-from cocycle_forge.errors import InternalInvariantError
+from cocycle_forge.errors import InternalInvariantError, ValidationError
 
 GROUPS = {
     "C2": cf.make_cyclic(2),
@@ -29,10 +29,14 @@ GROUPS = {
 }
 
 # SHA-256 of the CLI output, read before census_records shared one context
-# per cocycle among its invariants.
+# per cocycle among its invariants; the order-8 and D4 outputs, the sizes the
+# benchmark runs, were read before the census compiled its search steps and
+# fingerprinted on masks.
 CENSUS_OUTPUT_SHA256 = {
     ("census", "--order", "7"): "db2f2018204b914fd8cc6e843721928ef6c209293989bb5a153fda4df2e97781",
     ("census", "--group", "d3"): "c05a0ce96ec07286ef3ca6075c86602365a9594518e0f3d4ef1e5d47c8507ed5",
+    ("census", "--order", "8"): "d61125f6288382870b8351d2f9c7e7d9e2957304f045fd9c95e53fb91aa842db",
+    ("census", "--group", "d4"): "91007e9759fd78fa9a9f49033777c83791b18848361c14479df38dfdc9f774b8",
 }
 
 
@@ -108,6 +112,52 @@ def test_a_wrong_direct_n1_still_raises(monkeypatch):
             cf.census_records(stream)
         with pytest.raises(InternalInvariantError, match="N_1 characterizations disagree"):
             cf.nk_partition(cf.AlgebraContext(cocycle))
+
+
+# Tables that are no cocycles, each tripping one check of the radical powers
+# or of the annihilator classes: on C4 with H = {0, 2}, a radical [1, 3]
+# that is not closed, a closed radical whose square [3] is not, and a
+# radical whose square is itself; on D3 with H = {0, 3}, annihilators
+# [1, 5] that split the double coset [1, 2, 4, 5].
+BROKEN_TABLES = {
+    "J-not-closed": ("C4", (0b1111, 0b0111, 0b0111, 0b0101),
+                     ValidationError, r"set \[1, 3\] is not closed"),
+    "square-not-closed": ("C4", (0b1111, 0b0101, 0b1011, 0b0001),
+                          ValidationError, r"set \[3\] is not closed"),
+    "not-nilpotent": ("C4", (0b1111, 0b0011, 0b1011, 0b1101),
+                      InternalInvariantError, "radical is not nilpotent"),
+    "split-double-coset": ("D3", (0b111111, 0b000001, 0b000001, 0b001011, 0b001101, 0b000001),
+                           InternalInvariantError, "not closed under the double coset action"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
+def test_each_fingerprint_check_still_raises(case):
+    name, masks, error, message = BROKEN_TABLES[case]
+    cocycle = Cocycle(group=GROUPS[name], masks=masks)
+    stream = cf.CensusStream(cocycles=(cocycle,), truncated=False)
+    with pytest.raises(error, match=message):
+        cf.census_records(stream)
+    if case == "split-double-coset":
+        ctx = cf.AlgebraContext(cocycle)
+        assert [len(layer) for layer in cf.nk_partition(ctx)] == [3, 1]
+        with pytest.raises(error, match=message):
+            cf.classify_annihilators(ctx)
+        assert ctx._annihilators is None
+        return
+    for view in (cf.radical_powers, cf.nk_partition):
+        with pytest.raises(error, match=message):
+            view(cf.AlgebraContext(cocycle))
+
+
+def test_double_coset_masks_are_the_double_cosets():
+    for group in GROUPS.values():
+        for members in {cf.inertial_group(c).members for c in _non_simple(group)}:
+            sub = cf.subgroup(group, members)
+            masks = groups._double_coset_masks(group, sub)
+            assert masks == tuple(sum(1 << s for s in cls) for cls in cf.double_cosets(group, sub))
+            assert group._double_coset_masks[members] is masks
+            assert groups._double_coset_masks(group, sub) is masks
 
 
 def test_direct_n1_is_computed_once_per_context(monkeypatch):
