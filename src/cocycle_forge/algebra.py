@@ -45,8 +45,9 @@ class AlgebraContext:
     and the validated-table memo are filled by the decomposition module.
     Every cache holds masks, member sets, packed tables or validated tables,
     none of which points back at the context, so reference counting frees
-    it.  The packed f and Waterhouse tables are the ``packed`` views of
-    ``cocycle`` and of the Waterhouse table itself.
+    it.  The packed f, kept as ``_packed`` for ``_is_closed_mask``, and the
+    packed Waterhouse table are the ``packed`` views of ``cocycle`` and of
+    the Waterhouse table itself.
     """
 
     def __init__(self, cocycle: Cocycle):
@@ -62,6 +63,7 @@ class AlgebraContext:
                 "the inertial group is all of G; no non-inertial elements exist"
             )
         self._masks = cocycle.masks
+        self._packed = cocycle.packed
         self._table = self.group.table
         # _links[s]: the products s t with f(s,t) = 1 and t s with f(t,s) = 1,
         # everything one basis multiplication reaches from s
@@ -111,6 +113,42 @@ class AlgebraContext:
 
     def __repr__(self) -> str:
         return f"AlgebraContext(order={self.group.order}, gstar={list(self.gstar)})"
+
+
+class _CocycleMasks:
+    """The masks of one cocycle that the census fingerprint reads, with no
+    links and no caches but N_1: the group, the row masks, the packed table
+    (given, as the caller has it), the inertial mask H and G* as a mask and
+    as members.  The mask-level helpers (``_power_masks``, ``_layer_masks``,
+    ``_n1_direct_mask`` and ``_annihilator_classes``) read a view as they
+    read a context.
+
+    H is validated as a subgroup through ``_double_coset_masks``, once per
+    group and mask; a set that is none raises InternalInvariantError, as
+    ``inertial_group`` does.  G* may be empty here.
+    """
+
+    __slots__ = ("group", "_masks", "_packed", "_hmask", "_gstar_mask", "gstar", "_n1_mask")
+
+    def __init__(self, cocycle: Cocycle, packed: int):
+        g = cocycle.group
+        masks = cocycle.masks
+        hmask = 0
+        for s, inverse in enumerate(g.inverse):
+            hmask |= (masks[s] >> inverse & 1) << s
+        try:
+            _double_coset_masks(g, hmask)
+        except ValidationError as exc:
+            raise InternalInvariantError(
+                f"inertial set {list(_members_of(hmask))} is not a subgroup: {exc}"
+            ) from exc
+        self.group = g
+        self._masks = masks
+        self._packed = packed
+        self._hmask = hmask
+        self._gstar_mask = (1 << g.order) - 1 & ~hmask
+        self.gstar: Tuple[int, ...] = _members_of(self._gstar_mask)
+        self._n1_mask: Optional[int] = None  # filled by _n1_mask
 
 
 def _mask_of(members: Iterable[int]) -> int:
@@ -163,11 +201,13 @@ def _closure_mask(ctx: AlgebraContext, seed_mask: int) -> int:
 
 
 def _is_closed_mask(ctx: AlgebraContext, mask: int) -> bool:
-    links = ctx._links
-    for s in _members_of(mask):
-        if links[s] & ~mask:
-            return False
-    return True
+    """Whether mask is closed under basis multiplication, read by left
+    preimages: each row s of f, over all of G when s is in mask and over
+    mask otherwise, lies in the r with s r in mask, which is f being 0 on
+    ``Group.escapes(mask)``.  The first reading closes mask on the right,
+    the second on the left.  A context and a ``_CocycleMasks`` view both
+    carry the packed f."""
+    return not ctx._packed & ctx.group.escapes(mask)
 
 
 def _check_ideal_mask(ctx: AlgebraContext, mask: int) -> None:
@@ -290,19 +330,20 @@ def ideal_lattice_op(kind: str, a: MonomialIdeal, b: MonomialIdeal) -> MonomialI
 
 def _power_masks(ctx: AlgebraContext) -> List[int]:
     """The masks of the nonzero powers J, J^2, .., J^t, each checked by
-    ``_check_ideal_mask``; a power equal to the one before means J is not
-    nilpotent, and raises."""
+    ``_check_ideal_mask``.  Each power of a closed J lies inside the one
+    before, and a strictly descending chain of nonzero subsets of G* has at
+    most |G*| terms; so a power still nonzero after |G*| products repeats
+    the one before, J is not nilpotent, and that raises."""
     gstar = ctx._gstar_mask
     masks = [gstar]
     _check_ideal_mask(ctx, gstar)
-    while True:
+    for _ in range(len(ctx.gstar)):
         nxt = _product_mask(ctx, masks[-1], gstar)
         if nxt == 0:
             return masks
-        if nxt == masks[-1]:
-            raise InternalInvariantError("radical is not nilpotent")
         _check_ideal_mask(ctx, nxt)
         masks.append(nxt)
+    raise InternalInvariantError("radical is not nilpotent")
 
 
 def radical_powers(ctx: AlgebraContext) -> Tuple[List[MonomialIdeal], int]:
@@ -381,7 +422,7 @@ def _annihilator_classes(ctx: AlgebraContext) -> Tuple[int, int]:
     which is asserted on the masks of ``_double_coset_masks``."""
     ann = _annihilator_mask(ctx)
     classes = 0
-    for cls in _double_coset_masks(ctx.group, ctx.inertial):
+    for cls in _double_coset_masks(ctx.group, ctx._hmask):
         meet = ann & cls
         if meet:
             if meet != cls:

@@ -17,16 +17,20 @@ the reference the compiled steps are tested against, and the check of
 the smaller groups, whose search is too short to repay the compile.
 Position 0 of the
 search is a constant 1 that stands for every cell normalization pins, so
-each check reads the cell values directly.  Every enumerated table is
-still validated, the moment the search yields it, so the census is one
-stream from the search to the written line and no step holds every table.
+each check reads the cell values directly.  The search is drawn in blocks
+of at most 1,024 tables, and every block is still validated, in one
+bit-sliced pass (``cocycles._tables_valid``); a refused block goes table
+by table through validate_cocycle, which names the first table that
+fails, and the tables before that one are still yielded.  So the census is one stream from the search to the written line,
+and no step holds more than one block.
 
 ``census_records`` fingerprints each cocycle by the radical filtration,
 the N_k layers and the annihilator classes, all read as masks from one
-AlgebraContext: the layer masks that ``nk_partition`` views, which build
-the radical powers once and compare the filtration's N_1 with the direct
-N_1 mask, and the annihilator mask with the number of double cosets it
-meets, which ``classify_annihilators`` views.
+``algebra._CocycleMasks`` view, which has no links and no caches: the
+layer masks that ``nk_partition`` views, which build the radical powers
+once and compare the filtration's N_1 with the direct N_1 mask, and the
+annihilator mask with the number of double cosets it meets, which
+``classify_annihilators`` views.
 
 The property sweep is also the negative control: a fabricated table with
 one flipped entry must fail either validation or at least one check here.
@@ -37,7 +41,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, product, repeat, tee
+from itertools import chain, combinations, compress, islice, product, repeat, tee
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,6 +49,7 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
+    _CocycleMasks,
     _annihilator_classes,
     _closure_mask,
     _ideal_from_mask,
@@ -61,10 +66,12 @@ from .cocycles import (
     BinaryTable,
     Cocycle,
     CocycleViolation,
+    _BLOCK_TABLES,
     _closing_schedule,
     _depth_first,
     _pack_rows,
     _support_order,
+    _tables_valid,
     _unpack_rows,
     inertial_group,
     validate_cocycle,
@@ -83,7 +90,7 @@ from .decomposition import (
     decompose_by_classes,
     morphism_check,
 )
-from .errors import ForgeError, ValidationError
+from .errors import ForgeError, InternalInvariantError, ValidationError
 from .generators import all_generators, n1_set, principal_via_generators
 from .groups import Group, Subgroup
 from .semilinear import SemilinearMap, chain_lift, cocycle_from_r, padded_lift, random_semilinear
@@ -249,51 +256,75 @@ def _cell_weights(n: int) -> Tuple[int, ...]:
     return (pinned,) + tuple(1 << s * n + t for s in range(1, n) for t in range(1, n))
 
 
-def _table_from_cells(group: Group, cells: Tuple[int, ...]) -> BinaryTable:
-    """Row masks of a completed cell assignment, cut from the sum of the
-    packed weights of the positions set to 1; cells[0] is the pinned 1 of
-    the identity row and column, which are all ones."""
-    n = group.order
-    return BinaryTable(group=group, masks=_unpack_rows(sum(compress(_cell_weights(n), cells)), n))
+def _validated(group: Group, packed: int) -> Cocycle:
+    """One table of a block that ``_tables_valid`` refused, through
+    validate_cocycle, the reference, which reports a table that fails."""
+    result = validate_cocycle(BinaryTable.from_packed(group, packed))
+    if isinstance(result, CocycleViolation):
+        raise ValidationError(f"enumerated table failed validation: {result}")
+    return result
 
 
 def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
-    """Each cocycle of the census as the search finds it, then None if the
-    search stopped at the first table past max_candidates.
+    """Each cocycle of the census in search order, then None if the search
+    stopped at the first table past max_candidates.
 
     Each search step checks the implications of ``_implications`` that it
     decides, then the identities of ``_triple_constraints`` that it closes;
     the implications only cut dead prefixes sooner, so the tables and their
     order are those of the identities alone.  From order
     _COMPILED_FROM_ORDER the steps are compiled once per enumeration by
-    ``_compiled_steps``; below it ``_products_agree`` checks them.  Each
-    table is validated the moment the search yields it, and is counted
-    before the inertial filter, which keeps only the tables with that
-    exact inertial subgroup.
+    ``_compiled_steps``; below it ``_products_agree`` checks them.  The
+    search is drawn in blocks of at most _BLOCK_TABLES tables, each packed
+    as the sum of its cells' weights, and each block is validated at once
+    by ``_tables_valid``.  A refused block goes table by table through
+    ``_validated``: the tables before the first that fails are still
+    yielded, and that one raises; a refused block whose every table passes
+    raises InternalInvariantError after them.  A table is counted before the
+    inertial filter, which keeps only the tables with that exact inertial
+    subgroup, and becomes a Cocycle only as it is yielded, so no step holds
+    more than one block.
     """
     group = cfg.group
-    size = (group.order - 1) ** 2 + 1
+    n = group.order
+    size = (n - 1) ** 2 + 1
     domains = [(1,)] + [(0, 1)] * (size - 1)
     steps: Sequence = _census_steps(group)
     holds = _products_agree
-    if group.order >= _COMPILED_FROM_ORDER:
+    if n >= _COMPILED_FROM_ORDER:
         steps, holds = _compiled_steps(steps), _holds
-    for count, cells in enumerate(_depth_first(domains, steps, holds)):
-        if count == cfg.max_candidates:
+    search = _depth_first(domains, steps, holds)
+    weights = _cell_weights(n)
+    limit = cfg.max_candidates
+    for start in range(0, limit + 1, _BLOCK_TABLES):
+        wanted = min(_BLOCK_TABLES, limit + 1 - start)
+        block = [sum(compress(weights, cells)) for cells in islice(search, wanted)]
+        truncated = start + len(block) > limit
+        if truncated:
+            block.pop()
+        passed = not block or _tables_valid(group, block)
+        for packed in block:
+            if passed:
+                cocycle = Cocycle(group=group, masks=_unpack_rows(packed, n))
+            else:
+                cocycle = _validated(group, packed)
+            if cfg.inertial is None or inertial_group(cocycle).members == cfg.inertial.members:
+                yield cocycle
+        if not passed:
+            raise InternalInvariantError(
+                f"the block check refused {len(block)} tables that each pass validate_cocycle"
+            )
+        if truncated:
             yield None
+        if len(block) < wanted:
             return
-        result = validate_cocycle(_table_from_cells(group, cells))
-        if isinstance(result, CocycleViolation):
-            raise ValidationError(f"enumerated table failed validation: {result}")
-        if cfg.inertial is None or inertial_group(result).members == cfg.inertial.members:
-            yield result
 
 
 def enumerate_cocycles(cfg: CensusConfig) -> CensusStream:
     """Every idempotent cocycle of the group, in flattened-bits order, with
-    the truncation flag; see ``_census``, which validates each table as the
-    search finds it, so the peak memory is about that of the cocycles
-    returned."""
+    the truncation flag; see ``_census``, which validates each block of
+    tables as the search finds it, so the peak memory is about that of the
+    cocycles returned."""
     cocycles = tuple(_census(cfg))
     if cocycles and cocycles[-1] is None:
         return CensusStream(cocycles=cocycles[:-1], truncated=True)
@@ -979,27 +1010,25 @@ class CensusRecord:
 def _census_record(c: Cocycle) -> CensusRecord:
     """The fingerprint of one cocycle.
 
-    One AlgebraContext serves every invariant, each read as masks: the
-    all-ones cocycle is the one whose context has no G*, the largest
-    radical power is read off the N_k layer masks of ``_layer_masks``, one
-    layer per nonzero power, and the classes are counted by
-    ``_annihilator_classes``.  bits is the packed table in bit order,
-    formatted once; the cocycle does not keep its packed view.
+    Every invariant is read as masks from one ``_CocycleMasks`` view, which
+    builds no AlgebraContext: the all-ones cocycle is the one whose view
+    has no G*, the largest radical power is read off the N_k layer masks of
+    ``_layer_masks``, one layer per nonzero power, and the classes are
+    counted by ``_annihilator_classes``.  bits is the packed table in bit
+    order, formatted once; the cocycle does not keep its packed view.
     """
     n = c.group.order
-    try:
-        ctx = AlgebraContext(c)
-    except ValidationError:
-        # the all-ones cocycle: the algebra is simple
-        inertial, layers, classes = tuple(range(n)), [], 0
-    else:
-        inertial = ctx.inertial.members
-        layers = _layer_masks(ctx)
-        _, classes = _annihilator_classes(ctx)
+    packed = _pack_rows(c.masks, n)
+    view = _CocycleMasks(c, packed)
+    layers: List[int] = []
+    classes = 0
+    if view.gstar:  # else the all-ones cocycle: the algebra is simple
+        layers = _layer_masks(view)
+        _, classes = _annihilator_classes(view)
     return CensusRecord(
         order=n,
-        bits=format(_pack_rows(c.masks, n), f"0{n * n}b")[::-1],
-        inertial=inertial,
+        bits=format(packed, f"0{n * n}b")[::-1],
+        inertial=_members_of(view._hmask),
         max_power=len(layers),
         nk_sizes=tuple([layer.bit_count() for layer in layers]),
         annihilator_classes=classes,

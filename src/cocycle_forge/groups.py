@@ -42,18 +42,19 @@ class Group:
     _preimages: Tuple[Dict[int, int], ...] = field(init=False, repr=False, compare=False)
     # _cells memoises cells(mask) for the masks seen so far
     _cells: Dict[int, int] = field(init=False, repr=False, compare=False)
+    # _escapes memoises escapes(mask) the same way
+    _escapes: Dict[int, int] = field(init=False, repr=False, compare=False)
     # _double_cosets memoises double_cosets per subgroup, keyed by its members
     _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
         init=False, repr=False, compare=False
     )
-    # _double_coset_masks memoises _double_coset_masks the same way
-    _double_coset_masks: Dict[Tuple[int, ...], Tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    # _double_coset_masks memoises _double_coset_masks by the subgroup's mask
+    _double_coset_masks: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
         object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_escapes", {})
         object.__setattr__(self, "_double_cosets", {})
         object.__setattr__(self, "_double_coset_masks", {})
 
@@ -81,6 +82,21 @@ class Group:
             n = self.order
             packed = self._cells[mask] = sum(
                 (mask & self.left_preimage(s, mask)) << s * n for s in range(n) if mask >> s & 1
+            )
+        return packed
+
+    def escapes(self, mask: int) -> int:
+        """The packed cells (s, t) with s or t in ``mask`` and s*t outside
+        it: row s holds the t of G when s is in mask, and of mask otherwise,
+        that ``left_preimage(s, mask)`` lacks.  A 0/1 table closes mask
+        under basis multiplication exactly when it is 0 on every one."""
+        packed = self._escapes.get(mask)
+        if packed is None:
+            n = self.order
+            full = (1 << n) - 1
+            packed = self._escapes[mask] = sum(
+                ((full if mask >> s & 1 else mask) & ~self.left_preimage(s, mask)) << s * n
+                for s in range(n)
             )
         return packed
 
@@ -263,14 +279,17 @@ def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     return result
 
 
-def _double_coset_masks(group: Group, sub: Subgroup) -> Tuple[int, ...]:
-    """The double cosets of ``double_cosets`` as masks, in its order;
-    memoised on the group per subgroup."""
-    if sub.group is not group and sub.group != group:
-        raise ValidationError("invalid-subgroup: subgroup belongs to a different group")
-    hit = group._double_coset_masks.get(sub.members)
+def _double_coset_masks(group: Group, mask: int) -> Tuple[int, ...]:
+    """The double cosets of ``double_cosets`` as masks, in its order, for the
+    subgroup whose members are the set bits of mask.  The mask is validated
+    as a Subgroup the first time the group sees it, and the masks are
+    memoised on the group by mask; a mask that is no subgroup raises
+    ValidationError on every call."""
+    hit = group._double_coset_masks.get(mask)
     if hit is None:
-        hit = group._double_coset_masks[sub.members] = tuple(
+        members = tuple([s for s in range(group.order) if mask >> s & 1])
+        sub = Subgroup(group=group, members=members)
+        hit = group._double_coset_masks[mask] = tuple(
             sum(1 << s for s in cls) for cls in double_cosets(group, sub)
         )
     return hit

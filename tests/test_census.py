@@ -7,7 +7,7 @@ import pytest
 
 import cocycle_forge as cf
 from cocycle_forge import census
-from cocycle_forge.errors import ValidationError
+from cocycle_forge.errors import InternalInvariantError, ValidationError
 
 # enumeration sizes pinned once against the brute-force oracle below (orders
 # 2 and 3 recomputed in-test, the rest frozen from the same oracle run)
@@ -83,19 +83,67 @@ def test_enumeration_truncation_flag():
     assert len(stream.cocycles) == 3
 
 
-def test_the_census_validates_each_table_as_the_search_finds_it(monkeypatch):
-    # C9 has 170,780 cocycles: the first one comes after a single validation
+def test_the_census_validates_each_block_as_the_search_finds_it(monkeypatch):
+    # C9 has 170,780 cocycles: the first one comes out after a single block
+    # check, of at most _BLOCK_TABLES tables, that holds it
+    blocks = []
+    real = census._tables_valid
+
+    def counted(group, tables):
+        blocks.append(list(tables))
+        return real(group, tables)
+
+    monkeypatch.setattr(census, "_tables_valid", counted)
+    monkeypatch.setattr(census, "validate_cocycle", None)  # a passed block never calls it
+    first = next(census._census(cf.CensusConfig(group=cf.make_cyclic(9))))
+    assert len(blocks) == 1
+    assert 1 <= len(blocks[0]) <= census._BLOCK_TABLES
+    assert first.packed in blocks[0]
+
+
+def test_a_refused_block_goes_table_by_table_through_validate_cocycle(monkeypatch):
+    # every table of the refused block passes, which is an internal error
+    c9 = cf.CensusConfig(group=cf.make_cyclic(9))
+    search = census._census(c9)
+    expected = [next(search).packed for _ in range(census._BLOCK_TABLES)]
     validated = []
     real = census.validate_cocycle
 
     def counted(table):
-        validated.append(table)
+        validated.append(table.packed)
         return real(table)
 
+    monkeypatch.setattr(census, "_tables_valid", lambda group, tables: False)
     monkeypatch.setattr(census, "validate_cocycle", counted)
-    first = next(census._census(cf.CensusConfig(group=cf.make_cyclic(9))))
-    assert len(validated) == 1
-    assert first.masks == validated[0].masks
+    yielded = []
+    with pytest.raises(InternalInvariantError, match="each pass validate_cocycle"):
+        for cocycle in census._census(c9):
+            yielded.append(cocycle.packed)
+    assert validated == expected
+    assert yielded == expected
+
+
+def test_an_enumerated_table_that_fails_keeps_its_validation_text(monkeypatch):
+    # the third C4 table with its cell (1, 1) flipped; the two before it in
+    # its block still come out
+    c4 = cf.CensusConfig(group=cf.make_cyclic(4))
+    expected = list(cf.enumerate_cocycles(c4).cocycles[:2])
+    real = census._depth_first
+
+    def injected(domains, steps, holds):
+        for k, cells in enumerate(real(domains, steps, holds)):
+            yield cells[:1] + (1 - cells[1],) + cells[2:] if k == 2 else cells
+
+    monkeypatch.setattr(census, "_depth_first", injected)
+    yielded = []
+    with pytest.raises(ValidationError) as caught:
+        for cocycle in census._census(c4):
+            yielded.append(cocycle)
+    assert yielded == expected
+    assert str(caught.value) == (
+        "enumerated table failed validation: identity violated at (1, 3, 2): "
+        "f(1,3)*f(0,2) = 0 but f(3,2)*f(1,1) = 1"
+    )
 
 
 def test_census_config_validation():

@@ -14,14 +14,14 @@ import pytest
 import cocycle_forge as cf
 from cocycle_forge import census
 from cocycle_forge.census import (
+    _cell_weights,
     _census_steps,
     _compiled_steps,
     _implications,
     _products_agree,
-    _table_from_cells,
     _triple_constraints,
 )
-from cocycle_forge.cocycles import _closing_schedule, _depth_first
+from cocycle_forge.cocycles import _closing_schedule, _depth_first, _unpack_rows
 
 GROUPS = {f"C{n}": cf.make_cyclic(n) for n in range(1, 8)}
 GROUPS.update({f"D{n}": cf.make_dihedral(n) for n in range(1, 5)})
@@ -86,7 +86,11 @@ def test_implications_are_each_identitys_own_without_repeats(name):
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_pruned_census_equals_the_plain_search(name, monkeypatch):
     group = GROUPS[name]
-    plain = [_table_from_cells(group, cells).masks for cells in _plain_search(group)[0]]
+    weights = _cell_weights(group.order)
+    plain = [
+        _unpack_rows(sum(itertools.compress(weights, cells)), group.order)
+        for cells in _plain_search(group)[0]
+    ]
     pruned, _ = _pruned_census(group, monkeypatch)
     assert pruned == plain, name
 
