@@ -13,11 +13,11 @@ G*, but the algebra itself is never an ideal value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .cocycles import Cocycle, inertial_group, waterhouse
+from .cocycles import Cocycle, _inertial_mask, waterhouse
 from .errors import InternalInvariantError, ValidationError
 from .groups import Group, Subgroup, _double_coset_masks
 
@@ -36,53 +36,62 @@ __all__ = [
 ]
 
 
-class AlgebraContext:
-    """A cocycle together with its inertial group and non-inertial set G*.
+class _CocycleMasks:
+    """What every reading of a cocycle starts from, computed here and
+    nowhere else: the group, the row masks, the packed table (given, as the
+    caller has it), the inertial mask H of ``cocycles._inertial_mask``, G*
+    as a mask and as members, and the N_1 slot.  The census fingerprint
+    reads a bare view; the mask-level helpers (``_power_masks``,
+    ``_layer_masks``, ``_n1_direct_mask`` and ``_annihilator_classes``) read
+    a view as they read a context.  H is validated as a subgroup through
+    ``_double_coset_masks``, once per group and mask; a set that is none
+    raises InternalInvariantError, as ``inertial_group`` does.  G* may be
+    empty here.
+    """
 
-    G* must be nonempty: with G* empty the algebra is simple and none of the
-    ideal constructions apply.  The per-context caches are declared here.
-    This module fills the principal-mask cache; the chain and quotient caches
-    and the validated-table memo are filled by the decomposition module.
-    Every cache holds masks, member sets, packed tables or validated tables,
-    none of which points back at the context, so reference counting frees
-    it.  The packed f, kept as ``_packed`` for ``_is_closed_mask``, and the
-    packed Waterhouse table are the ``packed`` views of ``cocycle`` and of
-    the Waterhouse table itself.
+    __slots__ = ("group", "_masks", "_packed", "_hmask", "_gstar_mask", "gstar", "_n1_mask")
+
+    def __init__(self, cocycle: Cocycle, packed: int):
+        g = cocycle.group
+        hmask = _inertial_mask(g, cocycle.masks)
+        try:
+            _double_coset_masks(g, hmask)
+        except ValidationError as exc:
+            raise InternalInvariantError(
+                f"inertial set {list(_members_of(hmask))} is not a subgroup: {exc}"
+            ) from exc
+        self.group: Group = g
+        self._masks = cocycle.masks
+        self._packed = packed
+        self._hmask = hmask
+        self._gstar_mask = (1 << g.order) - 1 & ~hmask
+        self.gstar: Tuple[int, ...] = _members_of(self._gstar_mask)
+        self._n1_mask: Optional[int] = None  # filled by _n1_mask
+
+
+class AlgebraContext(_CocycleMasks):
+    """The view of a cocycle with a nonempty G* (else the algebra is simple
+    and no ideal construction applies), plus the caches declared here; the
+    links and the inertial Subgroup are built on first read, as most
+    contexts (a sweep's per-ideal quotients) read neither.  This module
+    fills the principal-mask cache, the decomposition module the chain and
+    quotient caches and the validated-table memo.  No cache points back at
+    the context, so reference counting frees it.
     """
 
     def __init__(self, cocycle: Cocycle):
-        self.group: Group = cocycle.group
-        self.cocycle: Cocycle = cocycle
-        self.inertial: Subgroup = inertial_group(cocycle)
-        n = self.group.order
-        self._hmask = _mask_of(self.inertial.members)
-        self._gstar_mask = ((1 << n) - 1) & ~self._hmask
-        self.gstar: Tuple[int, ...] = _members_of(self._gstar_mask)
+        super().__init__(cocycle, cocycle.packed)
         if not self.gstar:
             raise ValidationError(
                 "the inertial group is all of G; no non-inertial elements exist"
             )
-        self._masks = cocycle.masks
-        self._packed = cocycle.packed
-        self._table = self.group.table
-        # _links[s]: the products s t with f(s,t) = 1 and t s with f(t,s) = 1,
-        # everything one basis multiplication reaches from s
-        links = [0] * n
-        for s, row in enumerate(self._masks):
-            products = self._table[s]
-            for t in _members_of(row):
-                bit = 1 << products[t]
-                links[s] |= bit
-                links[t] |= bit
-        self._links: Tuple[int, ...] = tuple(links)
+        self.cocycle: Cocycle = cocycle
         self._chain_cache: Dict[Tuple[int, int], int] = {}  # packed, two-term keys only
         self._mod_cache: Dict[int, Cocycle] = {}
         # packed table -> the Cocycle that passed validation and kept H here
         self._valid_tables: Dict[int, Cocycle] = {}
         # s -> the mask of the principal ideal of s, for s in G*
         self._principal_cache: Optional[Dict[int, int]] = None
-        # N_1 by its defining property, computed once by _n1_mask
-        self._n1_mask: Optional[int] = None
         # (trivial, nontrivial) annihilators, kept by classify_annihilators;
         # a raise is never stored
         self._annihilators: Optional[Tuple[FrozenSet[int], FrozenSet[int]]] = None
@@ -92,11 +101,30 @@ class AlgebraContext:
         # with f = 1 lands in H; a failing verdict is never stored
         self._gstar_products_avoid_h: bool = False
 
+    @cached_property
+    def _links(self) -> Tuple[int, ...]:
+        """links[s]: every s t with f(s,t) = 1 and t s with f(t,s) = 1, what
+        one basis multiplication reaches from s; built by the first
+        ``_closure_mask``."""
+        links = [0] * self.group.order
+        for s, row in enumerate(self._masks):
+            products = self.group.table[s]
+            for t in _members_of(row):
+                bit = 1 << products[t]
+                links[s] |= bit
+                links[t] |= bit
+        return tuple(links)
+
+    @cached_property
+    def inertial(self) -> Subgroup:
+        """H as a Subgroup, from the mask the view validated."""
+        return Subgroup(group=self.group, members=_members_of(self._hmask))
+
     def f(self, s: int, t: int) -> int:
         return self._masks[s] >> t & 1
 
     def mul(self, s: int, t: int) -> int:
-        return self._table[s][t]
+        return self.group.table[s][t]
 
     def in_inertial(self, s: int) -> bool:
         return self._hmask >> s & 1 == 1
@@ -113,42 +141,6 @@ class AlgebraContext:
 
     def __repr__(self) -> str:
         return f"AlgebraContext(order={self.group.order}, gstar={list(self.gstar)})"
-
-
-class _CocycleMasks:
-    """The masks of one cocycle that the census fingerprint reads, with no
-    links and no caches but N_1: the group, the row masks, the packed table
-    (given, as the caller has it), the inertial mask H and G* as a mask and
-    as members.  The mask-level helpers (``_power_masks``, ``_layer_masks``,
-    ``_n1_direct_mask`` and ``_annihilator_classes``) read a view as they
-    read a context.
-
-    H is validated as a subgroup through ``_double_coset_masks``, once per
-    group and mask; a set that is none raises InternalInvariantError, as
-    ``inertial_group`` does.  G* may be empty here.
-    """
-
-    __slots__ = ("group", "_masks", "_packed", "_hmask", "_gstar_mask", "gstar", "_n1_mask")
-
-    def __init__(self, cocycle: Cocycle, packed: int):
-        g = cocycle.group
-        masks = cocycle.masks
-        hmask = 0
-        for s, inverse in enumerate(g.inverse):
-            hmask |= (masks[s] >> inverse & 1) << s
-        try:
-            _double_coset_masks(g, hmask)
-        except ValidationError as exc:
-            raise InternalInvariantError(
-                f"inertial set {list(_members_of(hmask))} is not a subgroup: {exc}"
-            ) from exc
-        self.group = g
-        self._masks = masks
-        self._packed = packed
-        self._hmask = hmask
-        self._gstar_mask = (1 << g.order) - 1 & ~hmask
-        self.gstar: Tuple[int, ...] = _members_of(self._gstar_mask)
-        self._n1_mask: Optional[int] = None  # filled by _n1_mask
 
 
 def _mask_of(members: Iterable[int]) -> int:

@@ -26,10 +26,11 @@ and no step holds more than one block.
 
 ``census_records`` fingerprints each cocycle by the radical filtration,
 the N_k layers and the annihilator classes, all read as masks from one
-``algebra._CocycleMasks`` view, which has no links and no caches: the
-layer masks that ``nk_partition`` views, which build the radical powers
-once and compare the filtration's N_1 with the direct N_1 mask, and the
-annihilator mask with the number of double cosets it meets, which
+``algebra._CocycleMasks`` view: the base of every AlgebraContext, built
+bare, without the context's links and caches.  It reads the layer masks
+that ``nk_partition`` views, which build the radical powers once and
+compare the filtration's N_1 with the direct N_1 mask, and the annihilator
+mask with the number of double cosets it meets, which
 ``classify_annihilators`` views.
 
 The property sweep is also the negative control: a fabricated table with

@@ -331,6 +331,10 @@ def _census_lines(cfg: CensusConfig) -> Iterator[str]:
 
 
 def _cmd_census(args) -> Tuple[Iterator[str], int]:
+    unread = [flag for flag, value in (("--cocycle", args.cocycle), ("--r", args.rmap),
+                                       ("--chain", args.chain)) if value is not None]
+    if unread:
+        raise ParseError(f"census reads --order or --group, not {', '.join(unread)}")
     if args.order is not None and args.group:
         raise ParseError("census takes --order or --group, not both")
     if args.order is not None:

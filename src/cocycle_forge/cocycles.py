@@ -177,7 +177,7 @@ def validate_cocycle(
             return CocycleViolation(
                 kind="normalization",
                 where=(s,),
-                detail=f"f(1,{s}) = {row0 >> s & 1}, f({s},1) = {masks[s] & 1}, both must be 1",
+                detail=f"f(0,{s}) = {row0 >> s & 1}, f({s},0) = {masks[s] & 1}, both must be 1",
             )
     mul = g.table
     preimages = g._preimages
@@ -274,14 +274,24 @@ def as_cocycle(
     return result
 
 
+def _inertial_mask(group: Group, masks: Sequence[int]) -> int:
+    """The mask of H(f) = {s : f(s, s^-1) = 1} for the row masks of f: the
+    one place that reads this rule."""
+    hmask = 0
+    for s, inverse in enumerate(group.inverse):
+        hmask |= (masks[s] >> inverse & 1) << s
+    return hmask
+
+
 def inertial_group(f: Cocycle) -> Subgroup:
-    """The subgroup H(f) = {s : f(s, s^-1) = 1}.
+    """The subgroup H(f) of ``_inertial_mask``.
 
     For a valid cocycle this set is closed; if it is not, an invalid table
     slipped past validation and we fail loudly.
     """
     g = f.group
-    members = [s for s in range(g.order) if f.masks[s] >> g.inverse[s] & 1]
+    hmask = _inertial_mask(g, f.masks)
+    members = [s for s in range(g.order) if hmask >> s & 1]
     try:
         return subgroup(g, members)
     except ValidationError as exc:
@@ -300,7 +310,7 @@ def waterhouse(group: Group, sub: Subgroup) -> Cocycle:
     full = (1 << group.order) - 1
     masks = tuple(full if h >> s & 1 else h for s in range(group.order))
     f = as_cocycle(BinaryTable(group=group, masks=masks))
-    if tuple(inertial_group(f).members) != sub.members:
+    if _inertial_mask(group, masks) != h:
         raise InternalInvariantError("waterhouse table has the wrong inertial group")
     return f
 

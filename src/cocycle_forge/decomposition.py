@@ -22,6 +22,7 @@ from .algebra import (
     MonomialIdeal,
     _closure_mask,
     _ideal_from_mask,
+    _mask_of,
     _members_of,
     _n1_mask,
     _principal_masks,
@@ -36,6 +37,7 @@ from .cocycles import (
     CocycleViolation,
     EQUAL,
     LESS,
+    _inertial_mask,
     _lowest_bit,
     _pack_rows,
     compare,
@@ -44,7 +46,7 @@ from .cocycles import (
 )
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .generators import Word, all_generators, bstar, ideal_of_word
-from .groups import double_cosets
+from .groups import _double_coset_masks
 
 __all__ = [
     "IdentityCheck",
@@ -81,11 +83,7 @@ def _finish(ctx: AlgebraContext, packed: int, what: str) -> Cocycle:
     result = validate_cocycle(BinaryTable.from_packed(ctx.group, packed))
     if isinstance(result, CocycleViolation):
         raise InternalInvariantError(f"{what} produced an invalid cocycle: {result}")
-    inverse = ctx.group.inverse
-    support = 0
-    for s, row in enumerate(result.masks):
-        support |= (row >> inverse[s] & 1) << s
-    if support != ctx._hmask:
+    if _inertial_mask(ctx.group, result.masks) != ctx._hmask:
         raise InternalInvariantError(f"{what} changed the inertial group")
     result.__dict__["packed"] = packed  # the view, as from_packed stores it
     ctx._valid_tables[packed] = result
@@ -179,12 +177,10 @@ def cocycle_mod_ideal(ctx: AlgebraContext, ideal: MonomialIdeal) -> Cocycle:
 
 
 def _classes_of(ctx: AlgebraContext, members: AbstractSet[int]) -> List[Tuple[int, ...]]:
-    """The double cosets H s H that meet members, sorted by least member."""
-    return [
-        cls
-        for cls in double_cosets(ctx.group, ctx.inertial)
-        if not members.isdisjoint(cls)
-    ]
+    """The double cosets H s H that meet members, sorted by least member,
+    read off the group's memo by the mask of H."""
+    mask = _mask_of(members)
+    return [_members_of(cls) for cls in _double_coset_masks(ctx.group, ctx._hmask) if cls & mask]
 
 
 def unique_class_ideal(ctx: AlgebraContext, rho: int) -> MonomialIdeal:

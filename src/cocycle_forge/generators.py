@@ -50,7 +50,7 @@ def _evaluate(
     From the identity, whose row is all ones, the first letter never
     vanishes and the empty word evaluates to the identity.
     """
-    masks, table = ctx._masks, ctx._table
+    masks, table = ctx._masks, ctx.group.table
     for i, letter in enumerate(letters):
         if not masks[value] >> letter & 1:
             return value, i

@@ -44,10 +44,6 @@ class Group:
     _cells: Dict[int, int] = field(init=False, repr=False, compare=False)
     # _escapes memoises escapes(mask) the same way
     _escapes: Dict[int, int] = field(init=False, repr=False, compare=False)
-    # _double_cosets memoises double_cosets per subgroup, keyed by its members
-    _double_cosets: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
     # _double_coset_masks memoises _double_coset_masks by the subgroup's mask
     _double_coset_masks: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
@@ -55,7 +51,6 @@ class Group:
         object.__setattr__(self, "_preimages", tuple({} for _ in range(self.order)))
         object.__setattr__(self, "_cells", {})
         object.__setattr__(self, "_escapes", {})
-        object.__setattr__(self, "_double_cosets", {})
         object.__setattr__(self, "_double_coset_masks", {})
 
     def left_preimage(self, t: int, mask: int) -> int:
@@ -250,46 +245,38 @@ def subgroup(group: Group, members: Iterable[int]) -> Subgroup:
 
 
 def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
-    """Partition the group into double cosets H s H, sorted by least member.
-
-    Computed once per subgroup of each Group and memoised on the group.
-    """
+    """Partition the group into double cosets H s H, sorted by least member:
+    the member tuples of ``_double_coset_masks``."""
     if sub.group is not group and sub.group != group:
         raise ValidationError("invalid-subgroup: subgroup belongs to a different group")
-    hit = group._double_cosets.get(sub.members)
-    if hit is not None:
-        return hit
-    seen = set()
-    classes = []
-    for s in range(group.order):
-        if s in seen:
-            continue
-        cls = {
-            group.table[group.table[h1][s]][h2]
-            for h1 in sub.members
-            for h2 in sub.members
-        }
-        seen |= cls
-        classes.append(tuple(sorted(cls)))
-    classes.sort(key=lambda c: c[0])
-    covered = sorted(x for c in classes for x in c)
-    if covered != list(range(group.order)):
-        raise ValidationError("double cosets do not partition the group")
-    result = group._double_cosets[sub.members] = tuple(classes)
-    return result
+    masks = _double_coset_masks(group, sum(1 << h for h in sub.members))
+    return tuple(tuple([s for s in group.elements() if m >> s & 1]) for m in masks)
 
 
 def _double_coset_masks(group: Group, mask: int) -> Tuple[int, ...]:
-    """The double cosets of ``double_cosets`` as masks, in its order, for the
-    subgroup whose members are the set bits of mask.  The mask is validated
-    as a Subgroup the first time the group sees it, and the masks are
-    memoised on the group by mask; a mask that is no subgroup raises
-    ValidationError on every call."""
+    """The double cosets H s H, as masks sorted by least member, of the
+    subgroup H whose members are the set bits of mask.  Each coset is found
+    from its least member s, the first element no earlier coset holds; the
+    cosets must be disjoint.  The mask is validated as a Subgroup the first
+    time the group sees it, and the masks are memoised on the group by mask;
+    a mask that is no subgroup raises ValidationError on every call."""
     hit = group._double_coset_masks.get(mask)
     if hit is None:
-        members = tuple([s for s in range(group.order) if mask >> s & 1])
-        sub = Subgroup(group=group, members=members)
-        hit = group._double_coset_masks[mask] = tuple(
-            sum(1 << s for s in cls) for cls in double_cosets(group, sub)
-        )
+        members = tuple([s for s in group.elements() if mask >> s & 1])
+        Subgroup(group=group, members=members)
+        table = group.table
+        classes = []
+        seen = 0
+        for s in group.elements():
+            if not seen >> s & 1:
+                cls = 0
+                for h1 in members:
+                    row = table[table[h1][s]]
+                    for h2 in members:
+                        cls |= 1 << row[h2]
+                seen |= cls
+                classes.append(cls)
+        if sum(cls.bit_count() for cls in classes) != group.order:
+            raise ValidationError("double cosets do not partition the group")
+        hit = group._double_coset_masks[mask] = tuple(classes)
     return hit

@@ -505,6 +505,23 @@ def test_cli_census_refuses_order_with_group(capsys, monkeypatch):
     assert captured.err == "error: census takes --order or --group, not both\n"
 
 
+def test_cli_census_refuses_the_inputs_it_does_not_read(capsys, monkeypatch):
+    def no_enumeration(cfg):
+        raise AssertionError("census enumerated before checking its input")
+
+    monkeypatch.setattr(cli, "_census", no_enumeration)
+    cases = [
+        (["--cocycle", "/nonexistent"], "--cocycle"),
+        (["--r", "/nope", "--chain", "/nada"], "--r, --chain"),
+        (["--cocycle", "/nonexistent", "--r", "/nope", "--chain", "/nada"], "--cocycle, --r, --chain"),
+    ]
+    for extra, named in cases:
+        assert run_command(["census", "--order", "3"] + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: census reads --order or --group, not {named}\n"
+
+
 def test_cli_census_keeps_the_lines_written_before_an_internal_error(capsys, monkeypatch):
     real = cli._census_record
     seen = []

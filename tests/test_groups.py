@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import cocycle_forge as cf
+from cocycle_forge import groups
 from cocycle_forge.errors import ValidationError
 
 
@@ -126,3 +127,35 @@ def test_double_cosets_rejects_foreign_subgroup():
     h = cf.subgroup(cf.make_cyclic(5), [0])
     with pytest.raises(ValidationError, match="invalid-subgroup"):
         cf.double_cosets(g, h)
+
+
+@pytest.mark.parametrize(
+    "group, count",
+    [(cf.make_cyclic(4), 3), (cf.make_cyclic(6), 4), (cf.make_dihedral(3), 6), (cf.make_dihedral(4), 10)],
+    ids=["C4", "C6", "D3", "D4"],
+)
+def test_double_cosets_match_brute_force_for_every_subset(group, count):
+    # a fresh group: every mask below is its first sight on the memo
+    group = cf.group_from_table(group.table)
+    n = group.order
+    subgroups = 0
+    for mask in range(1 << n):
+        members = [s for s in range(n) if mask >> s & 1]
+        closed = 0 in members and all(group.mul(a, b) in members for a in members for b in members)
+        if not closed:
+            for _ in range(2):  # a raise is never memoised
+                with pytest.raises(ValidationError):
+                    groups._double_coset_masks(group, mask)
+            assert mask not in group._double_coset_masks
+            continue
+        subgroups += 1
+        brute = {
+            frozenset(group.mul(group.mul(h1, s), h2) for h1 in members for h2 in members)
+            for s in range(n)
+        }
+        expected = tuple(sorted((tuple(sorted(cls)) for cls in brute), key=lambda cls: cls[0]))
+        classes = cf.double_cosets(group, cf.subgroup(group, members))
+        assert classes == expected
+        masks = groups._double_coset_masks(group, mask)
+        assert classes == tuple(tuple(s for s in range(n) if m >> s & 1) for m in masks)
+    assert subgroups == count

@@ -1,10 +1,11 @@
 """The per-cocycle mask view that census records read, against the
 AlgebraContext it stands in for and against brute force.
 
-``algebra._CocycleMasks`` has no links.  Closedness, for a view and a
-context alike, is read on the packed table and ``Group.escapes``; the view
-validates the inertial set through the per-group memo of
-``groups._double_coset_masks``.
+``algebra._CocycleMasks`` has no links, and an AlgebraContext is a view
+that builds its links and its inertial Subgroup on first read.  Closedness,
+for a view and a context alike, is read on the packed table and
+``Group.escapes``; the view validates the inertial set through the
+per-group memo of ``groups._double_coset_masks``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,38 @@ def test_closedness_is_read_as_the_links_read_it(name):
             closed += verdict
             both += 1
     assert 0 < closed < both
+
+
+def test_a_context_builds_its_links_and_inertial_subgroup_on_first_read():
+    group = GROUPS["D3"]
+    n = group.order
+    cocycles = [
+        c
+        for c in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles
+        if cf.inertial_group(c).members != tuple(range(n))
+    ]
+    for cocycle in cocycles[:: len(cocycles) // 10]:
+        ctx = cf.AlgebraContext(cocycle)
+        assert isinstance(ctx, algebra._CocycleMasks)
+        assert "_links" not in vars(ctx) and "inertial" not in vars(ctx)
+        view = algebra._CocycleMasks(cocycle, cocycle.packed)
+        for name in algebra._CocycleMasks.__slots__:
+            assert getattr(ctx, name) == getattr(view, name), name
+        # the first closure builds the links; the second reads the same tuple
+        seed = 1 << ctx.gstar[0]
+        closure = algebra._closure_mask(ctx, seed)
+        links = vars(ctx)["_links"]
+        assert algebra._closure_mask(ctx, seed) == closure
+        assert vars(ctx)["_links"] is links
+        assert links == tuple(
+            sum(1 << group.mul(s, t) for t in range(n) if cocycle.masks[s] >> t & 1)
+            | sum(1 << group.mul(t, s) for t in range(n) if cocycle.masks[t] >> s & 1)
+            for s in range(n)
+        )
+        assert "inertial" not in vars(ctx)
+        inertial = ctx.inertial
+        assert inertial.members == cf.inertial_group(cocycle).members
+        assert ctx.inertial is inertial
 
 
 def test_a_census_record_refuses_an_inertial_set_that_is_no_subgroup():

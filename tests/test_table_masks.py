@@ -27,7 +27,7 @@ def oracle_validate(rows, group):
     n, mul = group.order, group.table
     for s in range(n):
         if rows[0][s] != 1 or rows[s][0] != 1:
-            return "normalization", (s,), f"f(1,{s}) = {rows[0][s]}, f({s},1) = {rows[s][0]}, both must be 1"
+            return "normalization", (s,), f"f(0,{s}) = {rows[0][s]}, f({s},0) = {rows[s][0]}, both must be 1"
     for s in range(1, n):
         for t in range(1, n):
             for r in range(1, n):
@@ -98,6 +98,14 @@ def test_census_cocycles_pass_the_triple_loop():
     for name in CENSUS_GROUPS:
         for c in census(name):
             assert_validator_agrees(c.values, GROUPS[name])
+
+
+def test_a_normalization_violation_names_the_identity_index_0():
+    # C3 with f(0,1) = 0: the identity is index 0 in `where` and in the detail
+    report = cf.validate_cocycle([[1, 0, 1], [1, 1, 1], [1, 1, 1]], GROUPS["C3"])
+    assert (report.kind, report.where) == ("normalization", (1,))
+    assert report.detail == "f(0,1) = 0, f(1,0) = 1, both must be 1"
+    assert str(report) == "normalization violated at (1,): f(0,1) = 0, f(1,0) = 1, both must be 1"
 
 
 def test_table_views_round_trip():
