@@ -7,7 +7,6 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
-    chain_level,
     chain_levels,
     classify_annihilators,
     ideal_closure,
@@ -19,18 +18,11 @@ from .algebra import (
 from .census import (
     CensusConfig,
     CensusRecord,
-    CensusReport,
     CensusStream,
-    CocycleCheckResult,
-    MutationOutcome,
-    PropertyFailure,
     census_records,
-    check_cocycle_properties,
     descending_multichains,
     enumerate_cocycles,
     enumerate_ideals,
-    mutation_report,
-    property_suite,
 )
 from .cocycles import (
     EQUAL,
@@ -73,8 +65,6 @@ from .errors import (
     ValidationError,
 )
 from .files import (
-    Workspace,
-    emit_artifacts,
     emit_census,
     emit_chain,
     emit_cocycle,
@@ -126,6 +116,15 @@ from .semilinear import (
     random_semilinear,
     search_realization,
     validate_r,
+)
+from .sweep import (
+    CensusReport,
+    CocycleCheckResult,
+    MutationOutcome,
+    PropertyFailure,
+    check_cocycle_properties,
+    mutation_report,
+    property_suite,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ __all__ = [
     "nk_partition",
     "classify_annihilators",
     "ideal_lattice_op",
-    "chain_level",
     "chain_levels",
 ]
 
@@ -483,17 +482,6 @@ class DescendingChain:
     def __repr__(self) -> str:
         parts = ", ".join(str(list(i.sorted_members)) for i in self.ideals)
         return f"DescendingChain({parts})"
-
-
-def chain_level(chain: DescendingChain, s: int) -> int:
-    """The largest a with s in I_a.  Undefined outside I_1."""
-    if s not in chain.ideals[0]:
-        raise ValidationError(f"undefined-level: {s} is not in the first ideal")
-    level = 1
-    for a, ideal in enumerate(chain.ideals[1:], start=2):
-        if s in ideal:
-            level = a
-    return level
 
 
 def chain_levels(chain: DescendingChain) -> Dict[int, int]:

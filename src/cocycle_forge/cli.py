@@ -19,9 +19,10 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .census import CHAIN_CHECKS, CensusConfig, _census, _census_record
+from .census import CensusConfig, _census, _census_record
 from .cocycles import inertial_group
 from .decomposition import (
+    CHAIN_CHECKS,
     IDENTITY_NAMES,
     check_identity,
     cocycle_from_chain,
@@ -31,7 +32,6 @@ from .decomposition import (
 )
 from .errors import InternalInvariantError, ParseError, PreconditionError, ValidationError
 from .files import (
-    Workspace,
     _census_line,
     emit_cocycle,
     emit_decomposition,
@@ -121,19 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workspace(args) -> Workspace:
+def _load(args, need_chain=False, need_r=False):
     if not args.group:
         raise ParseError("--group is required")
-    return Workspace(
-        group_path=args.group,
-        cocycle_path=args.cocycle,
-        r_path=args.rmap,
-        chain_path=args.chain,
-    )
-
-
-def _load(args, need_chain=False, need_r=False):
-    group, cocycle, rmap, chain = parse_artifacts(_workspace(args))
+    group, cocycle, rmap, chain = parse_artifacts(args.group, args.cocycle, args.rmap, args.chain)
     if cocycle is None:
         raise ParseError("this command needs --cocycle or --r")
     if need_chain and chain is None:

@@ -113,7 +113,7 @@ class Cocycle(BinaryTable):
     Construct through :func:`validate_cocycle`; the census builds each of
     its cocycles from a block that ``_tables_valid`` passed, the same
     verdict.  The constructor itself only re-checks shape, so code that
-    fabricates instances directly (the census mutation control does) owns
+    fabricates instances directly (the sweep's mutation control does) owns
     the consequences.
     """
 

@@ -459,6 +459,7 @@ _CHECKS = {
     "leq_f": _check_leq_f,
 }
 IDENTITY_NAMES = tuple(_CHECKS)
+CHAIN_CHECKS = ("leq_f", "chain_break", "waterhouse_iff")
 
 # one frozen passing verdict per identity, shared by every check that passes
 _PASSED = {name: IdentityCheck(name=name, ok=True) for name in IDENTITY_NAMES}

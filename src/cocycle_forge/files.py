@@ -11,7 +11,6 @@ exit codes 2 and 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraContext, DescendingChain, MonomialIdeal
@@ -19,7 +18,6 @@ from .census import CensusRecord
 from .cocycles import BinaryTable, Cocycle, as_cocycle
 from .decomposition import DecompositionReport, UniqueClassVerdict
 from .errors import ParseError, ValidationError
-from .generators import GeneratorSet, graphs_dot
 from .groups import Group, group_from_table, make_cyclic, make_dihedral
 from .semilinear import (
     AdditiveNaturals,
@@ -40,8 +38,6 @@ __all__ = [
     "emit_rmap",
     "emit_decomposition",
     "emit_census",
-    "emit_artifacts",
-    "Workspace",
     "parse_artifacts",
     "resolve_group",
 ]
@@ -225,39 +221,6 @@ def emit_census(records: Sequence[CensusRecord]) -> str:
     return "".join(map(_census_line, records))
 
 
-def emit_artifacts(obj, format: str) -> str:
-    """Serialize one object in one of the formats table, dot, report, rfile."""
-    if format == "table":
-        if isinstance(obj, Group):
-            return emit_group(obj)
-        if isinstance(obj, BinaryTable):
-            return emit_cocycle(obj)
-        if isinstance(obj, DescendingChain):
-            return emit_chain(obj)
-        if isinstance(obj, MonomialIdeal):
-            return " ".join(str(s) for s in obj.sorted_members) + "\n"
-    elif format == "rfile":
-        if isinstance(obj, SemilinearMap):
-            return emit_rmap(obj)
-    elif format == "report":
-        if isinstance(obj, (DecompositionReport, UniqueClassVerdict)):
-            return emit_decomposition(obj)
-        if isinstance(obj, (list, tuple)) and all(
-            isinstance(x, CensusRecord) for x in obj
-        ):
-            return emit_census(obj)
-    elif format == "dot":
-        if isinstance(obj, AlgebraContext):
-            return graphs_dot(obj, "element")
-        if isinstance(obj, GeneratorSet):
-            return graphs_dot(obj.ctx, "generator")
-    else:
-        raise ValidationError(f"format-error: unknown format {format!r}")
-    raise ValidationError(
-        f"format-error: cannot emit {type(obj).__name__} as {format}"
-    )
-
-
 def resolve_group(spec: str) -> Group:
     """A group from the shorthand cyclicN / dN, or from a table file path."""
     match = re.fullmatch(r"cyclic(\d+)", spec)
@@ -269,20 +232,6 @@ def resolve_group(spec: str) -> Group:
     return parse_group(_read(spec, "group"))
 
 
-@dataclass(frozen=True)
-class Workspace:
-    """The file arguments of one CLI invocation.
-
-    The group is always required; the cocycle may be given directly, derived
-    from r, or both (in which case they must agree).
-    """
-
-    group_path: str
-    cocycle_path: Optional[str] = None
-    r_path: Optional[str] = None
-    chain_path: Optional[str] = None
-
-
 def _read(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -292,21 +241,25 @@ def _read(path: str, what: str) -> str:
 
 
 def parse_artifacts(
-    ws: Workspace,
+    group_path: str,
+    cocycle_path: Optional[str] = None,
+    r_path: Optional[str] = None,
+    chain_path: Optional[str] = None,
 ) -> Tuple[Group, Optional[Cocycle], Optional[SemilinearMap], Optional[DescendingChain]]:
-    """Load and cross-validate everything a Workspace names.
+    """Load and cross-validate the group file and the optional cocycle, r and
+    chain files.
 
     When both a cocycle and an r map are supplied the induced cocycle must
     match the explicit one.  A chain needs a cocycle (possibly derived) for
     its context.
     """
-    group = resolve_group(ws.group_path)
+    group = resolve_group(group_path)
     cocycle = None
-    if ws.cocycle_path is not None:
-        cocycle = parse_cocycle(_read(ws.cocycle_path, "cocycle"), group)
+    if cocycle_path is not None:
+        cocycle = parse_cocycle(_read(cocycle_path, "cocycle"), group)
     rmap = None
-    if ws.r_path is not None:
-        rmap = parse_rmap(_read(ws.r_path, "r"), group)
+    if r_path is not None:
+        rmap = parse_rmap(_read(r_path, "r"), group)
         induced = cocycle_from_r(rmap)
         if cocycle is not None and induced.masks != cocycle.masks:
             raise ValidationError(
@@ -314,9 +267,9 @@ def parse_artifacts(
             )
         cocycle = induced if cocycle is None else cocycle
     chain = None
-    if ws.chain_path is not None:
+    if chain_path is not None:
         if cocycle is None:
             raise ValidationError("a chain file needs a cocycle or an r file")
         ctx = AlgebraContext(cocycle)
-        chain = parse_chain(_read(ws.chain_path, "chain"), ctx)
+        chain = parse_chain(_read(chain_path, "chain"), ctx)
     return group, cocycle, rmap, chain

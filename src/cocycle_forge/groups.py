@@ -98,15 +98,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def name(self, a: int) -> str:
-        return self.names[a]
-
     def __repr__(self) -> str:
         return f"Group(order={self.order})"
 
@@ -250,7 +241,7 @@ def double_cosets(group: Group, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     if sub.group is not group and sub.group != group:
         raise ValidationError("invalid-subgroup: subgroup belongs to a different group")
     masks = _double_coset_masks(group, sum(1 << h for h in sub.members))
-    return tuple(tuple([s for s in group.elements() if m >> s & 1]) for m in masks)
+    return tuple(tuple([s for s in range(group.order) if m >> s & 1]) for m in masks)
 
 
 def _double_coset_masks(group: Group, mask: int) -> Tuple[int, ...]:
@@ -262,12 +253,12 @@ def _double_coset_masks(group: Group, mask: int) -> Tuple[int, ...]:
     a mask that is no subgroup raises ValidationError on every call."""
     hit = group._double_coset_masks.get(mask)
     if hit is None:
-        members = tuple([s for s in group.elements() if mask >> s & 1])
+        members = tuple([s for s in range(group.order) if mask >> s & 1])
         Subgroup(group=group, members=members)
         table = group.table
         classes = []
         seen = 0
-        for s in group.elements():
+        for s in range(group.order):
             if not seen >> s & 1:
                 cls = 0
                 for h1 in members:

@@ -201,18 +201,16 @@ def test_chain_levels(golden_ctx):
     rad = _ideal(golden_ctx, *range(1, 9))
     i3 = _ideal(golden_ctx, 6, 7)
     chain = cf.DescendingChain(ideals=(rad, i3))
-    assert cf.chain_level(chain, 6) == 2
-    assert cf.chain_level(chain, 1) == 1
-    with pytest.raises(ValidationError, match="undefined-level"):
-        cf.chain_level(chain, 0)  # levels only exist inside the radical
     levels = cf.chain_levels(chain)
+    assert levels[6] == 2
+    assert levels[1] == 1
     assert levels == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 1}
 
 
 def test_weakly_descending_chain_allows_repeats(golden_ctx):
     rad = _ideal(golden_ctx, *range(1, 9))
     chain = cf.DescendingChain(ideals=(rad, rad))
-    assert cf.chain_level(chain, 3) == 2
+    assert cf.chain_levels(chain)[3] == 2
 
 
 def test_negative_mask_is_rejected_before_unpacking(golden_ctx):
@@ -227,8 +225,7 @@ def test_negative_element_is_in_no_ideal(golden_ctx):
     assert -1 not in rad
     assert -9 not in rad
     chain = cf.DescendingChain(ideals=(rad, _ideal(golden_ctx, 6, 7)))
-    with pytest.raises(ValidationError, match="undefined-level"):
-        cf.chain_level(chain, -1)
+    assert -1 not in cf.chain_levels(chain)
 
 
 def test_ideal_from_mask_matches_the_members_constructor():

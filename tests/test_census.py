@@ -6,7 +6,7 @@ import time
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import census, sweep
 from cocycle_forge.errors import InternalInvariantError, ValidationError
 
 # enumeration sizes pinned once against the brute-force oracle below (orders
@@ -290,7 +290,7 @@ def test_chain_listings_refuse_a_cap_below_one(d3_ctx):
         with pytest.raises(ValidationError, match="census limits must be positive"):
             cf.descending_multichains(ideals, cap=cap)
         with pytest.raises(ValidationError, match="census limits must be positive"):
-            next(census._chain_verdicts(d3_ctx, ideals, cap))
+            next(sweep._chain_verdicts(d3_ctx, ideals, cap))
 
 
 def test_check_cocycle_properties_reports_the_chain_cap():

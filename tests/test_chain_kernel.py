@@ -1,7 +1,7 @@
 """The property sweep checks each chain's three identities in one pass.
 
 leq_f, chain_break and waterhouse_iff are decided per chain by
-census._chain_verdicts, which walks the chains in the order of
+sweep._chain_verdicts, which walks the chains in the order of
 census._chain_keys, from the chain cocycle, built from the layer cells
 carried from the parent chain, the join of the pair tables and the first
 unsqueezed link, the last two also carried.  The walk must list the keys of
@@ -24,7 +24,9 @@ import pytest
 
 import cocycle_forge as cf
 from cocycle_forge import algebra, census, decomposition
-from cocycle_forge.census import CHAIN_CHECKS, descending_multichains, enumerate_ideals
+from cocycle_forge import sweep as sweep_module
+from cocycle_forge.census import descending_multichains, enumerate_ideals
+from cocycle_forge.decomposition import CHAIN_CHECKS
 from cocycle_forge.cocycles import _pack_rows
 from cocycle_forge.errors import ForgeError, InternalInvariantError, ValidationError
 
@@ -84,7 +86,7 @@ def test_chain_pass_matches_the_from_scratch_checks(sweep):
         by_mask = {ideal.mask: ideal for ideal in ideals}
         keys, truncated = census._chain_keys(ideals, cap=census._chain_count(ideals))
         assert not truncated
-        walk = list(census._chain_verdicts(ctx, ideals, len(keys)))
+        walk = list(sweep_module._chain_verdicts(ctx, ideals, len(keys)))
         assert [key for key, _, _ in walk] == keys
         for key, verdicts, (join, witness) in walk if checked is None else rng.sample(walk, checked):
             distinct += len(set(key)) == 4
@@ -109,7 +111,7 @@ def test_the_walk_lists_the_chain_keys_up_to_the_cap(group):
         total = census._chain_count(ideals)
         contained = tuple(tuple(small <= big for big in ideals) for small in ideals)
         for cap in sorted({1, 7, max(total // 2, 1), total, total + 1}):
-            walked = [key for key, _, _ in census._chain_verdicts(ctx, ideals, cap)]
+            walked = [key for key, _, _ in sweep_module._chain_verdicts(ctx, ideals, cap)]
             assert walked == census._chain_keys(ideals, cap=cap)[0]
             if contained not in swept:
                 result = cf.check_cocycle_properties(ctx.cocycle, cap)
@@ -131,7 +133,7 @@ def test_every_chain_comes_after_its_parent(group):
 
 
 def _suite_chain_failures(ctx):
-    result = census._run_suite_checks(ctx, 10_000)
+    result = sweep_module._run_suite_checks(ctx, 10_000)
     return [(f.check, f.detail) for f in result.failures if f.check in CHAIN_CHECKS]
 
 
@@ -141,7 +143,7 @@ def _reference_chain_failures(ctx):
     out = []
     chains, _ = descending_multichains(enumerate_ideals(ctx))
     for chain in chains:
-        label = census._label(chain.masks)
+        label = sweep_module._label(chain.masks)
         for name in CHAIN_CHECKS:
             try:
                 verdict = cf.check_identity(name, ctx, chain=chain)
@@ -172,12 +174,12 @@ def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
         return real(ctx, key, *rest)
 
     monkeypatch.setattr(decomposition, "_chain_table", chain_table)
-    monkeypatch.setattr(census, "_chain_table", chain_table)
+    monkeypatch.setattr(sweep_module, "_chain_table", chain_table)
     if len(target) > 2:
         # past two terms the real _chain_table depends only on ctx and the
         # layer cells, and the state walk builds one table per state from
         # its first key, so a raise for one key is met by the exact walk only
-        monkeypatch.setattr(census, "_chain_pass_count", lambda *args: None)
+        monkeypatch.setattr(sweep_module, "_chain_pass_count", lambda *args: None)
     failures = _suite_chain_failures(_context_87())
     assert failures == _reference_chain_failures(_context_87())
     label = f"chain={[list(m) for m in target]} raised: injected"
@@ -213,7 +215,7 @@ def test_a_raising_square_fails_only_the_chains_that_reach_it(monkeypatch):
         return real(kind, a, b)
 
     monkeypatch.setattr(decomposition, "ideal_lattice_op", ideal_lattice_op)
-    monkeypatch.setattr(census, "ideal_lattice_op", ideal_lattice_op)
+    monkeypatch.setattr(sweep_module, "ideal_lattice_op", ideal_lattice_op)
     failures = _suite_chain_failures(_context_87())
     assert failures == _reference_chain_failures(_context_87())
     raised = {detail for check, detail in failures if check == "waterhouse_iff"}
@@ -226,13 +228,13 @@ def test_a_raising_square_fails_only_the_chains_that_reach_it(monkeypatch):
 
 def test_the_context_is_freed_without_the_cycle_collector(monkeypatch):
     refs = []
-    real = census._run_suite_checks
+    real = sweep_module._run_suite_checks
 
     def run_suite_checks(ctx, max_chains):
         refs.append(weakref.ref(ctx))
         return real(ctx, max_chains)
 
-    monkeypatch.setattr(census, "_run_suite_checks", run_suite_checks)
+    monkeypatch.setattr(sweep_module, "_run_suite_checks", run_suite_checks)
     cocycle = _context_87().cocycle
     gc.collect()
     gc.disable()
@@ -251,8 +253,8 @@ def test_the_state_walk_counts_every_chain(sweep):
     for ctx in _census_contexts(group, sample, searched):
         ideals = enumerate_ideals(ctx)
         total = census._chain_count(ideals)
-        assert census._chain_pass_count(ctx, ideals, total) == total
-        assert census._chain_pass_count(ctx, ideals, total - 1) is None
+        assert sweep_module._chain_pass_count(ctx, ideals, total) == total
+        assert sweep_module._chain_pass_count(ctx, ideals, total - 1) is None
 
 
 # C5 census cocycle 25: the table of J >= [1, 3] >= 0 is the table of no
@@ -291,7 +293,7 @@ def test_a_refused_chain_table_sends_the_sweep_to_the_exact_walk(
 
     monkeypatch.setattr(decomposition, "_finish", finish)
     ctx = context()
-    assert census._chain_pass_count(ctx, enumerate_ideals(ctx), 10_000) is None
+    assert sweep_module._chain_pass_count(ctx, enumerate_ideals(ctx), 10_000) is None
     failures = _suite_chain_failures(context())
     assert failures == _reference_chain_failures(context())
     assert ("leq_f", f"chain={[list(m) for m in target]} raised: refused") in failures
@@ -312,14 +314,14 @@ def _pair_table_without_a_cell(monkeypatch, ctx):
 
 def _square_of_j_read_as_zero(monkeypatch, ctx):
     # every link below J looks squeezed, but J >= [1] keeps cells above W
-    real = census.ideal_lattice_op
+    real = sweep_module.ideal_lattice_op
 
     def ideal_lattice_op(kind, a, b):
         if kind == "product" and a.mask == ctx._gstar_mask:
             return cf.MonomialIdeal(ctx=a.ctx, mask=0)
         return real(kind, a, b)
 
-    monkeypatch.setattr(census, "ideal_lattice_op", ideal_lattice_op)
+    monkeypatch.setattr(sweep_module, "ideal_lattice_op", ideal_lattice_op)
 
 
 @pytest.mark.parametrize(
@@ -336,9 +338,9 @@ def test_each_chain_check_failing_alone_makes_the_state_walk_miss(monkeypatch, k
     ideals = enumerate_ideals(ctx)
     failed = {
         name
-        for _, verdicts, _ in census._chain_verdicts(ctx, ideals, 10_000)
+        for _, verdicts, _ in sweep_module._chain_verdicts(ctx, ideals, 10_000)
         for name, verdict in zip(CHAIN_CHECKS, verdicts)
         if not verdict.ok
     }
     assert failed == {kind}
-    assert census._chain_pass_count(ctx, ideals, 10_000) is None
+    assert sweep_module._chain_pass_count(ctx, ideals, 10_000) is None

@@ -166,17 +166,6 @@ def test_emit_census_records():
 
 def test_emit_census_of_no_records_is_empty():
     assert cf.emit_census([]) == ""
-    assert cf.emit_artifacts([], "report") == ""
-
-
-def test_emit_artifacts_dispatch(golden, golden_ctx, z9):
-    assert cf.emit_artifacts(z9, "table") == cf.emit_group(z9)
-    assert cf.emit_artifacts(golden, "table") == cf.emit_cocycle(golden)
-    assert cf.emit_artifacts(golden_ctx, "dot") == cf.graphs_dot(golden_ctx, "element")
-    with pytest.raises(ValidationError, match="format-error"):
-        cf.emit_artifacts(golden, "dot")
-    with pytest.raises(ValidationError, match="format-error"):
-        cf.emit_artifacts(golden, "yaml")
 
 
 def test_resolve_group_shorthands(tmp_path):
@@ -192,23 +181,20 @@ def test_workspace_requires_consistent_r_and_cocycle(tmp_path, golden):
     group = _write(tmp_path, "g.group", cf.emit_group(cf.make_cyclic(9)))
     cocycle = _write(tmp_path, "f.cocycle", cf.emit_cocycle(golden))
     rfile = _write(tmp_path, "r.r", "0\n1\n2\n3\n4\n1\n2\n3\n3\n")
-    ws = cf.Workspace(group_path=group, cocycle_path=cocycle, r_path=rfile)
-    _, parsed_cocycle, parsed_r, _ = cf.parse_artifacts(ws)
+    _, parsed_cocycle, parsed_r, _ = cf.parse_artifacts(group, cocycle, rfile)
     assert parsed_cocycle.values == golden.values
     assert parsed_r.values == GOLDEN_R_VALUES
 
     bad_r = _write(tmp_path, "bad.r", "0\n1\n2\n3\n4\n1\n2\n3\n4\n")
-    ws = cf.Workspace(group_path=group, cocycle_path=cocycle, r_path=bad_r)
     with pytest.raises(ValidationError, match="inconsistent input"):
-        cf.parse_artifacts(ws)
+        cf.parse_artifacts(group, cocycle, bad_r)
 
 
 def test_workspace_chain_needs_cocycle(tmp_path):
     group = _write(tmp_path, "g.group", cf.emit_group(cf.make_cyclic(9)))
     chain = _write(tmp_path, "c.chain", "1 2 3 4 5 6 7 8\n6 7\n")
-    ws = cf.Workspace(group_path=group, chain_path=chain)
     with pytest.raises(ValidationError, match="needs a cocycle"):
-        cf.parse_artifacts(ws)
+        cf.parse_artifacts(group, chain_path=chain)
 
 
 # ---------------------------------------------------------------- CLI

@@ -14,7 +14,7 @@ def test_cyclic_table_is_addition_mod_n():
         for a in range(n):
             for b in range(n):
                 assert g.mul(a, b) == (a + b) % n
-            assert g.mul(a, g.inv(a)) == 0
+            assert g.mul(a, g.inverse[a]) == 0
 
 
 def test_cyclic_rejects_nonpositive_order():
@@ -43,7 +43,7 @@ def test_dihedral_matches_rotation_reflection_model():
 def test_dihedral_names():
     g = cf.make_dihedral(3)
     assert g.names == ("e", "a", "a2", "b", "ab", "a2b")
-    assert g.name(4) == "ab"
+    assert g.names[4] == "ab"
 
 
 def test_group_from_table_rejects_ragged_rows():

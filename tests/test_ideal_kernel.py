@@ -1,7 +1,7 @@
 """The property sweep decides each ideal's five checks in one kernel.
 
 n1_of_quotient, ideal_members_trivial_in_quotient, fI_eq_f, morphism and
-trivial_annih_replace are decided per ideal by census._ideal_verdicts: the
+trivial_annih_replace are decided per ideal by sweep._ideal_verdicts: the
 first two on the quotient context, the other three on masks and packed
 tables.  Every outcome must equal what the from-scratch checks give, and a
 corrupted pair table, quotient, trivial set or reach table must make the
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import sweep
 from cocycle_forge.algebra import _mask_of
 from cocycle_forge.census import enumerate_ideals
 from cocycle_forge.cocycles import Cocycle
@@ -89,10 +89,10 @@ def _kernel(ctx, ideals, trivial=None):
     if trivial is None:
         trivial = cf.classify_annihilators(ctx)[0]
     quotients = {}
-    verdicts = census._ideal_verdicts(ctx, ideals, trivial, cf.n1_set(ctx), quotients)
+    verdicts = sweep._ideal_verdicts(ctx, ideals, trivial, cf.n1_set(ctx), quotients)
     out = []
     for kinds, ideal, outcomes in verdicts:
-        assert kinds == census._IDEAL_CHECKS
+        assert kinds == sweep._IDEAL_CHECKS
         out.append((ideal, outcomes))
     return out, quotients
 
@@ -115,7 +115,7 @@ def test_ideal_kernel_matches_the_from_scratch_checks(group):
         for ideal, outcomes in verdicts:
             expected = _from_scratch(ref, by_mask[ideal.mask], ref_trivial, ref_n1)
             assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is census._IDEAL_PASSED) == _passed(expected)
+            assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
         assert quotients == {
             mask: cf.cocycle_mod_ideal(ref, ideal).packed for mask, ideal in by_mask.items()
         }
@@ -143,11 +143,11 @@ def test_a_flipped_pair_table_misses_the_kernel(key):
             expected = _from_scratch(ctx, ideal, trivial, cf.n1_set(ctx))
             assert _summary(outcomes) == _summary(expected)
             if ideal is target:
-                assert outcomes is not census._IDEAL_PASSED
+                assert outcomes is not sweep._IDEAL_PASSED
                 assert not outcomes[4].ok
                 missed += 1
             else:
-                assert outcomes is census._IDEAL_PASSED
+                assert outcomes is sweep._IDEAL_PASSED
         ctx._chain_cache[table] ^= 1 << 6
     assert missed == sum(1 for i in ideals if i.mask & t_mask) == 9
 
@@ -167,7 +167,7 @@ def test_a_wrong_quotient_misses_the_kernel():
         for ideal, outcomes in _kernel(ctx, ideals)[0]:
             expected = _from_scratch(ctx, ideal, trivial, cf.n1_set(ctx))
             assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is census._IDEAL_PASSED) == (ideal is not target)
+            assert (outcomes is sweep._IDEAL_PASSED) == (ideal is not target)
         assert not _passed(_from_scratch(ctx, target, trivial, cf.n1_set(ctx)))
         ctx._mod_cache[target.mask] = real
         missed += 1
@@ -192,7 +192,7 @@ def test_every_one_cell_flip_of_a_quotient_reads_as_from_scratch(rows):
             for ideal, outcomes in _kernel(ctx, ideals)[0]:
                 expected = _from_scratch(ctx, ideal, trivial, base_n1)
                 assert _summary(outcomes) == _summary(expected)
-                assert (outcomes is census._IDEAL_PASSED) == _passed(expected)
+                assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
                 failed += not _passed(expected)
         ctx._mod_cache[target.mask] = real
     assert failed
@@ -210,7 +210,7 @@ def test_every_one_member_change_of_the_kept_trivial_set_reads_as_from_scratch(r
         for ideal, outcomes in _kernel(ctx, ideals)[0]:
             expected = _from_scratch(ctx, ideal, trivial ^ {s}, base_n1)
             assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is census._IDEAL_PASSED) == _passed(expected)
+            assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
             failed += not _passed(expected)
     ctx._annihilators = real
     assert failed
@@ -221,19 +221,19 @@ def test_a_wrong_trivial_set_misses_every_ideal(monkeypatch):
     ideals = enumerate_ideals(ctx)
     trivial, nontrivial = cf.classify_annihilators(ctx)
     wrong = trivial | nontrivial  # every annihilator called trivial
-    real = census.classify_annihilators
+    real = sweep.classify_annihilators
 
     def classify_annihilators(c):
         return (wrong, nontrivial) if c is ctx else real(c)
 
-    monkeypatch.setattr(census, "classify_annihilators", classify_annihilators)
-    subjects = census._context_subjects(ctx, ideals)
+    monkeypatch.setattr(sweep, "classify_annihilators", classify_annihilators)
+    subjects = sweep._context_subjects(ctx, ideals)
     base_n1 = cf.n1_set(ctx)
     failed = 0
     for ideal in ideals:
         kinds, subject, outcomes = next(subjects)
-        assert (kinds, subject) == (census._IDEAL_CHECKS, ideal)
-        assert outcomes is not census._IDEAL_PASSED
+        assert (kinds, subject) == (sweep._IDEAL_CHECKS, ideal)
+        assert outcomes is not sweep._IDEAL_PASSED
         expected = _from_scratch(ctx, ideal, wrong, base_n1)
         assert _summary(outcomes) == _summary(expected)
         failed += not _passed(expected)
@@ -262,7 +262,7 @@ def test_a_closure_that_leaves_the_ideal_or_the_trivial_set_misses_the_kernel(gr
                 for ideal, outcomes in _kernel(ctx, ideals)[0]:
                     expected = _from_scratch(ctx, ideal, trivial, base_n1)
                     assert _summary(outcomes) == _summary(expected)
-                    assert (outcomes is census._IDEAL_PASSED) == _passed(expected)
+                    assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
                     if isinstance(expected[4], ForgeError):
                         raised.add(str(expected[4]).split(" contain")[0])
         ctx._links = real_links

@@ -10,7 +10,7 @@ all-pass objects for every ideal and pair.
 from __future__ import annotations
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import sweep
 from cocycle_forge.census import enumerate_ideals
 from cocycle_forge.errors import ValidationError
 from cocycle_forge.generators import n1_set
@@ -28,17 +28,17 @@ def test_every_kernel_takes_its_fast_path_on_the_clean_census():
                 continue  # the all-ones cocycle has no G*
             contexts += 1
             ideals = enumerate_ideals(ctx)
-            count = census._chain_pass_count(ctx, ideals, 10_000)
+            count = sweep._chain_pass_count(ctx, ideals, 10_000)
             assert count is not None
             chains += count
             trivial = cf.classify_annihilators(ctx)[0]
             quotients = {}
-            for _, _, outcomes in census._ideal_verdicts(
+            for _, _, outcomes in sweep._ideal_verdicts(
                 ctx, ideals, trivial, n1_set(ctx), quotients
             ):
-                assert outcomes is census._IDEAL_PASSED
+                assert outcomes is sweep._IDEAL_PASSED
                 ideals_seen += 1
-            for kinds, _, outcomes in census._pair_verdicts(ctx, ideals, quotients):
-                assert outcomes is census._PAIR_PASSED[kinds]
+            for kinds, _, outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
+                assert outcomes is sweep._PAIR_PASSED[kinds]
                 pairs_seen += 1
     assert (contexts, chains, ideals_seen, pairs_seen) == (612, 623_103, 8_049, 54_229)

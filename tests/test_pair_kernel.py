@@ -1,7 +1,7 @@
 """The property sweep decides each pair of ideals in one kernel.
 
 sum_product, intersection_vee and cap_zero are decided per pair by
-census._pair_verdicts on packed tables: the four pair tables over the sum,
+sweep._pair_verdicts on packed tables: the four pair tables over the sum,
 read by their own keys, and the packed quotient of each ideal.  Every
 verdict must equal what check_identity computes from scratch, and a
 corrupted pair table or quotient must be caught by the kernel itself.
@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census, decomposition
+from cocycle_forge import decomposition, sweep
 from cocycle_forge.census import enumerate_ideals
 from cocycle_forge.errors import InternalInvariantError, ValidationError
 
@@ -69,7 +69,7 @@ def test_pair_kernel_matches_check_identity(group):
         by_mask = {ideal.mask: ideal for ideal in enumerate_ideals(ref)}
         pairs = list(combinations(ideals, 2))
         seen = 0
-        for kinds, pair, outcomes in census._pair_verdicts(ctx, ideals, _quotients(ctx, ideals)):
+        for kinds, pair, outcomes in sweep._pair_verdicts(ctx, ideals, _quotients(ctx, ideals)):
             assert pair == pairs[seen]
             seen += 1
             a, b = pair
@@ -77,7 +77,7 @@ def test_pair_kernel_matches_check_identity(group):
             assert kinds == PAIR_CHECKS[: len(expected)]
             assert _summary(outcomes) == _summary(expected)
             if all(v.ok for v in expected):
-                assert outcomes is census._PAIR_PASSED[kinds]
+                assert outcomes is sweep._PAIR_PASSED[kinds]
         assert seen == len(pairs)
 
 
@@ -86,11 +86,11 @@ def test_a_flipped_pair_table_fails_the_kernel_as_check_identity(members):
     ctx = _context_87()
     ideals = enumerate_ideals(ctx)
     quotients = _quotients(ctx, ideals)
-    list(census._pair_verdicts(ctx, ideals, quotients))  # fills the pair tables
+    list(sweep._pair_verdicts(ctx, ideals, quotients))  # fills the pair tables
     u = cf.MonomialIdeal.from_members(ctx, members).mask
     ctx._chain_cache[(u, u)] ^= 1 << 7  # the cell (1, 1)
     failed = 0
-    for kinds, (a, b), outcomes in census._pair_verdicts(ctx, ideals, quotients):
+    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
         expected = _reference(ctx, a, b)
         assert _summary(outcomes) == _summary(expected)
         failed += not outcomes[0].ok
@@ -108,7 +108,7 @@ def test_a_wrong_quotient_fails_cap_zero():
     quotients[target.mask] |= 1 << bit
     s, t = divmod(bit, ctx.group.order)
     failed = 0
-    for kinds, (a, b), outcomes in census._pair_verdicts(ctx, ideals, quotients):
+    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
         verdicts = dict(zip(kinds, outcomes))
         assert verdicts["sum_product"].ok and verdicts["intersection_vee"].ok
         if "cap_zero" not in verdicts:
@@ -136,10 +136,10 @@ def test_a_disjoint_pair_with_one_missing_quotient_fails_cap_zero_as_check_ident
     monkeypatch.setattr(decomposition, "cocycle_mod_ideal", cocycle_mod_ideal)
     quotients = _quotients(ctx, [ideal for ideal in ideals if ideal is not target])
     seen = 0
-    for kinds, (a, b), outcomes in census._pair_verdicts(ctx, ideals, quotients):
+    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
         if "cap_zero" in kinds and target in (a, b):
             seen += 1
-            expected = census._outcome(cf.check_identity, "cap_zero", ctx, ideals=[a, b])
-            assert census._failure_suffix(outcomes[2]) == census._failure_suffix(expected)
-            assert census._failure_suffix(expected) == " raised: no quotient"
+            expected = sweep._outcome(cf.check_identity, "cap_zero", ctx, ideals=[a, b])
+            assert sweep._failure_suffix(outcomes[2]) == sweep._failure_suffix(expected)
+            assert sweep._failure_suffix(expected) == " raised: no quotient"
     assert seen == 1

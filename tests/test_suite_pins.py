@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import census
+from cocycle_forge import sweep
 from cocycle_forge.decomposition import IdentityCheck
 from cocycle_forge.errors import InternalInvariantError
 
@@ -61,9 +61,9 @@ def test_failure_details_keep_their_format(monkeypatch):
     # the C3 Waterhouse table of {0}: ideals 0, [1], [2], [1, 2]
     g = cf.make_cyclic(3)
     cocycle = cf.waterhouse(g, cf.subgroup(g, [0]))
-    real_chain_verdicts = census._chain_verdicts
-    real_pair_verdicts = census._pair_verdicts
-    real_ideal_verdicts = census._ideal_verdicts
+    real_chain_verdicts = sweep._chain_verdicts
+    real_pair_verdicts = sweep._pair_verdicts
+    real_ideal_verdicts = sweep._ideal_verdicts
 
     def chain_verdicts(ctx, *args):
         for key, verdicts, carried in real_chain_verdicts(ctx, *args):
@@ -87,13 +87,13 @@ def test_failure_details_keep_their_format(monkeypatch):
     def all_generators(ctx):
         raise InternalInvariantError("no words")
 
-    monkeypatch.setattr(census, "_chain_verdicts", chain_verdicts)
+    monkeypatch.setattr(sweep, "_chain_verdicts", chain_verdicts)
     # the injected leq_f failure is on a chain that passes: the state walk
     # must miss, so that the exact walk, and the injection, run
-    monkeypatch.setattr(census, "_chain_pass_count", lambda *args: None)
-    monkeypatch.setattr(census, "_pair_verdicts", pair_verdicts)
-    monkeypatch.setattr(census, "_ideal_verdicts", ideal_verdicts)
-    monkeypatch.setattr(census, "all_generators", all_generators)
+    monkeypatch.setattr(sweep, "_chain_pass_count", lambda *args: None)
+    monkeypatch.setattr(sweep, "_pair_verdicts", pair_verdicts)
+    monkeypatch.setattr(sweep, "_ideal_verdicts", ideal_verdicts)
+    monkeypatch.setattr(sweep, "all_generators", all_generators)
     result = cf.check_cocycle_properties(cocycle)
     assert [(f.check, f.detail) for f in result.failures] == [
         ("leq_f", "chain=[[1, 2], [1]] ('incomparable',)"),

@@ -15,7 +15,7 @@ import random
 from types import SimpleNamespace
 
 import cocycle_forge as cf
-from cocycle_forge import algebra, census
+from cocycle_forge import algebra, census, sweep
 from cocycle_forge.decomposition import DecompositionReport, IdentityCheck
 from cocycle_forge.errors import InternalInvariantError
 
@@ -46,11 +46,11 @@ def _failures(result):
 def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
     cocycle = _c4_cocycle()
     unpatched = cf.check_cocycle_properties(cocycle).counts
-    real_mod = census.cocycle_mod_ideal
-    real_n1 = census.n1_set
-    real_classes = census.classify_annihilators
-    real_ideal_verdicts = census._ideal_verdicts
-    real_pair_verdicts = census._pair_verdicts
+    real_mod = sweep.cocycle_mod_ideal
+    real_n1 = sweep.n1_set
+    real_classes = sweep.classify_annihilators
+    real_ideal_verdicts = sweep._ideal_verdicts
+    real_pair_verdicts = sweep._pair_verdicts
     quotient_of = []  # the ideal of the last quotient taken
 
     def cocycle_mod_ideal(ctx, ideal):
@@ -107,7 +107,7 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
         ("decompose_by_bstar", decompose_by_bstar),
         ("decompose_by_classes", decompose_by_classes),
     ]:
-        monkeypatch.setattr(census, name, patch)
+        monkeypatch.setattr(sweep, name, patch)
     result = cf.check_cocycle_properties(cocycle)
     assert _failures(result) == [
         ("n1_of_quotient", "ideal=[2]"),
@@ -127,9 +127,9 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
 
 
 def _raise_on_first_call(monkeypatch, name, error):
-    """Patch census.<name> to raise error on its first call only: the sweep
+    """Patch sweep.<name> to raise error on its first call only: the sweep
     reads the context's own input before any quotient's."""
-    real = getattr(census, name)
+    real = getattr(sweep, name)
     calls = []
 
     def patched(*args):
@@ -138,7 +138,7 @@ def _raise_on_first_call(monkeypatch, name, error):
             raise InternalInvariantError(error)
         return real(*args)
 
-    monkeypatch.setattr(census, name, patched)
+    monkeypatch.setattr(sweep, name, patched)
 
 
 def test_a_raising_n1_fails_each_quotient_check(monkeypatch):
@@ -169,14 +169,14 @@ def test_raising_annihilator_classes_fail_each_replacement(monkeypatch):
 def test_a_raising_pair_sum_fails_only_that_pairs_checks(monkeypatch):
     cocycle = _c3_waterhouse()
     unpatched = cf.check_cocycle_properties(cocycle).counts
-    real = census.ideal_lattice_op
+    real = sweep.ideal_lattice_op
 
     def ideal_lattice_op(kind, a, b):
         if kind == "sum" and (a.mask, b.mask) == (_mask(1), _mask(2)):
             raise InternalInvariantError("no sum")
         return real(kind, a, b)
 
-    monkeypatch.setattr(census, "ideal_lattice_op", ideal_lattice_op)
+    monkeypatch.setattr(sweep, "ideal_lattice_op", ideal_lattice_op)
     result = cf.check_cocycle_properties(cocycle)
     assert _failures(result) == [
         ("sum_product", "pair=([1], [2]) raised: no sum"),
@@ -192,13 +192,13 @@ def _raise_waterhouse(*args):
 def _chain_labels(cocycle):
     ideals = census.enumerate_ideals(cf.AlgebraContext(cocycle))
     keys, _ = census._chain_keys(ideals)
-    return [census._label(key) for key in keys]
+    return [sweep._label(key) for key in keys]
 
 
 def test_a_raising_waterhouse_read_fails_each_waterhouse_check(monkeypatch):
     cocycle = _c4_cocycle()
     unpatched = cf.check_cocycle_properties(cocycle).counts
-    monkeypatch.setattr(census, "_waterhouse_of", _raise_waterhouse)
+    monkeypatch.setattr(sweep, "_waterhouse_of", _raise_waterhouse)
     result = cf.check_cocycle_properties(cocycle)
     assert _failures(result) == [
         ("waterhouse_iff", f"{label} raised: no waterhouse") for label in _chain_labels(cocycle)
@@ -221,14 +221,14 @@ def test_a_raising_waterhouse_table_is_reported_not_raised(monkeypatch):
 
 def test_each_ideal_has_one_quotient_context(monkeypatch):
     cocycle = _c4_cocycle()
-    real = census.cocycle_mod_ideal
+    real = sweep.cocycle_mod_ideal
     quotients = []
 
     def cocycle_mod_ideal(ctx, ideal):
         quotients.append(ideal.mask)
         return real(ctx, ideal)
 
-    monkeypatch.setattr(census, "cocycle_mod_ideal", cocycle_mod_ideal)
+    monkeypatch.setattr(sweep, "cocycle_mod_ideal", cocycle_mod_ideal)
     result = cf.check_cocycle_properties(cocycle)
     assert result.failures == ()
     ideals = census.enumerate_ideals(cf.AlgebraContext(cocycle))
@@ -243,7 +243,7 @@ def test_lift_failures_name_the_map(monkeypatch):
     r = cf.random_semilinear(g, random.Random(0))  # the suite's first draw
     fr = cf.cocycle_from_r(r)
     zero, top = 0, cf.AlgebraContext(fr)._gstar_mask
-    real_lift, real_padded = census.chain_lift, census.padded_lift
+    real_lift, real_padded = sweep.chain_lift, sweep.padded_lift
 
     def chain_lift(r, chain):
         if chain.masks == (zero, zero):
@@ -255,8 +255,8 @@ def test_lift_failures_name_the_map(monkeypatch):
             return SimpleNamespace(certified=False)
         return real_padded(r, chain)
 
-    monkeypatch.setattr(census, "chain_lift", chain_lift)
-    monkeypatch.setattr(census, "padded_lift", padded_lift)
+    monkeypatch.setattr(sweep, "chain_lift", chain_lift)
+    monkeypatch.setattr(sweep, "padded_lift", padded_lift)
     report = cf.property_suite(cfg, lift_samples=1)
     assert _failures(report) == [
         ("lift_sandwich", f"r={list(r.values)} raised: no lift"),
