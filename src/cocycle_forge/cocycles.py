@@ -319,12 +319,7 @@ def compare(f: BinaryTable, g: BinaryTable) -> str:
     """Support-containment order: equal, less, greater, or incomparable."""
     if f.group is not g.group and f.group != g.group:
         raise ValidationError("domain-mismatch: cocycles live on different groups")
-    return _support_order(f.packed, g.packed)
-
-
-def _support_order(a: int, b: int) -> str:
-    """compare on two packed tables over one group: the smaller is its meet
-    with the other."""
+    a, b = f.packed, g.packed
     if a == b:
         return EQUAL
     meet = a & b

@@ -331,42 +331,29 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
     return _tables_check("chain_break", ctx.group.order, lhs, joined)
 
 
-def _link_witness(a: int, square: int, inner: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Whether link a, I_a >= I_{a+1}, of a chain is squeezed, from the masks
-    of I_a^2 and I_{a+1}: None when I_a^2 <= I_{a+1}, else the witness
-    (a, members of I_a^2 outside I_{a+1})."""
-    extra = square & ~inner
-    return (a, _members_of(extra)) if extra else None
-
-
 def _first_unsqueezed(chain: DescendingChain) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """The witness of the first link of the chain that is not squeezed, or
-    None when every link is."""
+    """The witness (a, members of I_a^2 outside I_{a+1}) of the first link
+    I_a >= I_{a+1} of the chain with I_a^2 not inside I_{a+1}, or None when
+    every link is squeezed."""
     ideals = chain.ideals
     for a, (outer, inner) in enumerate(zip(ideals, ideals[1:]), start=1):
-        square = ideal_lattice_op("product", outer, outer)
-        witness = _link_witness(a, square.mask, inner.mask)
-        if witness is not None:
-            return witness
+        extra = ideal_lattice_op("product", outer, outer).mask & ~inner.mask
+        if extra:
+            return a, _members_of(extra)
     return None
 
 
-def _waterhouse_iff_verdict(direct, f0, witness) -> IdentityCheck:
-    """waterhouse_iff on packed tables: the chain cocycle ``direct`` equals
-    the Waterhouse idempotent ``f0`` exactly when ``witness``, the first
-    unsqueezed link, is None."""
-    collapses = direct == f0
+def _check_waterhouse_iff(ctx, chain: DescendingChain):
+    """The chain cocycle equals the Waterhouse idempotent exactly when every
+    link of the chain is squeezed."""
+    collapses = cocycle_from_chain(ctx, chain).packed == _waterhouse_of(ctx).packed
+    witness = _first_unsqueezed(chain)
     squeezed = witness is None
     if collapses == squeezed:
         return _PASSED["waterhouse_iff"]
     return IdentityCheck(
         name="waterhouse_iff", ok=False, counterexample=(collapses, squeezed, witness)
     )
-
-
-def _check_waterhouse_iff(ctx, chain: DescendingChain):
-    direct = cocycle_from_chain(ctx, chain).packed
-    return _waterhouse_iff_verdict(direct, _waterhouse_of(ctx).packed, _first_unsqueezed(chain))
 
 
 def _pair_table(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> int:
@@ -436,16 +423,11 @@ def _check_trivial_annih_replace(ctx, first: MonomialIdeal, second: MonomialIdea
     return _tables_check("trivial_annih_replace", ctx.group.order, lhs, rhs)
 
 
-def _leq_f_verdict(relation: str) -> IdentityCheck:
-    """leq_f from the support order of the chain cocycle against f, as
-    ``compare`` or ``_support_order`` gives it."""
+def _check_leq_f(ctx, chain: DescendingChain):
+    relation = compare(cocycle_from_chain(ctx, chain), ctx.cocycle)
     if relation in (LESS, EQUAL):
         return _PASSED["leq_f"]
     return IdentityCheck(name="leq_f", ok=False, counterexample=(relation,))
-
-
-def _check_leq_f(ctx, chain: DescendingChain):
-    return _leq_f_verdict(compare(cocycle_from_chain(ctx, chain), ctx.cocycle))
 
 
 _CHECKS = {
@@ -473,12 +455,6 @@ def check_identity(name: str, ctx: AlgebraContext, **kwargs) -> IdentityCheck:
     waterhouse_iff, leq_f or any check that compares two tables returns the
     one shared IdentityCheck(name, ok=True); a failure is a new verdict
     carrying its counterexample.
-
-    The chain identities compute their mask inputs from scratch: the chain
-    cocycle, the join of its sub-chain cocycles and the first unsqueezed
-    link.  They decide through ``_leq_f_verdict``, ``_tables_check`` and
-    ``_waterhouse_iff_verdict``, which the property sweep calls with the
-    join and the link carried from each chain's parent.
     """
     check = _CHECKS.get(name)
     if check is None:

@@ -2,20 +2,19 @@
 cocycle of a census, the ground truth.
 
 Each context runs the chain kernel (a state-merged walk that counts the
-chains when all pass, else the exact walk that decides each one), the
-ideal and pair kernels, and the context-wide checks; a kernel falls back
-to the from-scratch check_identity and morphism_check wherever its fast
-test does not pass.  The sweep is also the negative control: a fabricated
-table with one flipped entry must fail either validation or at least one
-check here.
+chains when all pass), the ideal and pair kernels, and the context-wide
+checks; a kernel falls back to the from-scratch check_identity and
+morphism_check wherever its fast test does not pass, and a refused chain
+walk sends each chain, up to the chain cap, to check_identity.  The sweep
+is also the negative control: a fabricated table with one flipped entry
+must fail either validation or at least one check here.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat, tee
-from operator import itemgetter
+from itertools import chain, combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -42,7 +41,6 @@ from .cocycles import (
     BinaryTable,
     Cocycle,
     CocycleViolation,
-    _support_order,
     inertial_group,
     validate_cocycle,
 )
@@ -51,10 +49,7 @@ from .decomposition import (
     DecompositionReport,
     _PASSED,
     _chain_table,
-    _leq_f_verdict,
-    _link_witness,
     _tables_check,
-    _waterhouse_iff_verdict,
     check_identity,
     cocycle_mod_ideal,
     decompose_by_bstar,
@@ -88,7 +83,7 @@ class PropertyFailure:
 class CocycleCheckResult:
     counts: Dict[str, int]
     failures: Tuple[PropertyFailure, ...]
-    chains_truncated: bool = False  # the chain cap left some chains unchecked
+    chains_truncated: bool = False  # the cap left chains of a refused walk unchecked
     chains_total: int = 0  # the chains that exist, checked or not
 
 
@@ -121,165 +116,62 @@ def _failure_suffix(result) -> Optional[str]:
     return None if result.ok else f" {result.counterexample}"
 
 
-_CHAIN_PASSED = tuple(_PASSED[name] for name in CHAIN_CHECKS)
+def _chain_pass_count(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Optional[int]:
+    """How many chains ``census._chain_keys(ideals)`` lists with no cap, when
+    every one passes the three chain checks; None otherwise.
 
-
-def _read_link(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], links, squares, i, j):
-    """Read the link I_i >= I_j of a chain walk into links[i][j] and return
-    it: (mask of I_j, ``Group.cells`` of the layer I_i \\ I_j, the pair table
-    through ``_chain_table``, the mask of the square of I_i).  The square is
-    read once per ideal into squares.  An input that raised is kept as its
-    error, without the traceback, whose frames would hold the context."""
-    if i not in squares:
-        big = ideals[i]
-        squares[i] = _outcome(lambda: ideal_lattice_op("product", big, big).mask)
-    outer, inner = ideals[i].mask, ideals[j].mask
-    link = links[i][j] = (
-        inner, ctx.group.cells(outer & ~inner),
-        _outcome(_chain_table, ctx, (outer, inner)), squares[i],
-    )
-    return link
-
-
-def _chain_verdicts(
-    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int
-) -> Iterator[Tuple[Tuple[int, ...], tuple, tuple]]:
-    """Yield (key, verdicts, (join, witness)) for the first cap keys of
-    ``_chain_keys(ideals, cap=cap)``, in its order; a cap below 1 raises.
-    verdicts holds, per CHAIN_CHECKS name, the IdentityCheck that
-    check_identity returns or the ForgeError it raises.  This is the exact,
-    ordered and capped walk: the sweep runs it when ``_chain_pass_count``
-    gives no count, and it alone reports chain failures.
-
-    One walk down the ``below`` relation lists the keys level by level, and
-    each chain carries its layer cells cells(L_1) | .. | cells(L_{k-1}), join
-    and witness to its children.  Each link I_a >= I_{a+1} is read once, on
-    first use, by ``_read_link``.  A chain's own table is built by
-    ``_chain_table`` from its parent's cells OR the link's, never taken from
-    the pair cache past two terms; its join is the parent's OR the link's
-    pair table, and its witness, the first unsqueezed link, the parent's,
-    or the link's own when the parent's is None.  A chain passes when its
-    table lies inside f, equals the join, and equals the Waterhouse table
-    exactly when no link is unsqueezed; any other chain gets the verdicts
-    check_identity gives.  An input that raised, the Waterhouse table
-    included, is carried as its error.
+    The walk goes down ``census._below`` level by level, to the same depth,
+    and merges the chains of a level whose state is equal, counting the
+    chains of each state.  The state is (index of the last ideal, OR of the
+    layer cells, join, whether some link is unsqueezed), and it fixes the
+    three verdicts of each of its chains and of all their descendants: the
+    chain table is W | f & cells, leq_f asks that it lie inside f,
+    chain_break compares it with the join, and waterhouse_iff compares it
+    with W given the flag.  So each state's table is built once, by
+    ``_chain_table`` from the state's first key and its cells, and the pass
+    condition is evaluated once per state.  States never merge across
+    lengths, and the join stays in the state, so a wrong pair table still
+    fails chain_break.  Each link I_i >= I_j is read once: its inner mask,
+    the ``Group.cells`` of its layer, its pair table through
+    ``_chain_table`` and whether I_i^2, read once per ideal, leaves I_j.
+    The walk gives None as soon as a state misses or an input raised (a pair
+    table, a square, W or a state's own table); the sweep then decides each
+    chain through check_identity.
     """
-    if cap < 1:
-        raise ValidationError("census limits must be positive")
-    n = ctx.group.order
     f = ctx.cocycle.packed
-    f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
-    f0_ok = not isinstance(f0, ForgeError)
-    below = _below(ideals)
-    links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
-    squares: Dict[int, object] = {}  # by ideal index: its square's mask, or the error
-    # (key, index of its last ideal, layer cells, join, witness); no pairs join to 0
-    level = [((ideal.mask,), i, 0, 0, None) for i, ideal in enumerate(ideals)]
-    listed = 0
-    for a in range(1, _MAX_CHAIN_LEN):
-        nxt = []
-        for parent, i, above, parent_join, parent_witness in level:
-            row = links[i]
-            for j in below[i]:
-                if listed == cap:
-                    return
-                listed += 1
-                inner, layer, pair, square = (
-                    row.get(j) or _read_link(ctx, ideals, links, squares, i, j)
-                )
-                key = parent + (inner,)
-                cells = above | layer
-                try:
-                    join = parent_join | pair
-                except TypeError:  # a carried or read error is no table
-                    join = parent_join if isinstance(parent_join, ForgeError) else pair
-                witness = parent_witness
-                if witness is None:  # a square that raised is carried as its error
-                    witness = _link_witness(a, square, inner) if type(square) is int else square
-                if a + 1 < _MAX_CHAIN_LEN:  # the last level has no children
-                    nxt.append((key, j, cells, join, witness))
-                try:
-                    direct = _chain_table(ctx, key, cells)
-                except ForgeError as exc:
-                    verdicts = (exc.with_traceback(None),) * 3
-                else:
-                    if (
-                        not direct & ~f and direct == join and f0_ok
-                        and not isinstance(witness, ForgeError)
-                        and (direct == f0) == (witness is None)
-                    ):
-                        verdicts = _CHAIN_PASSED
+    try:
+        f0 = _waterhouse_of(ctx).packed
+        links = []  # per outer ideal: (index, mask, layer cells, pair table, unsqueezed) per inner
+        for big, below in zip(ideals, _below(ideals)):
+            square = ideal_lattice_op("product", big, big).mask
+            row = []
+            for j in below:
+                inner = ideals[j].mask
+                row.append((j, inner, ctx.group.cells(big.mask & ~inner),
+                            _chain_table(ctx, (big.mask, inner)), square & ~inner != 0))
+            links.append(row)
+        # state (index of the last ideal, layer cells, join, unsqueezed) ->
+        # [its chains, its first key]; a lone ideal is no chain yet
+        level = {(i, 0, 0, False): [1, (ideal.mask,)] for i, ideal in enumerate(ideals)}
+        total = 0
+        for _ in range(1, _MAX_CHAIN_LEN):
+            nxt: Dict[tuple, list] = {}
+            for (i, above, parent_join, unsqueezed), (count, parent) in level.items():
+                for j, inner, layer, pair, extra in links[i]:
+                    state = (j, above | layer, parent_join | pair, unsqueezed or extra)
+                    merged = nxt.get(state)
+                    if merged is None:
+                        nxt[state] = [count, parent + (inner,)]
                     else:
-                        verdicts = (
-                            _leq_f_verdict(_support_order(direct, f)),
-                            _outcome(_tables_check, "chain_break", n, direct, join),
-                            _outcome(_waterhouse_iff_verdict, direct, f0, witness),
-                        )
-                yield key, verdicts, (join, witness)
-        level = nxt
-
-
-def _chain_pass_count(
-    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], cap: int
-) -> Optional[int]:
-    """How many chains ``_chain_verdicts(ctx, ideals, cap)`` lists, when it
-    would list them all and every one passes; None otherwise.
-
-    The walk goes down the same ``below`` relation to the same depth, level
-    by level, but it merges the chains of a level whose state is equal and
-    counts the chains of each state.  The state is (index of the last
-    ideal, OR of the layer cells, join, whether some link is unsqueezed),
-    and it fixes the three verdicts of each of its chains and of all their
-    descendants: the chain table is W | f & cells, chain_break compares it
-    with the join, and waterhouse_iff compares it with W given the flag.
-    So each state's table is built once, by ``_chain_table`` from the
-    state's first key and its cells, and the pass condition of
-    ``_chain_verdicts`` is evaluated once per state.  States never merge
-    across lengths, and the join stays in the state, so a wrong pair table
-    still fails chain_break.  Links are read by ``_read_link``.  The walk
-    gives None as soon as a state misses, an input raised (a pair table, a
-    square, W or a state's own table) or the count passes cap; the exact
-    walk then decides every chain.
-    """
-    f = ctx.cocycle.packed
-    f0 = _outcome(lambda: _waterhouse_of(ctx).packed)
-    if isinstance(f0, ForgeError):
-        return None
-    below = _below(ideals)
-    links: List[Dict[int, tuple]] = [{} for _ in ideals]  # per outer ideal, by inner
-    squares: Dict[int, object] = {}  # by ideal index: its square's mask, or the error
-    # state (index of the last ideal, layer cells, join, unsqueezed) ->
-    # [its chains, its first key]; a lone ideal is no chain yet
-    level = {(i, 0, 0, False): [1, (ideal.mask,)] for i, ideal in enumerate(ideals)}
-    total = 0
-    for _ in range(1, _MAX_CHAIN_LEN):
-        nxt: Dict[tuple, list] = {}
-        for (i, above, parent_join, unsqueezed), (count, parent) in level.items():
-            row = links[i]
-            for j in below[i]:
-                link = row.get(j)
-                if link is None:
-                    link = _read_link(ctx, ideals, links, squares, i, j)
-                    if isinstance(link[2], ForgeError) or isinstance(link[3], ForgeError):
-                        return None
-                inner, layer, pair, square = link
-                state = (j, above | layer, parent_join | pair, unsqueezed or square & ~inner != 0)
-                merged = nxt.get(state)
-                if merged is None:
-                    nxt[state] = [count, parent + (inner,)]
-                else:
-                    merged[0] += count
-        for (_, cells, join, unsqueezed), (count, key) in nxt.items():
-            total += count
-            if total > cap:
-                return None
-            try:
+                        merged[0] += count
+            for (_, cells, join, unsqueezed), (count, key) in nxt.items():
+                total += count
                 direct = _chain_table(ctx, key, cells)
-            except ForgeError:
-                return None
-            if direct & ~f or direct != join or (direct == f0) == unsqueezed:
-                return None
-        level = nxt
+                if direct & ~f or direct != join or (direct == f0) == unsqueezed:
+                    return None
+            level = nxt
+    except ForgeError:
+        return None
     return total
 
 
@@ -475,20 +367,14 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
     yield _CONTEXT_CHECKS[: len(outcomes)], None, outcomes
 
 
-def _tally(stream, rows, counts, failures, passed: int = 0) -> None:
+def _tally(stream, rows, counts, failures) -> None:
     """Count each check of the stream of (kinds, subject, outcomes) by kind
     into counts, and append to failures a PropertyFailure on the cocycle
     with these rows for each check that failed, its detail _label(subject) +
     _failure_suffix(outcome).  Outcomes that are a kernel's shared all-pass
-    tuple (_CHAIN_PASSED, _IDEAL_PASSED, or _PAIR_PASSED of their kinds)
-    count each of their kinds once and are read no further.  The chains that
-    passed, the given passed plus the chain kernel's, which come first, are
-    summed and spread over CHAIN_CHECKS at the end, so the chain kinds keep
-    their place after the context's."""
+    tuple (_IDEAL_PASSED, or _PAIR_PASSED of their kinds) count each of
+    their kinds once and are read no further."""
     for kinds, subject, outcomes in stream:
-        if outcomes is _CHAIN_PASSED:
-            passed += 1
-            continue
         for kind in kinds:
             counts[kind] = counts.get(kind, 0) + 1
         if outcomes is _IDEAL_PASSED or outcomes is _PAIR_PASSED.get(kinds):
@@ -500,35 +386,36 @@ def _tally(stream, rows, counts, failures, passed: int = 0) -> None:
                     check=kind, group_order=len(rows), cocycle_rows=rows,
                     detail=_label(subject) + suffix,
                 ))
-    if passed:
-        for kind in CHAIN_CHECKS:
-            counts[kind] = counts.get(kind, 0) + passed
 
 
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
     """The property sweep of one context: _tally over the subjects of
-    _context_subjects, after the chains.  The chains are first counted by
-    _chain_pass_count, and when every one passes, _tally is given that
-    count.  Otherwise it reads each chain key with its verdicts, split from
-    _chain_verdicts by tee with no Python frame per chain, so chain failures,
-    their order and their text come from the exact walk alone.  Each chain
-    checked runs one leq_f; a path count gives the total when the walk hit
-    the cap."""
+    _context_subjects.  The chains are first counted by _chain_pass_count;
+    when every one passes, that count is spread over CHAIN_CHECKS after the
+    context's kinds.  Otherwise each of the first max_chains chains of
+    ``descending_multichains`` is decided by check_identity, one subject
+    per chain before the context's, and a path count gives the total."""
     ideals = enumerate_ideals(ctx)
-    passed = _chain_pass_count(ctx, ideals, max_chains)
+    passed = _chain_pass_count(ctx, ideals)
     stream = _context_subjects(ctx, ideals)
+    chains_total, truncated = passed, False
     if passed is None:
-        walk, shadow = tee(_chain_verdicts(ctx, ideals, max_chains))
-        chains = zip(repeat(CHAIN_CHECKS), map(itemgetter(0), walk), map(itemgetter(1), shadow))
-        stream, passed = chain(chains, stream), 0
+        chains, truncated = descending_multichains(ideals, cap=max_chains)
+        decided = (
+            (CHAIN_CHECKS, c.masks,
+             [_outcome(check_identity, name, ctx, chain=c) for name in CHAIN_CHECKS])
+            for c in chains
+        )
+        stream, passed, chains_total = chain(decided, stream), 0, _chain_count(ideals)
     counts: Dict[str, int] = {}
     failures: List[PropertyFailure] = []
-    _tally(stream, ctx.cocycle.rows(), counts, failures, passed)
-    listed = counts.get(CHAIN_CHECKS[0], 0)
-    chains_total = _chain_count(ideals) if listed == max_chains else listed
+    _tally(stream, ctx.cocycle.rows(), counts, failures)
+    if passed:
+        for kind in CHAIN_CHECKS:
+            counts[kind] = counts.get(kind, 0) + passed
     return CocycleCheckResult(
         counts=counts, failures=tuple(failures),
-        chains_truncated=chains_total > max_chains, chains_total=chains_total,
+        chains_truncated=truncated, chains_total=chains_total,
     )
 
 
@@ -539,9 +426,10 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
     fabricated (mutated) table lands in the failure list with the first
     broken invariant named; a check that reads a shared input that raised
     (N_1, the annihilator classes, the Waterhouse table, a quotient, a
-    pair's sum) reports that error.  At
-    most max_chains chains are checked, and chains_truncated says whether
-    more exist; chains_total counts them all.
+    pair's sum) reports that error.  Every chain is checked when the chain
+    walk passes them all; when it refuses the cocycle, at most max_chains
+    chains are checked one by one, and chains_truncated says whether more
+    exist.  chains_total counts them all.
     """
     if max_chains < 1:
         raise ValidationError("census limits must be positive")
@@ -556,9 +444,10 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
 @dataclass(frozen=True)
 class CensusReport:
     """What property_suite checked.  capped_cocycles counts the cocycles whose
-    chains the chain cap cut off; truncated is set when that count is nonzero
-    or the enumeration stopped at max_candidates.  chains_total counts the
-    swept cocycles' chains, checked or not."""
+    chains the chain cap cut off, which can happen only to a cocycle that the
+    chain walk refused; truncated is set when that count is nonzero or the
+    enumeration stopped at max_candidates.  chains_total counts the swept
+    cocycles' chains, checked or not."""
 
     group_order: int
     cocycle_count: int

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 
 import pytest
@@ -289,21 +290,52 @@ def test_chain_listings_refuse_a_cap_below_one(d3_ctx):
     for cap in (0, -1):
         with pytest.raises(ValidationError, match="census limits must be positive"):
             cf.descending_multichains(ideals, cap=cap)
-        with pytest.raises(ValidationError, match="census limits must be positive"):
-            next(sweep._chain_verdicts(d3_ctx, ideals, cap))
 
 
-def test_check_cocycle_properties_reports_the_chain_cap():
+def test_check_cocycle_properties_reports_the_chain_cap(monkeypatch):
     # a C7 census cocycle with 12,421 weakly descending chains of length 2-4
     rows = ["1111111"] + ["1000000"] * 5 + ["1000001"]
     c7 = cf.as_cocycle([[int(v) for v in row] for row in rows], cf.make_cyclic(7))
+    # the chain walk passes every chain, so the cap cuts none of them
+    full = cf.check_cocycle_properties(c7)
+    assert not full.chains_truncated and full.counts["leq_f"] == 12_421
+    # a refused walk sends at most the cap's chains to check_identity, and
+    # the total comes from a path count
+    monkeypatch.setattr(sweep, "_chain_pass_count", lambda *args: None)
     capped = cf.check_cocycle_properties(c7)
     assert capped.chains_truncated and capped.counts["leq_f"] == 10_000
-    full = cf.check_cocycle_properties(c7, max_chains=12_421)
-    assert not full.chains_truncated and full.counts["leq_f"] == 12_421
-    # the capped total comes from a path count, the full one from the keys
     assert capped.chains_total == full.chains_total == 12_421
     assert capped.failures == full.failures == ()
+
+
+def test_the_default_cap_cuts_no_chain_of_a_clean_c8_sample(monkeypatch):
+    # 20 seeded non-simple C8 census cocycles; most have more than 10,000 chains
+    c8 = cf.make_cyclic(8)
+    cocycles = [
+        c for c in cf.enumerate_cocycles(cf.CensusConfig(group=c8)).cocycles
+        if cf.inertial_group(c).members != tuple(range(8))
+    ]
+    sample = random.Random(0).sample(cocycles, 20)
+    chains_checked = []
+    real = sweep.check_identity
+
+    def check_identity(name, ctx, **kwargs):
+        if "chain" in kwargs:
+            chains_checked.append(kwargs["chain"].masks)
+        return real(name, ctx, **kwargs)
+
+    monkeypatch.setattr(sweep, "check_identity", check_identity)
+    totals = []
+    for c in sample:
+        default = cf.check_cocycle_properties(c)
+        uncapped = cf.check_cocycle_properties(c, max_chains=10**9)
+        assert default.failures == uncapped.failures == ()
+        assert default.counts == uncapped.counts
+        assert default.chains_total == uncapped.chains_total == default.counts["leq_f"]
+        assert not default.chains_truncated
+        totals.append(default.chains_total)
+    assert max(totals) > 10_000
+    assert chains_checked == []
 
 
 def test_chain_count_matches_the_listed_keys():
@@ -324,8 +356,11 @@ def test_property_suite_counts_every_d3_chain():
     assert report.chains_total == report.counts["leq_f"] == 278_020
 
 
-def test_property_suite_counts_the_capped_cocycles():
+def test_property_suite_counts_the_capped_cocycles(monkeypatch):
     cfg = cf.CensusConfig(group=cf.make_cyclic(3), max_chains_per_cocycle=1)
+    # the chain walk passes every C3 cocycle, so the cap cuts nothing
+    assert cf.property_suite(cfg, lift_samples=0).capped_cocycles == 0
+    monkeypatch.setattr(sweep, "_chain_pass_count", lambda *args: None)
     report = cf.property_suite(cfg, lift_samples=0)
     assert report.capped_cocycles == 3  # every cocycle but the all-ones one
     assert report.truncated

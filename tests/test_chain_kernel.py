@@ -1,14 +1,14 @@
-"""The property sweep checks each chain's three identities in one pass.
+"""The property sweep decides each chain's three identities.
 
-leq_f, chain_break and waterhouse_iff are decided per chain by
-sweep._chain_verdicts, which walks the chains in the order of
-census._chain_keys, from the chain cocycle, built from the layer cells
-carried from the parent chain, the join of the pair tables and the first
-unsqueezed link, the last two also carried.  The walk must list the keys of
-_chain_keys under every cap, every verdict must equal what check_identity
-computes from scratch, the carried inputs must equal their from-scratch
-values, and the failure reports under injected faults must match a loop
-through check_identity byte for byte.
+leq_f, chain_break and waterhouse_iff are decided for all the chains of a
+context at once by the state walk sweep._chain_pass_count, which merges the
+chains of equal state and counts them when every state passes.  When the
+walk refuses a context, the sweep decides each chain of census._chain_keys,
+up to the chain cap, through check_identity.  On clean census contexts the
+walk must count every chain and check_identity must pass a seeded sample of
+them; a refused context must send the keys of _chain_keys under every cap
+to check_identity; and under each injected fault the walk must refuse and
+the failure reports must match a loop through check_identity byte for byte.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from functools import reduce
-from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -60,63 +58,62 @@ def _ideal(ctx, members):
     return cf.MonomialIdeal.from_members(ctx, frozenset(members))
 
 
-# (group, cocycles searched, contexts, chains checked per context): every C4
-# and D3 census context and chain; a seeded sample of C7 and D4 contexts,
-# each walked in full and a seeded sample of its chains checked, so that
-# chains with four distinct layers on orders 7 and 8 are covered (the level
-# order reaches them only past half of a context's chains).  The D4 sample
-# comes from the first 5,000 of the 21,830 census cocycles, which the census
-# search lists in a fifth of the time it takes for all of them.
+# (group, cocycles searched, contexts): every C4 and D3 census context, and
+# a seeded sample of C7 and D4 contexts, each walked in full and a seeded
+# sample of CHECKED of its chains checked, so that chains with four distinct
+# layers on orders 7 and 8 are covered (the level order reaches them only
+# past half of a context's chains).  The D4 sample comes from the first
+# 5,000 of the 21,830 census cocycles, which the census search lists in a
+# fifth of the time it takes for all of them.
 SWEEPS = {
-    "c4": (cf.make_cyclic(4), 1_000_000, None, None),
-    "d3": (cf.make_dihedral(3), 1_000_000, None, None),
-    "c7": (cf.make_cyclic(7), 1_000_000, 8, 400),
-    "d4": (cf.make_dihedral(4), 5_000, 8, 400),
+    "c4": (cf.make_cyclic(4), 1_000_000, None),
+    "d3": (cf.make_dihedral(3), 1_000_000, None),
+    "c7": (cf.make_cyclic(7), 1_000_000, 8),
+    "d4": (cf.make_dihedral(4), 5_000, 8),
 }
+CHECKED = 400
 
 
-@pytest.mark.parametrize("sweep", list(SWEEPS))
-def test_chain_pass_matches_the_from_scratch_checks(sweep):
-    group, searched, sample, checked = SWEEPS[sweep]
-    rng = random.Random(0)
-    distinct = 0
-    for ctx in _census_contexts(group, sample, searched):
-        ref = cf.AlgebraContext(ctx.cocycle)  # caches of its own
-        ideals = enumerate_ideals(ctx)
-        by_mask = {ideal.mask: ideal for ideal in ideals}
-        keys, truncated = census._chain_keys(ideals, cap=census._chain_count(ideals))
-        assert not truncated
-        walk = list(sweep_module._chain_verdicts(ctx, ideals, len(keys)))
-        assert [key for key, _, _ in walk] == keys
-        for key, verdicts, (join, witness) in walk if checked is None else rng.sample(walk, checked):
-            distinct += len(set(key)) == 4
-            chain = cf.DescendingChain(ideals=tuple(by_mask[m] for m in key))
-            assert verdicts == tuple(
-                cf.check_identity(name, ref, chain=chain) for name in CHAIN_CHECKS
-            )
-            pairs = [
-                decomposition._subchain_masks(ref, chain, i, i + 2)
-                for i in range(len(chain) - 1)
-            ]
-            assert join == reduce(or_, pairs)
-            assert witness == decomposition._first_unsqueezed(chain)
-    assert distinct
+def _chains_sent_to_check_identity(monkeypatch):
+    """Patch sweep.check_identity to record the key of each chain it gets,
+    once per chain, and to pass every chain check without computing it."""
+    sent = []
+    real = sweep_module.check_identity
+
+    def check_identity(name, ctx, **kwargs):
+        if "chain" not in kwargs:
+            return real(name, ctx, **kwargs)
+        if name == CHAIN_CHECKS[0]:
+            sent.append(kwargs["chain"].masks)
+        return decomposition._PASSED[name]
+
+    monkeypatch.setattr(sweep_module, "check_identity", check_identity)
+    return sent
 
 
 @pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
-def test_the_walk_lists_the_chain_keys_up_to_the_cap(group):
+def test_the_walk_lists_the_chain_keys_up_to_the_cap(monkeypatch, group):
     swept = set()  # the chain count depends only on the containment relation
     for ctx in _census_contexts(group):
         ideals = enumerate_ideals(ctx)
-        total = census._chain_count(ideals)
         contained = tuple(tuple(small <= big for big in ideals) for small in ideals)
-        for cap in sorted({1, 7, max(total // 2, 1), total, total + 1}):
-            walked = [key for key, _, _ in sweep_module._chain_verdicts(ctx, ideals, cap)]
-            assert walked == census._chain_keys(ideals, cap=cap)[0]
-            if contained not in swept:
+        if contained in swept:
+            continue
+        swept.add(contained)
+        total = census._chain_count(ideals)
+        caps = sorted({1, 7, max(total // 2, 1), total, total + 1})
+        for cap in caps:  # a clean context: the walk counts every chain
+            result = cf.check_cocycle_properties(ctx.cocycle, cap)
+            assert (result.chains_truncated, result.chains_total) == (False, total)
+            assert result.counts["leq_f"] == total
+        with monkeypatch.context() as patch:  # a refused one: the cap's keys
+            patch.setattr(sweep_module, "_chain_pass_count", lambda *args: None)
+            sent = _chains_sent_to_check_identity(patch)
+            for cap in caps:
+                sent.clear()
                 result = cf.check_cocycle_properties(ctx.cocycle, cap)
                 assert (result.chains_truncated, result.chains_total) == (total > cap, total)
-        swept.add(contained)
+                assert sent == census._chain_keys(ideals, cap=cap)[0]
 
 
 @pytest.mark.parametrize("group", [cf.make_cyclic(4), cf.make_dihedral(3)], ids=["c4", "d3"])
@@ -178,7 +175,7 @@ def test_a_raising_chain_cocycle_fails_all_three_checks(monkeypatch, target):
     if len(target) > 2:
         # past two terms the real _chain_table depends only on ctx and the
         # layer cells, and the state walk builds one table per state from
-        # its first key, so a raise for one key is met by the exact walk only
+        # its first key, so a raise for one key is met by check_identity only
         monkeypatch.setattr(sweep_module, "_chain_pass_count", lambda *args: None)
     failures = _suite_chain_failures(_context_87())
     assert failures == _reference_chain_failures(_context_87())
@@ -249,12 +246,20 @@ def test_the_context_is_freed_without_the_cycle_collector(monkeypatch):
 
 @pytest.mark.parametrize("sweep", list(SWEEPS))
 def test_the_state_walk_counts_every_chain(sweep):
-    group, searched, sample, _ = SWEEPS[sweep]
+    group, searched, sample = SWEEPS[sweep]
+    rng = random.Random(0)
+    distinct = 0
     for ctx in _census_contexts(group, sample, searched):
         ideals = enumerate_ideals(ctx)
         total = census._chain_count(ideals)
-        assert sweep_module._chain_pass_count(ctx, ideals, total) == total
-        assert sweep_module._chain_pass_count(ctx, ideals, total - 1) is None
+        assert sweep_module._chain_pass_count(ctx, ideals) == total
+        ref = cf.AlgebraContext(ctx.cocycle)  # caches of its own
+        chains, _ = descending_multichains(enumerate_ideals(ref), cap=total)
+        for chain in rng.sample(chains, min(CHECKED, total)):
+            distinct += len(set(chain.masks)) == 4
+            for name in CHAIN_CHECKS:
+                assert cf.check_identity(name, ref, chain=chain).ok
+    assert distinct
 
 
 # C5 census cocycle 25: the table of J >= [1, 3] >= 0 is the table of no
@@ -275,7 +280,7 @@ def _context_c5_25():
     ],
     ids=["d3-87", "c5-25"],
 )
-def test_a_refused_chain_table_sends_the_sweep_to_the_exact_walk(
+def test_a_refused_chain_table_sends_the_sweep_to_check_identity(
     monkeypatch, context, target, pair_table
 ):
     ctx = context()
@@ -293,7 +298,7 @@ def test_a_refused_chain_table_sends_the_sweep_to_the_exact_walk(
 
     monkeypatch.setattr(decomposition, "_finish", finish)
     ctx = context()
-    assert sweep_module._chain_pass_count(ctx, enumerate_ideals(ctx), 10_000) is None
+    assert sweep_module._chain_pass_count(ctx, enumerate_ideals(ctx)) is None
     failures = _suite_chain_failures(context())
     assert failures == _reference_chain_failures(context())
     assert ("leq_f", f"chain={[list(m) for m in target]} raised: refused") in failures
@@ -302,7 +307,10 @@ def test_a_refused_chain_table_sends_the_sweep_to_the_exact_walk(
 def _outside_f_in_w(monkeypatch, ctx):
     # the Waterhouse table with the cell (1, 1), where f is 0, and no
     # validation of the tables built on it: every chain table leaves f
-    monkeypatch.setattr(decomposition, "_finish", lambda ctx, packed, what: None)
+    def unvalidated(ctx, packed, what):
+        return cf.Cocycle.from_packed(ctx.group, packed)
+
+    monkeypatch.setattr(decomposition, "_finish", unvalidated)
     ctx._waterhouse = SimpleNamespace(packed=algebra._waterhouse_of(ctx).packed | 1 << 7)
 
 
@@ -322,6 +330,11 @@ def _square_of_j_read_as_zero(monkeypatch, ctx):
         return real(kind, a, b)
 
     monkeypatch.setattr(sweep_module, "ideal_lattice_op", ideal_lattice_op)
+    monkeypatch.setattr(decomposition, "ideal_lattice_op", ideal_lattice_op)
+
+
+# the chains each fault fails, all of them in its one kind
+FAILING = {"leq_f": 397, "chain_break": 9, "waterhouse_iff": 46}
 
 
 @pytest.mark.parametrize(
@@ -335,12 +348,9 @@ def _square_of_j_read_as_zero(monkeypatch, ctx):
 def test_each_chain_check_failing_alone_makes_the_state_walk_miss(monkeypatch, kind, fault):
     ctx = _context_87()
     fault(monkeypatch, ctx)
-    ideals = enumerate_ideals(ctx)
-    failed = {
-        name
-        for _, verdicts, _ in sweep_module._chain_verdicts(ctx, ideals, 10_000)
-        for name, verdict in zip(CHAIN_CHECKS, verdicts)
-        if not verdict.ok
-    }
-    assert failed == {kind}
-    assert sweep_module._chain_pass_count(ctx, ideals, 10_000) is None
+    assert sweep_module._chain_pass_count(ctx, enumerate_ideals(ctx)) is None
+    # the faults reach the context's other checks too, so only the chain
+    # checks run
+    failures = _reference_chain_failures(ctx)
+    assert {check for check, _ in failures} == {kind}
+    assert len(failures) == FAILING[kind]

@@ -61,16 +61,14 @@ def test_failure_details_keep_their_format(monkeypatch):
     # the C3 Waterhouse table of {0}: ideals 0, [1], [2], [1, 2]
     g = cf.make_cyclic(3)
     cocycle = cf.waterhouse(g, cf.subgroup(g, [0]))
-    real_chain_verdicts = sweep._chain_verdicts
+    real_check_identity = sweep.check_identity
     real_pair_verdicts = sweep._pair_verdicts
     real_ideal_verdicts = sweep._ideal_verdicts
 
-    def chain_verdicts(ctx, *args):
-        for key, verdicts, carried in real_chain_verdicts(ctx, *args):
-            if key == (0b110, 0b010):
-                failed = IdentityCheck(name="leq_f", ok=False, counterexample=("incomparable",))
-                verdicts = (failed,) + verdicts[1:]
-            yield key, verdicts, carried
+    def check_identity(name, ctx, **kwargs):
+        if name == "leq_f" and kwargs["chain"].masks == (0b110, 0b010):
+            return IdentityCheck(name="leq_f", ok=False, counterexample=("incomparable",))
+        return real_check_identity(name, ctx, **kwargs)
 
     def pair_verdicts(ctx, ideals, quotients):
         for kinds, pair, outcomes in real_pair_verdicts(ctx, ideals, quotients):
@@ -87,9 +85,9 @@ def test_failure_details_keep_their_format(monkeypatch):
     def all_generators(ctx):
         raise InternalInvariantError("no words")
 
-    monkeypatch.setattr(sweep, "_chain_verdicts", chain_verdicts)
+    monkeypatch.setattr(sweep, "check_identity", check_identity)
     # the injected leq_f failure is on a chain that passes: the state walk
-    # must miss, so that the exact walk, and the injection, run
+    # must refuse the cocycle, so that check_identity, and the injection, run
     monkeypatch.setattr(sweep, "_chain_pass_count", lambda *args: None)
     monkeypatch.setattr(sweep, "_pair_verdicts", pair_verdicts)
     monkeypatch.setattr(sweep, "_ideal_verdicts", ideal_verdicts)
