@@ -312,12 +312,6 @@ def _tables_check(name: str, n: int, lhs: int, rhs: int) -> IdentityCheck:
     return IdentityCheck(name, False, (s, t, lhs >> bit & 1, rhs >> bit & 1))
 
 
-def _subchain_masks(ctx, chain: DescendingChain, lo: int, hi: int) -> int:
-    """The packed cocycle of chain.ideals[lo:hi], by its mask key.  The
-    caller has already checked that the chain belongs to ctx."""
-    return _chain_cocycle(ctx, chain.masks[lo:hi]).packed
-
-
 def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None):
     k = len(chain)
     if split is None:
@@ -327,7 +321,7 @@ def _check_chain_break(ctx, chain: DescendingChain, split: Optional[int] = None)
     else:
         raise PreconditionError(f"split position must lie in [2, {k - 1}]")
     lhs = cocycle_from_chain(ctx, chain).packed
-    joined = reduce(or_, [_subchain_masks(ctx, chain, *span) for span in spans])
+    joined = reduce(or_, [_chain_table(ctx, chain.masks[lo:hi]) for lo, hi in spans])
     return _tables_check("chain_break", ctx.group.order, lhs, joined)
 
 
@@ -365,19 +359,15 @@ def _pair_table(ctx, outer: MonomialIdeal, inner: MonomialIdeal) -> int:
     return _chain_table(ctx, (outer.mask, inner.mask))
 
 
-def _require_nested(outer: MonomialIdeal, inner: Sequence[MonomialIdeal]) -> None:
+def _check_pair_tables(name, kind, join, ctx, outer, inner: Sequence[MonomialIdeal]):
+    """sum_product (kind "sum", join &) or intersection_vee ("intersection",
+    |): the pair table of outer over the kind of all inner ideals against the
+    join of their own pair tables."""
     if not inner:
         raise PreconditionError("need at least one inner ideal")
     for i, ideal in enumerate(inner):
         if not ideal <= outer:
             raise PreconditionError(f"inner ideal {i + 1} is not contained in the outer one")
-
-
-def _check_pair_tables(name, kind, join, ctx, outer, inner: Sequence[MonomialIdeal]):
-    """sum_product (kind "sum", join &) or intersection_vee ("intersection",
-    |): the pair table of outer over the kind of all inner ideals against the
-    join of their own pair tables."""
-    _require_nested(outer, inner)
     total = reduce(lambda a, b: ideal_lattice_op(kind, a, b), inner)
     lhs = _pair_table(ctx, outer, total)
     rhs = reduce(join, [_pair_table(ctx, outer, i) for i in inner])

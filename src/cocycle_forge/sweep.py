@@ -1,11 +1,11 @@
 """The property sweep: every identity of the package checked on each
 cocycle of a census, the ground truth.
 
-Each context runs the chain kernel (a state-merged walk that counts the
-chains when all pass), the ideal and pair kernels, and the context-wide
-checks; a kernel falls back to the from-scratch check_identity and
-morphism_check wherever its fast test does not pass, and a refused chain
-walk sends each chain, up to the chain cap, to check_identity.  The sweep
+Three kernels, the chain walk, the ideal kernel and the pair kernel, each
+decide all their subjects of a context at once or refuse the context.  A
+refused context sends each of that kernel's subjects to the from-scratch
+checks (check_identity, morphism_check and the quotient context's own
+N_1 and annihilator classes), and only they report failures.  The sweep
 is also the negative control: a fabricated table with one flipped entry
 must fail either validation or at least one check here.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -47,9 +47,7 @@ from .cocycles import (
 from .decomposition import (
     CHAIN_CHECKS,
     DecompositionReport,
-    _PASSED,
     _chain_table,
-    _tables_check,
     check_identity,
     cocycle_mod_ideal,
     decompose_by_bstar,
@@ -104,11 +102,8 @@ def _label(subject) -> str:
 
 
 def _failure_suffix(result) -> Optional[str]:
-    """None when a check passed, else how its failure detail ends.
-
-    result is what the check returned (a bool or a verdict with ``ok``) or
-    the ForgeError it raised.
-    """
+    """None when a check passed, else how its failure detail ends; result
+    is a bool, a verdict with ``ok``, or the ForgeError the check raised."""
     if isinstance(result, ForgeError):
         return f" raised: {result}"
     if isinstance(result, bool):
@@ -118,25 +113,18 @@ def _failure_suffix(result) -> Optional[str]:
 
 def _chain_pass_count(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Optional[int]:
     """How many chains ``census._chain_keys(ideals)`` lists with no cap, when
-    every one passes the three chain checks; None otherwise.
+    every one passes the three chain checks; None as soon as a state misses
+    or an input raised (a pair table, a square, W or a state's own table).
 
     The walk goes down ``census._below`` level by level, to the same depth,
-    and merges the chains of a level whose state is equal, counting the
-    chains of each state.  The state is (index of the last ideal, OR of the
-    layer cells, join, whether some link is unsqueezed), and it fixes the
-    three verdicts of each of its chains and of all their descendants: the
-    chain table is W | f & cells, leq_f asks that it lie inside f,
-    chain_break compares it with the join, and waterhouse_iff compares it
-    with W given the flag.  So each state's table is built once, by
-    ``_chain_table`` from the state's first key and its cells, and the pass
-    condition is evaluated once per state.  States never merge across
-    lengths, and the join stays in the state, so a wrong pair table still
-    fails chain_break.  Each link I_i >= I_j is read once: its inner mask,
-    the ``Group.cells`` of its layer, its pair table through
-    ``_chain_table`` and whether I_i^2, read once per ideal, leaves I_j.
-    The walk gives None as soon as a state misses or an input raised (a pair
-    table, a square, W or a state's own table); the sweep then decides each
-    chain through check_identity.
+    merging the chains of a level whose state is equal: (index of the last
+    ideal, OR of the layer cells, join, whether some link is unsqueezed).
+    The state fixes the verdicts of its chains and their descendants: the
+    chain table W | f & cells must lie inside f (leq_f), equal the join
+    (chain_break) and equal W exactly when no link is unsqueezed
+    (waterhouse_iff).  So each state's table is built once, by
+    ``_chain_table`` from its first key and its cells.  Each link is read
+    once: its layer's ``Group.cells``, its pair table and its square.
     """
     f = ctx.cocycle.packed
     try:
@@ -196,43 +184,99 @@ _IDEAL_CHECKS = (
 )
 _PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
 _CONTEXT_CHECKS = ("principal_two_routes", "bstar_recombination", "class_decomposition")
-# a pair's kinds by whether its ideals meet in zero, and each one's shared
-# all-pass tuple
-_PAIR_KINDS = (_PAIR_CHECKS[:2], _PAIR_CHECKS)
-_PAIR_PASSED = {kinds: tuple(_PASSED[name] for name in kinds) for kinds in _PAIR_KINDS}
-# what the from-scratch ideal checks return when all five pass
-_IDEAL_PASSED = (True, True, _PASSED["fI_eq_f"], True, _PASSED["trivial_annih_replace"])
 
 
-def _ideal_verdicts(
+def _ideals_pass(
     ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], trivial, base_n1,
     quotients: Dict[int, int],
-) -> Iterator[tuple]:
-    """Yield (_IDEAL_CHECKS, ideal, outcomes) for each ideal, and put each
-    packed quotient table that did not raise into quotients by mask.
-    trivial and base_n1 are the context's trivial annihilators and N_1, or
-    the errors they raised.  The first two checks are read off the quotient
-    context; with m the ideal's mask, q the quotient and T the trivial mask,
-    fI_eq_f passes when q == f exactly when m & ~T is 0, morphism on the
-    psi test of morphism_check row by row (q and f agree at each (s, t)
-    with st outside m), and trivial_annih_replace when inner, the closure
-    of T & m, lies in m and in T and the pair tables (m, inner) and (m, 0)
-    agree.  The scaling test of morphism_check is not run: once the first
-    two checks pass, it holds exactly when the psi test does.  The two
-    differ only where q has a 1 at a cell (s, t) with s and t outside m and
-    st in m, which makes st factorable and fails n1_of_quotient, or with s
-    in m and st outside m, which makes s a non-annihilator and fails
-    ideal_members_trivial_in_quotient.  An ideal where all five pass
-    yields the shared _IDEAL_PASSED.  Any other ideal, and
-    every ideal when trivial is not the set the context keeps (the one the
-    from-scratch checks read), gets what check_identity and morphism_check
-    give.
+) -> bool:
+    """Whether every ideal passes its five checks; False as soon as one
+    misses or an input raised.  Each packed quotient goes into quotients by
+    mask as it is built.  trivial and base_n1 are the context's trivial
+    annihilators and N_1, or the errors they raised; only the trivial set
+    the context keeps, the one the from-scratch checks read, is decided on.
+
+    The first two checks are read off the quotient context.  With m the
+    ideal's mask, q the quotient and T the trivial mask, fI_eq_f needs
+    q == f exactly when m & ~T is 0, morphism the psi test of
+    morphism_check (q and f agree at each (s, t) with st outside m), and
+    trivial_annih_replace the closure of T & m inside m and T with equal
+    pair tables (m, closure) and (m, 0).  Once the first two checks pass,
+    the scaling test of morphism_check holds exactly when the psi test
+    does: where they differ, n1_of_quotient or
+    ideal_members_trivial_in_quotient fails.
     """
+    kept = ctx._annihilators
+    if kept is None or trivial is not kept[0] or isinstance(base_n1, ForgeError):
+        return False
     g = ctx.group
     full = (1 << g.order) - 1
     f = ctx.cocycle.packed
-    kept_trivial = ctx._annihilators is not None and trivial is ctx._annihilators[0]
-    t_mask = _mask_of(trivial) if kept_trivial else 0
+    t_mask = _mask_of(trivial)
+    try:
+        for ideal in ideals:
+            m = ideal.mask
+            sub = AlgebraContext(cocycle_mod_ideal(ctx, ideal))
+            quotients[m] = q = sub.cocycle.packed
+            if (
+                n1_set(sub) != base_n1 | ideal.members
+                or not ideal.members <= classify_annihilators(sub)[0]
+                or (q == f) != (not m & ~t_mask)
+            ):
+                return False
+            keep = full & ~m
+            for s, (f_s, q_s) in enumerate(zip(ctx._masks, sub._masks)):
+                if (q_s ^ f_s) & g.left_preimage(s, keep):
+                    return False
+            inner = _closure_mask(ctx, t_mask & m)
+            if inner & ~(m & t_mask) or _chain_table(ctx, (m, inner)) != _chain_table(ctx, (m, 0)):
+                return False
+    except ForgeError:
+        return False
+    return True
+
+
+def _pairs_pass(
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], quotients: Dict[int, int]
+) -> Optional[int]:
+    """How many pairs of ideals meet in zero, when every pair passes its
+    checks; None as soon as one misses or an input raised.  quotients holds
+    the packed quotients the ideal kernel handed over, by mask; a disjoint
+    pair with a quotient missing is a miss.
+
+    The sum u from ``ideal_lattice_op`` must be the union of the masks, and
+    the intersection x, the mask AND, an enumerated ideal.  With t the pair
+    tables of ``_chain_table``, sum_product needs t(u,a) & t(u,b) == t(u,u),
+    intersection_vee t(u,a) | t(u,b) == t(u,x), and cap_zero, when x is 0,
+    f to be the join of the two quotients.
+    """
+    f = ctx.cocycle.packed
+    masks = {ideal.mask for ideal in ideals}
+    disjoint = 0
+    try:
+        for a, b in combinations(ideals, 2):
+            u, x = ideal_lattice_op("sum", a, b).mask, a.mask & b.mask
+            if u != a.mask | b.mask or x not in masks:
+                return None
+            ta, tb = _chain_table(ctx, (u, a.mask)), _chain_table(ctx, (u, b.mask))
+            if ta & tb != _chain_table(ctx, (u, u)) or ta | tb != _chain_table(ctx, (u, x)):
+                return None
+            if not x:
+                if not (a.mask in quotients and b.mask in quotients
+                        and quotients[a.mask] | quotients[b.mask] == f):
+                    return None
+                disjoint += 1
+    except ForgeError:
+        return None
+    return disjoint
+
+
+def _ideal_subjects(
+    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], trivial, base_n1
+) -> Iterator[tuple]:
+    """Yield (_IDEAL_CHECKS, ideal, outcomes) for each ideal, from scratch:
+    the quotient context's N_1 and annihilator classes, check_identity,
+    morphism_check and the closure of the ideal's trivial members."""
 
     def n1_union(base, sub, i):
         return n1_set(sub) == base | i.members
@@ -244,106 +288,33 @@ def _ideal_verdicts(
         inner = ideal_closure(ctx, shared & i.members)
         return check_identity("trivial_annih_replace", ctx, first=i, second=inner)
 
-    def passes(m, sub):
-        if (sub.cocycle.packed == f) != (not m & ~t_mask):
-            return False
-        keep = full & ~m
-        for s, (f_s, q_s) in enumerate(zip(ctx._masks, sub._masks)):
-            if (q_s ^ f_s) & g.left_preimage(s, keep):
-                return False
-        inner = _closure_mask(ctx, t_mask & m)
-        return (
-            not inner & ~m and not inner & ~t_mask
-            and _chain_table(ctx, (m, inner)) == _chain_table(ctx, (m, 0))
-        )
-
     for ideal in ideals:
         sub = _outcome(lambda: AlgebraContext(cocycle_mod_ideal(ctx, ideal)))
-        if not isinstance(sub, ForgeError):
-            quotients[ideal.mask] = sub.cocycle.packed
-        n1_ok = _outcome(n1_union, base_n1, sub, ideal)
-        members_ok = _outcome(members_trivial, sub, ideal)
-        decided = kept_trivial and n1_ok is True and members_ok is True
-        if decided and _outcome(passes, ideal.mask, sub) is True:
-            yield _IDEAL_CHECKS, ideal, _IDEAL_PASSED
-            continue
         yield _IDEAL_CHECKS, ideal, (
-            n1_ok, members_ok, _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
+            _outcome(n1_union, base_n1, sub, ideal), _outcome(members_trivial, sub, ideal),
+            _outcome(check_identity, "fI_eq_f", ctx, ideal=ideal),
             _outcome(lambda: morphism_check(ctx, ideal).ok), _outcome(replaceable, trivial, ideal),
         )
 
 
-def _pair_verdicts(
-    ctx: AlgebraContext, ideals: Sequence[MonomialIdeal], quotients: Dict[int, int]
-) -> Iterator[tuple]:
+def _pair_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
     """Yield (kinds, pair, outcomes) for each pair of ideals, in the order of
-    ``combinations``: sum_product and intersection_vee, and cap_zero when the
-    two meet in zero.  quotients maps an ideal's mask to its packed quotient
-    table, and lacks the ideals whose quotient raised.
+    ``combinations``, from check_identity: sum_product and intersection_vee
+    over the pair's sum, and cap_zero when the two meet in zero."""
 
-    The sum u comes from ``ideal_lattice_op`` and must be the union of the
-    masks; the intersection x, the mask AND, must be an enumerated ideal.
-    The pair tables (u, a), (u, b), (u, u) and (u, x) are read by their own
-    keys through ``_chain_table``.  sum_product passes when t(u,a) & t(u,b)
-    is t(u,u), intersection_vee when t(u,a) | t(u,b) is t(u,x), and cap_zero
-    when f is the join of the two quotients, decided on those quotients.
-    A pair where all pass yields its kinds' shared all-pass tuple; any other
-    pair gets what check_identity gives for the first two, and cap_zero's
-    own verdict, or check_identity's when a quotient is missing.
-    """
-    n = ctx.group.order
-    f = ctx.cocycle.packed
-    masks = {ideal.mask for ideal in ideals}
-    for pair in combinations(ideals, 2):
-        a, b = pair
-        x = a.mask & b.mask
-        kinds = _PAIR_KINDS[not x]
+    def over_sum(outer, name, a, b):
+        return check_identity(name, ctx, outer=outer, inner=[a, b])
+
+    for a, b in combinations(ideals, 2):
         outer = _outcome(ideal_lattice_op, "sum", a, b)
-        if x:
-            cap = None
-        elif a.mask in quotients and b.mask in quotients:
-            cap = _tables_check("cap_zero", n, f, quotients[a.mask] | quotients[b.mask])
-        else:
-            cap = _outcome(check_identity, "cap_zero", ctx, ideals=[a, b])
-        passed = False
-        if not isinstance(outer, ForgeError) and outer.mask == a.mask | b.mask and x in masks:
-            u = outer.mask
-            try:
-                ta = _chain_table(ctx, (u, a.mask))
-                tb = _chain_table(ctx, (u, b.mask))
-                passed = (
-                    ta & tb == _chain_table(ctx, (u, u))
-                    and ta | tb == _chain_table(ctx, (u, x))
-                )
-            except ForgeError:
-                pass
-        if passed and (x or cap is _PASSED["cap_zero"]):
-            yield kinds, pair, _PAIR_PASSED[kinds]
-            continue
-        outcomes = [
-            outer if isinstance(outer, ForgeError)
-            else _outcome(check_identity, name, ctx, outer=outer, inner=[a, b])
-            for name in _PAIR_CHECKS[:2]
-        ]
-        if not x:
-            outcomes.append(cap)
-        yield kinds, pair, outcomes
+        outcomes = [_outcome(over_sum, outer, name, a, b) for name in _PAIR_CHECKS[:2]]
+        if not a.mask & b.mask:
+            outcomes.append(_outcome(check_identity, "cap_zero", ctx, ideals=[a, b]))
+        yield _PAIR_CHECKS[: len(outcomes)], (a, b), outcomes
 
 
-def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> Iterator[tuple]:
-    """Yield (kinds, subject, outcomes) for each ideal, each pair of ideals
-    and the context itself (subject None), in the sweep's order; the ideals
-    come from _ideal_verdicts and the pairs from _pair_verdicts, given the
-    packed quotient tables of the ideal pass.  The context's N_1,
-    annihilator classes and Waterhouse table, each ideal's quotient context
-    and each pair's sum are computed once and passed through _outcome, so a
-    raise fails each check that reads the input."""
-    trivial = _outcome(lambda: classify_annihilators(ctx)[0])
-    base_n1 = _outcome(n1_set, ctx)
-    f0 = _outcome(_waterhouse_of, ctx)
-    quotients: Dict[int, int] = {}
-    yield from _ideal_verdicts(ctx, ideals, trivial, base_n1, quotients)
-    yield from _pair_verdicts(ctx, ideals, quotients)
+def _context_subject(ctx: AlgebraContext) -> tuple:
+    """(kinds, None, outcomes) for the context-wide checks."""
 
     def principal_routes():
         gens = all_generators(ctx)
@@ -361,24 +332,27 @@ def _context_subjects(ctx: AlgebraContext, ideals: Sequence[MonomialIdeal]) -> I
             return outcome.recombines and all(p.strict for p in outcome.parts)
         return True
 
+    f0 = _outcome(_waterhouse_of, ctx)
     outcomes = [_outcome(principal_routes), _outcome(bstar_parts)]
     if isinstance(f0, ForgeError) or ctx.cocycle.packed != f0.packed:
         outcomes.append(_outcome(class_parts, f0))
-    yield _CONTEXT_CHECKS[: len(outcomes)], None, outcomes
+    return _CONTEXT_CHECKS[: len(outcomes)], None, outcomes
+
+
+def _add(counts: Dict[str, int], kinds: Sequence[str], count: int) -> None:
+    """Count each of kinds count more times; a zero count adds no key."""
+    if count:
+        for kind in kinds:
+            counts[kind] = counts.get(kind, 0) + count
 
 
 def _tally(stream, rows, counts, failures) -> None:
     """Count each check of the stream of (kinds, subject, outcomes) by kind
     into counts, and append to failures a PropertyFailure on the cocycle
     with these rows for each check that failed, its detail _label(subject) +
-    _failure_suffix(outcome).  Outcomes that are a kernel's shared all-pass
-    tuple (_IDEAL_PASSED, or _PAIR_PASSED of their kinds) count each of
-    their kinds once and are read no further."""
+    _failure_suffix(outcome)."""
     for kinds, subject, outcomes in stream:
-        for kind in kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        if outcomes is _IDEAL_PASSED or outcomes is _PAIR_PASSED.get(kinds):
-            continue
+        _add(counts, kinds, 1)
         for kind, outcome in zip(kinds, outcomes):
             suffix = _failure_suffix(outcome)
             if suffix is not None:
@@ -389,30 +363,42 @@ def _tally(stream, rows, counts, failures) -> None:
 
 
 def _run_suite_checks(ctx: AlgebraContext, max_chains: int) -> CocycleCheckResult:
-    """The property sweep of one context: _tally over the subjects of
-    _context_subjects.  The chains are first counted by _chain_pass_count;
-    when every one passes, that count is spread over CHAIN_CHECKS after the
-    context's kinds.  Otherwise each of the first max_chains chains of
-    ``descending_multichains`` is decided by check_identity, one subject
-    per chain before the context's, and a path count gives the total."""
+    """The property sweep of one context.  A kernel that passes (the chain
+    walk, _ideals_pass, _pairs_pass) adds its number of subjects to each of
+    its kinds.  A kernel that refuses sends each of its subjects through
+    _tally from scratch: the first max_chains chains of
+    ``descending_multichains`` to check_identity (a path count gives the
+    total), the ideals through _ideal_subjects and the pairs through
+    _pair_subjects.  The context-wide checks come last."""
     ideals = enumerate_ideals(ctx)
-    passed = _chain_pass_count(ctx, ideals)
-    stream = _context_subjects(ctx, ideals)
-    chains_total, truncated = passed, False
-    if passed is None:
+    rows = ctx.cocycle.rows()
+    counts: Dict[str, int] = {}
+    failures: List[PropertyFailure] = []
+    chains_total, truncated = _chain_pass_count(ctx, ideals), False
+    if chains_total is None:
         chains, truncated = descending_multichains(ideals, cap=max_chains)
-        decided = (
+        chains_total = _chain_count(ideals)
+        _tally((
             (CHAIN_CHECKS, c.masks,
              [_outcome(check_identity, name, ctx, chain=c) for name in CHAIN_CHECKS])
             for c in chains
-        )
-        stream, passed, chains_total = chain(decided, stream), 0, _chain_count(ideals)
-    counts: Dict[str, int] = {}
-    failures: List[PropertyFailure] = []
-    _tally(stream, ctx.cocycle.rows(), counts, failures)
-    if passed:
-        for kind in CHAIN_CHECKS:
-            counts[kind] = counts.get(kind, 0) + passed
+        ), rows, counts, failures)
+    else:
+        _add(counts, CHAIN_CHECKS, chains_total)
+    trivial = _outcome(lambda: classify_annihilators(ctx)[0])
+    base_n1 = _outcome(n1_set, ctx)
+    quotients: Dict[int, int] = {}
+    if _ideals_pass(ctx, ideals, trivial, base_n1, quotients):
+        _add(counts, _IDEAL_CHECKS, len(ideals))
+    else:
+        _tally(_ideal_subjects(ctx, ideals, trivial, base_n1), rows, counts, failures)
+    disjoint = _pairs_pass(ctx, ideals, quotients)
+    if disjoint is None:
+        _tally(_pair_subjects(ctx, ideals), rows, counts, failures)
+    else:
+        _add(counts, _PAIR_CHECKS[:2], len(ideals) * (len(ideals) - 1) // 2)
+        _add(counts, _PAIR_CHECKS[2:], disjoint)
+    _tally([_context_subject(ctx)], rows, counts, failures)
     return CocycleCheckResult(
         counts=counts, failures=tuple(failures),
         chains_truncated=truncated, chains_total=chains_total,
@@ -439,6 +425,10 @@ def check_cocycle_properties(cocycle: Cocycle, max_chains: int = 10_000) -> Cocy
         # the all-ones cocycle: the algebra has no radical, nothing to check
         return CocycleCheckResult(counts={}, failures=())
     return _run_suite_checks(ctx, max_chains)
+
+
+# the chains each sampled lift of property_suite is checked on
+_LIFT_CHAINS = 64
 
 
 @dataclass(frozen=True)
@@ -470,7 +460,8 @@ def property_suite(
 
     Deterministic for a fixed seed: the lift checks draw random maps from a
     seeded generator, everything else is exhaustive.  Each lift r is one
-    subject of _tally, with a lift_sandwich check per chain (at most 64).
+    subject of _tally, with a lift_sandwich check per chain, on the first
+    _LIFT_CHAINS chains whatever the chain cap.
     """
     stream = enumerate_cocycles(cfg)
     counts: Dict[str, int] = {}
@@ -498,9 +489,7 @@ def property_suite(
         if inertial_group(fr).members == tuple(range(cfg.group.order)):
             continue
         ctx = AlgebraContext(fr)
-        chains, _ = descending_multichains(
-            enumerate_ideals(ctx), cap=min(64, cfg.max_chains_per_cocycle)
-        )
+        chains, _ = descending_multichains(enumerate_ideals(ctx), cap=_LIFT_CHAINS)
         outcomes = [_outcome(lift_sandwich, r, c) for c in chains]
         _tally([(("lift_sandwich",) * len(outcomes), r, outcomes)], fr.rows(), counts, failures)
 

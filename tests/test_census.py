@@ -366,6 +366,14 @@ def test_property_suite_counts_the_capped_cocycles(monkeypatch):
     assert report.truncated
 
 
+def test_the_chain_cap_cuts_no_lift_check():
+    # the lifts are checked on their first 64 chains whatever the chain cap
+    cfg = cf.CensusConfig(group=cf.make_cyclic(3), max_chains_per_cocycle=1)
+    report = cf.property_suite(cfg)
+    assert report.counts["lift_sandwich"] == 62
+    assert not report.truncated and report.failures == ()
+
+
 def test_property_suite_small_groups():
     for n in (2, 3):
         report = cf.property_suite(cf.CensusConfig(group=cf.make_cyclic(n)))

@@ -102,7 +102,12 @@ def test_failing_chain_break_keeps_its_counterexample(d3_ctx, monkeypatch):
     direct = cf.cocycle_from_chain(d3_ctx, chain).masks
     flipped = (direct[0],) + (direct[1] ^ 0b100,) + direct[2:]
     packed = cf.BinaryTable(group=d3_ctx.group, masks=flipped).packed
-    monkeypatch.setattr(decomposition, "_subchain_masks", lambda ctx, ch, lo, hi: packed)
+    real = decomposition._chain_table
+
+    def chain_table(ctx, key, inside=None):  # every sub-chain, not the chain
+        return real(ctx, key, inside) if key == chain.masks else packed
+
+    monkeypatch.setattr(decomposition, "_chain_table", chain_table)
     verdict = cf.check_identity("chain_break", d3_ctx, chain=chain)
     assert verdict == IdentityCheck(
         name="chain_break",

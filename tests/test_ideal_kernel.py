@@ -1,11 +1,12 @@
-"""The property sweep decides each ideal's five checks in one kernel.
+"""The property sweep decides the five checks of every ideal in one kernel.
 
 n1_of_quotient, ideal_members_trivial_in_quotient, fI_eq_f, morphism and
-trivial_annih_replace are decided per ideal by sweep._ideal_verdicts: the
-first two on the quotient context, the other three on masks and packed
-tables.  Every outcome must equal what the from-scratch checks give, and a
-corrupted pair table, quotient, trivial set or reach table must make the
-kernel miss and report what the from-scratch checks report.
+trivial_annih_replace are decided for all ideals at once by
+sweep._ideals_pass: the first two on each quotient context, the other
+three on masks and packed tables.  The kernel passes exactly when every
+from-scratch check passes, and a corrupted pair table, quotient, trivial
+set or reach table must make it refuse; the sweep then reports, through
+sweep._ideal_subjects, what the from-scratch checks report.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from cocycle_forge.cocycles import Cocycle
 from cocycle_forge.decomposition import IdentityCheck
 from cocycle_forge.errors import ForgeError, ValidationError
 
+IDEAL_CHECKS = (
+    "n1_of_quotient", "ideal_members_trivial_in_quotient", "fI_eq_f", "morphism",
+    "trivial_annih_replace",
+)
 # a C5 census cocycle with 12 ideals, trivial annihilators [3, 4] and the
 # non-trivial annihilator 2; 9 ideals meet [3, 4], 6 of them also hold more
 ROWS_C5 = ("11111", "11000", "10000", "10000", "10000")
@@ -84,17 +89,53 @@ def _passed(outcomes):
     return all(o is True or isinstance(o, IdentityCheck) and o.ok for o in outcomes)
 
 
-def _kernel(ctx, ideals, trivial=None):
-    """(ideal, outcomes) for each ideal from the kernel, and the quotients."""
-    if trivial is None:
-        trivial = cf.classify_annihilators(ctx)[0]
-    quotients = {}
-    verdicts = sweep._ideal_verdicts(ctx, ideals, trivial, cf.n1_set(ctx), quotients)
+def _failures(ideal, outcomes):
+    """The (check, detail) of each of the ideal's outcomes that failed."""
+    label = f"ideal={sorted(ideal.members)}"
     out = []
-    for kinds, ideal, outcomes in verdicts:
-        assert kinds == sweep._IDEAL_CHECKS
+    for name, o in zip(IDEAL_CHECKS, outcomes):
+        if isinstance(o, ForgeError):
+            out.append((name, f"{label} raised: {o}"))
+        elif o is False:
+            out.append((name, label))
+        elif isinstance(o, IdentityCheck) and not o.ok:
+            out.append((name, f"{label} {o.counterexample}"))
+    return out
+
+
+def _kernel(ctx, ideals, trivial, base_n1):
+    """Whether the kernel passes ctx, and the quotients it handed over."""
+    quotients = {}
+    return sweep._ideals_pass(ctx, ideals, trivial, base_n1, quotients), quotients
+
+
+def _stream(ctx, ideals, trivial, base_n1):
+    """(ideal, outcomes) for each ideal from the sweep's from-scratch path."""
+    out = []
+    for kinds, ideal, outcomes in sweep._ideal_subjects(ctx, ideals, trivial, base_n1):
+        assert kinds == IDEAL_CHECKS
         out.append((ideal, outcomes))
-    return out, quotients
+    assert [ideal for ideal, _ in out] == ideals
+    return out
+
+
+def _check_both_paths(ctx, ideals, trivial, base_n1):
+    """The from-scratch outcomes of each ideal, after checking that the
+    kernel passes exactly when all of them pass and, when it refuses, that
+    the sweep's from-scratch path gives them."""
+    expected = [_from_scratch(ctx, ideal, trivial, base_n1) for ideal in ideals]
+    passed = all(_passed(e) for e in expected)
+    assert _kernel(ctx, ideals, trivial, base_n1)[0] == passed
+    if not passed:
+        stream = _stream(ctx, ideals, trivial, base_n1)
+        assert [_summary(o) for _, o in stream] == [_summary(e) for e in expected]
+    return expected
+
+
+def _sweep_failures(ctx):
+    """The (check, detail) of each ideal check the sweep of ctx fails."""
+    result = sweep._run_suite_checks(ctx, 10_000)
+    return [(f.check, f.detail) for f in result.failures if f.check in IDEAL_CHECKS]
 
 
 @pytest.mark.parametrize(
@@ -110,12 +151,12 @@ def test_ideal_kernel_matches_the_from_scratch_checks(group):
         ref_n1 = cf.n1_set(ref)
         ideals = enumerate_ideals(ctx)
         by_mask = {ideal.mask: ideal for ideal in enumerate_ideals(ref)}
-        verdicts, quotients = _kernel(ctx, ideals)
-        assert [ideal for ideal, _ in verdicts] == ideals
-        for ideal, outcomes in verdicts:
+        passed, quotients = _kernel(ctx, ideals, cf.classify_annihilators(ctx)[0], cf.n1_set(ctx))
+        assert passed
+        for ideal, outcomes in _stream(ctx, ideals, cf.classify_annihilators(ctx)[0], cf.n1_set(ctx)):
             expected = _from_scratch(ref, by_mask[ideal.mask], ref_trivial, ref_n1)
             assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
+            assert _passed(expected)
         assert quotients == {
             mask: cf.cocycle_mod_ideal(ref, ideal).packed for mask, ideal in by_mask.items()
         }
@@ -127,49 +168,46 @@ def _trivial_mask(ctx):
 
 @pytest.mark.parametrize("key", ["whole", "inner"])
 def test_a_flipped_pair_table_misses_the_kernel(key):
-    ctx = _context(ROWS_C5)
-    ideals = enumerate_ideals(ctx)
-    _kernel(ctx, ideals)  # fills the pair tables
-    t_mask = _trivial_mask(ctx)
-    trivial = cf.classify_annihilators(ctx)[0]
+    t_mask = _trivial_mask(_context(ROWS_C5))
     missed = 0
-    for target in ideals:
+    for index in range(len(enumerate_ideals(_context(ROWS_C5)))):
+        ctx = _context(ROWS_C5)
+        ideals = enumerate_ideals(ctx)
+        target = ideals[index]
+        trivial = cf.classify_annihilators(ctx)[0]
+        base_n1 = cf.n1_set(ctx)
+        assert _kernel(ctx, ideals, trivial, base_n1)[0]  # fills the pair tables
         inner = cf.ideal_closure(ctx, trivial & target.members).mask
         if not inner:
             continue  # (m, inner) is (m, 0): one table
-        table = (target.mask, 0 if key == "whole" else inner)
-        ctx._chain_cache[table] ^= 1 << 6  # the cell (1, 1)
-        for ideal, outcomes in _kernel(ctx, ideals)[0]:
-            expected = _from_scratch(ctx, ideal, trivial, cf.n1_set(ctx))
-            assert _summary(outcomes) == _summary(expected)
-            if ideal is target:
-                assert outcomes is not sweep._IDEAL_PASSED
-                assert not outcomes[4].ok
-                missed += 1
-            else:
-                assert outcomes is sweep._IDEAL_PASSED
-        ctx._chain_cache[table] ^= 1 << 6
-    assert missed == sum(1 for i in ideals if i.mask & t_mask) == 9
+        ctx._chain_cache[(target.mask, 0 if key == "whole" else inner)] ^= 1 << 6  # the cell (1, 1)
+        expected = _check_both_paths(ctx, ideals, trivial, base_n1)
+        assert [_passed(e) for e in expected] == [ideal is not target for ideal in ideals]
+        assert not expected[index][4].ok
+        failures = [f for ideal, e in zip(ideals, expected) for f in _failures(ideal, e)]
+        assert _sweep_failures(ctx) == failures
+        assert [name for name, _ in failures] == ["trivial_annih_replace"]
+        missed += 1
+    assert missed == 9 == sum(1 for i in enumerate_ideals(_context(ROWS_C5)) if i.mask & t_mask)
 
 
 def test_a_wrong_quotient_misses_the_kernel():
-    ctx = _context(ROWS_C5)
-    ideals = enumerate_ideals(ctx)
-    t_mask = _trivial_mask(ctx)
-    trivial = cf.classify_annihilators(ctx)[0]
-    _kernel(ctx, ideals)  # fills the quotient cache
+    t_mask = _trivial_mask(_context(ROWS_C5))
     missed = 0
-    for target in ideals:
+    for index in range(len(enumerate_ideals(_context(ROWS_C5)))):
+        ctx = _context(ROWS_C5)
+        ideals = enumerate_ideals(ctx)
+        target = ideals[index]
         if not target.mask & ~t_mask:
             continue  # its quotient is f itself
-        real = ctx._mod_cache[target.mask]
+        trivial = cf.classify_annihilators(ctx)[0]
+        base_n1 = cf.n1_set(ctx)
+        assert _kernel(ctx, ideals, trivial, base_n1)[0]  # fills the quotient cache
         ctx._mod_cache[target.mask] = ctx.cocycle  # as if the ideal held no product
-        for ideal, outcomes in _kernel(ctx, ideals)[0]:
-            expected = _from_scratch(ctx, ideal, trivial, cf.n1_set(ctx))
-            assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is sweep._IDEAL_PASSED) == (ideal is not target)
-        assert not _passed(_from_scratch(ctx, target, trivial, cf.n1_set(ctx)))
-        ctx._mod_cache[target.mask] = real
+        expected = _check_both_paths(ctx, ideals, trivial, base_n1)
+        assert [_passed(e) for e in expected] == [ideal is not target for ideal in ideals]
+        failures = [f for ideal, e in zip(ideals, expected) for f in _failures(ideal, e)]
+        assert failures and _sweep_failures(ctx) == failures
         missed += 1
     assert missed == 8
 
@@ -180,7 +218,7 @@ def test_every_one_cell_flip_of_a_quotient_reads_as_from_scratch(rows):
     ideals = enumerate_ideals(ctx)
     trivial = cf.classify_annihilators(ctx)[0]
     base_n1 = cf.n1_set(ctx)
-    _kernel(ctx, ideals)  # fills the quotient cache
+    assert _kernel(ctx, ideals, trivial, base_n1)[0]  # fills the quotient cache
     n = ctx.group.order
     failed = 0
     for target in ideals:
@@ -189,11 +227,8 @@ def test_every_one_cell_flip_of_a_quotient_reads_as_from_scratch(rows):
             masks = list(real.masks)
             masks[bit // n] ^= 1 << bit % n
             ctx._mod_cache[target.mask] = Cocycle(group=ctx.group, masks=tuple(masks))
-            for ideal, outcomes in _kernel(ctx, ideals)[0]:
-                expected = _from_scratch(ctx, ideal, trivial, base_n1)
-                assert _summary(outcomes) == _summary(expected)
-                assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
-                failed += not _passed(expected)
+            expected = _check_both_paths(ctx, ideals, trivial, base_n1)
+            failed += sum(not _passed(e) for e in expected)
         ctx._mod_cache[target.mask] = real
     assert failed
 
@@ -207,11 +242,8 @@ def test_every_one_member_change_of_the_kept_trivial_set_reads_as_from_scratch(r
     failed = 0
     for s in ctx.gstar:
         ctx._annihilators = (trivial ^ {s}, nontrivial)  # what both paths read
-        for ideal, outcomes in _kernel(ctx, ideals)[0]:
-            expected = _from_scratch(ctx, ideal, trivial ^ {s}, base_n1)
-            assert _summary(outcomes) == _summary(expected)
-            assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
-            failed += not _passed(expected)
+        expected = _check_both_paths(ctx, ideals, ctx._annihilators[0], base_n1)
+        failed += sum(not _passed(e) for e in expected)
     ctx._annihilators = real
     assert failed
 
@@ -221,23 +253,19 @@ def test_a_wrong_trivial_set_misses_every_ideal(monkeypatch):
     ideals = enumerate_ideals(ctx)
     trivial, nontrivial = cf.classify_annihilators(ctx)
     wrong = trivial | nontrivial  # every annihilator called trivial
+    base_n1 = cf.n1_set(ctx)
+    # the kernel decides only on the trivial set the context keeps
+    assert not _kernel(ctx, ideals, wrong, base_n1)[0]
     real = sweep.classify_annihilators
 
     def classify_annihilators(c):
         return (wrong, nontrivial) if c is ctx else real(c)
 
     monkeypatch.setattr(sweep, "classify_annihilators", classify_annihilators)
-    subjects = sweep._context_subjects(ctx, ideals)
-    base_n1 = cf.n1_set(ctx)
-    failed = 0
-    for ideal in ideals:
-        kinds, subject, outcomes = next(subjects)
-        assert (kinds, subject) == (sweep._IDEAL_CHECKS, ideal)
-        assert outcomes is not sweep._IDEAL_PASSED
-        expected = _from_scratch(ctx, ideal, wrong, base_n1)
-        assert _summary(outcomes) == _summary(expected)
-        failed += not _passed(expected)
-    assert failed  # the kernel decided on the wrong set would have passed these
+    expected = [_from_scratch(ctx, ideal, wrong, base_n1) for ideal in ideals]
+    failures = [f for ideal, e in zip(ideals, expected) for f in _failures(ideal, e)]
+    assert failures  # the kernel decided on the wrong set would have passed these
+    assert _sweep_failures(ctx) == failures
 
 
 @pytest.mark.parametrize(
@@ -259,11 +287,8 @@ def test_a_closure_that_leaves_the_ideal_or_the_trivial_set_misses_the_kernel(gr
                 links = list(real_links)
                 links[s] |= 1 << y
                 ctx._links = tuple(links)
-                for ideal, outcomes in _kernel(ctx, ideals)[0]:
-                    expected = _from_scratch(ctx, ideal, trivial, base_n1)
-                    assert _summary(outcomes) == _summary(expected)
-                    assert (outcomes is sweep._IDEAL_PASSED) == _passed(expected)
-                    if isinstance(expected[4], ForgeError):
-                        raised.add(str(expected[4]).split(" contain")[0])
+                for outcomes in _check_both_paths(ctx, ideals, trivial, base_n1):
+                    if isinstance(outcomes[4], ForgeError):
+                        raised.add(str(outcomes[4]).split(" contain")[0])
         ctx._links = real_links
     assert raised == {"second ideal is not", "second ideal"}  # both preconditions

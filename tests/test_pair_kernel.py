@@ -1,10 +1,12 @@
-"""The property sweep decides each pair of ideals in one kernel.
+"""The property sweep decides every pair of ideals of a context in one kernel.
 
-sum_product, intersection_vee and cap_zero are decided per pair by
-sweep._pair_verdicts on packed tables: the four pair tables over the sum,
-read by their own keys, and the packed quotient of each ideal.  Every
-verdict must equal what check_identity computes from scratch, and a
-corrupted pair table or quotient must be caught by the kernel itself.
+sum_product, intersection_vee and cap_zero are decided for all pairs at
+once by sweep._pairs_pass on packed tables: the four pair tables over each
+sum, read by their own keys, and the packed quotient of each ideal that the
+ideal pass hands over.  On the clean census the kernel passes every
+context and check_identity passes every pair.  A corrupted pair table or
+quotient, or a quotient that was not handed over, must make the kernel
+refuse, and the sweep must then report what check_identity gives.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import pytest
 import cocycle_forge as cf
 from cocycle_forge import decomposition, sweep
 from cocycle_forge.census import enumerate_ideals
-from cocycle_forge.errors import InternalInvariantError, ValidationError
+from cocycle_forge.cocycles import Cocycle
+from cocycle_forge.errors import ForgeError, InternalInvariantError, ValidationError
 
 PAIR_CHECKS = ("sum_product", "intersection_vee", "cap_zero")
 # D3 census cocycle 87: 8 ideals, J^2 = [1, 3, 4]
@@ -42,19 +45,50 @@ def _quotients(ctx, ideals):
     return {ideal.mask: cf.cocycle_mod_ideal(ctx, ideal).packed for ideal in ideals}
 
 
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ForgeError as exc:
+        return exc
+
+
 def _reference(ctx, a, b):
-    """The pair's verdicts from check_identity, one call per check."""
-    outer = cf.ideal_lattice_op("sum", a, b)
-    verdicts = [
-        cf.check_identity(name, ctx, outer=outer, inner=[a, b]) for name in PAIR_CHECKS[:2]
+    """The pair's outcomes from check_identity, one call per check."""
+    outer = _outcome(cf.ideal_lattice_op, "sum", a, b)
+    outcomes = [
+        outer if isinstance(outer, ForgeError)
+        else _outcome(cf.check_identity, name, ctx, outer=outer, inner=[a, b])
+        for name in PAIR_CHECKS[:2]
     ]
     if not a.mask & b.mask:
-        verdicts.append(cf.check_identity("cap_zero", ctx, ideals=[a, b]))
-    return verdicts
+        outcomes.append(_outcome(cf.check_identity, "cap_zero", ctx, ideals=[a, b]))
+    return outcomes
 
 
-def _summary(verdicts):
-    return [(v.name, v.ok, v.counterexample) for v in verdicts]
+def _summary(outcomes):
+    return [
+        (type(o).__name__, str(o)) if isinstance(o, ForgeError) else (o.name, o.ok, o.counterexample)
+        for o in outcomes
+    ]
+
+
+def _expected_failures(ctx, ideals):
+    """The (check, detail) of each pair check that check_identity fails."""
+    out = []
+    for a, b in combinations(ideals, 2):
+        label = f"pair=({sorted(a.members)}, {sorted(b.members)})"
+        for name, o in zip(PAIR_CHECKS, _reference(ctx, a, b)):
+            if isinstance(o, ForgeError):
+                out.append((name, f"{label} raised: {o}"))
+            elif not o.ok:
+                out.append((name, f"{label} {o.counterexample}"))
+    return out
+
+
+def _pair_failures(ctx):
+    """The (check, detail) of each pair check the sweep of ctx fails."""
+    result = sweep._run_suite_checks(ctx, 10_000)
+    return [(f.check, f.detail) for f in result.failures if f.check in PAIR_CHECKS]
 
 
 @pytest.mark.parametrize(
@@ -68,17 +102,15 @@ def test_pair_kernel_matches_check_identity(group):
         ideals = enumerate_ideals(ctx)
         by_mask = {ideal.mask: ideal for ideal in enumerate_ideals(ref)}
         pairs = list(combinations(ideals, 2))
-        seen = 0
-        for kinds, pair, outcomes in sweep._pair_verdicts(ctx, ideals, _quotients(ctx, ideals)):
-            assert pair == pairs[seen]
-            seen += 1
-            a, b = pair
+        subjects = list(sweep._pair_subjects(ctx, ideals))
+        assert [pair for _, pair, _ in subjects] == pairs
+        for kinds, (a, b), outcomes in subjects:
             expected = _reference(ref, by_mask[a.mask], by_mask[b.mask])
             assert kinds == PAIR_CHECKS[: len(expected)]
             assert _summary(outcomes) == _summary(expected)
-            if all(v.ok for v in expected):
-                assert outcomes is sweep._PAIR_PASSED[kinds]
-        assert seen == len(pairs)
+            assert all(v.ok for v in expected)
+        disjoint = sum(1 for a, b in pairs if not a.mask & b.mask)
+        assert sweep._pairs_pass(ctx, ideals, _quotients(ctx, ideals)) == disjoint
 
 
 @pytest.mark.parametrize("members", [(1, 2, 3, 4, 5), (1, 3, 4, 5)], ids=["radical", "middle"])
@@ -86,16 +118,14 @@ def test_a_flipped_pair_table_fails_the_kernel_as_check_identity(members):
     ctx = _context_87()
     ideals = enumerate_ideals(ctx)
     quotients = _quotients(ctx, ideals)
-    list(sweep._pair_verdicts(ctx, ideals, quotients))  # fills the pair tables
+    assert sweep._pairs_pass(ctx, ideals, quotients) is not None  # fills the pair tables
     u = cf.MonomialIdeal.from_members(ctx, members).mask
     ctx._chain_cache[(u, u)] ^= 1 << 7  # the cell (1, 1)
-    failed = 0
-    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
-        expected = _reference(ctx, a, b)
-        assert _summary(outcomes) == _summary(expected)
-        failed += not outcomes[0].ok
-        assert outcomes[0].ok == (a.mask | b.mask != u)
-    assert failed
+    assert sweep._pairs_pass(ctx, ideals, quotients) is None
+    expected = _expected_failures(ctx, ideals)
+    assert _pair_failures(ctx) == expected
+    failed = [detail for name, detail in expected if name == "sum_product"]
+    assert failed and len(failed) == sum(1 for a, b in combinations(ideals, 2) if a.mask | b.mask == u)
 
 
 def test_a_wrong_quotient_fails_cap_zero():
@@ -105,27 +135,30 @@ def test_a_wrong_quotient_fails_cap_zero():
     target = ideals[1]
     f = ctx.cocycle.packed
     bit = (~f & -~f).bit_length() - 1  # the first cell where f is 0
-    quotients[target.mask] |= 1 << bit
     s, t = divmod(bit, ctx.group.order)
-    failed = 0
-    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
-        verdicts = dict(zip(kinds, outcomes))
-        assert verdicts["sum_product"].ok and verdicts["intersection_vee"].ok
-        if "cap_zero" not in verdicts:
-            continue
-        if target in (a, b):
-            failed += 1
-            assert verdicts["cap_zero"].counterexample == (s, t, 0, 1)
-            assert cf.check_identity("cap_zero", ctx, ideals=[a, b]).ok  # the kernel alone
-        else:
-            assert verdicts["cap_zero"].ok
-    assert failed
+    wrong = dict(quotients)
+    wrong[target.mask] |= 1 << bit
+    assert sweep._pairs_pass(ctx, ideals, wrong) is None
+    masks = list(ctx._mod_cache[target.mask].masks)
+    masks[s] |= 1 << t
+    ctx._mod_cache[target.mask] = Cocycle(group=ctx.group, masks=tuple(masks))
+    expected = _expected_failures(ctx, ideals)
+    assert _pair_failures(ctx) == expected
+    disjoint = [b for b in ideals if b is not target and not b.mask & target.mask]
+    assert expected == [
+        ("cap_zero", f"pair=({sorted(a.members)}, {sorted(b.members)}) {(s, t, 0, 1)}")
+        for a, b in combinations(ideals, 2)
+        if target in (a, b) and (b if a is target else a) in disjoint
+    ]
+    assert expected
 
 
 def test_a_disjoint_pair_with_one_missing_quotient_fails_cap_zero_as_check_identity(monkeypatch):
     ctx = _context_87()
     ideals = enumerate_ideals(ctx)
     target = ideals[-1]  # J; only the zero ideal is disjoint from it
+    quotients = _quotients(ctx, [ideal for ideal in ideals if ideal is not target])
+    assert sweep._pairs_pass(ctx, ideals, quotients) is None
     real = decomposition.cocycle_mod_ideal
 
     def cocycle_mod_ideal(ctx, ideal):
@@ -134,12 +167,8 @@ def test_a_disjoint_pair_with_one_missing_quotient_fails_cap_zero_as_check_ident
         return real(ctx, ideal)
 
     monkeypatch.setattr(decomposition, "cocycle_mod_ideal", cocycle_mod_ideal)
-    quotients = _quotients(ctx, [ideal for ideal in ideals if ideal is not target])
-    seen = 0
-    for kinds, (a, b), outcomes in sweep._pair_verdicts(ctx, ideals, quotients):
-        if "cap_zero" in kinds and target in (a, b):
-            seen += 1
-            expected = sweep._outcome(cf.check_identity, "cap_zero", ctx, ideals=[a, b])
-            assert sweep._failure_suffix(outcomes[2]) == sweep._failure_suffix(expected)
-            assert sweep._failure_suffix(expected) == " raised: no quotient"
-    assert seen == 1
+    monkeypatch.setattr(sweep, "cocycle_mod_ideal", cocycle_mod_ideal)
+    ctx = _context_87()
+    expected = _expected_failures(ctx, enumerate_ideals(ctx))
+    assert expected == [("cap_zero", "pair=([], [1, 2, 3, 4, 5]) raised: no quotient")]
+    assert _pair_failures(ctx) == expected

@@ -7,6 +7,8 @@ built only when a check fails; their text is pinned byte for byte.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import cocycle_forge as cf
@@ -62,35 +64,31 @@ def test_failure_details_keep_their_format(monkeypatch):
     g = cf.make_cyclic(3)
     cocycle = cf.waterhouse(g, cf.subgroup(g, [0]))
     real_check_identity = sweep.check_identity
-    real_pair_verdicts = sweep._pair_verdicts
-    real_ideal_verdicts = sweep._ideal_verdicts
+    real_morphism_check = sweep.morphism_check
 
     def check_identity(name, ctx, **kwargs):
         if name == "leq_f" and kwargs["chain"].masks == (0b110, 0b010):
             return IdentityCheck(name="leq_f", ok=False, counterexample=("incomparable",))
+        if name == "sum_product" and [i.mask for i in kwargs["inner"]] == [0b010, 0b100]:
+            raise InternalInvariantError("boom")
         return real_check_identity(name, ctx, **kwargs)
 
-    def pair_verdicts(ctx, ideals, quotients):
-        for kinds, pair, outcomes in real_pair_verdicts(ctx, ideals, quotients):
-            if [i.mask for i in pair] == [0b010, 0b100]:
-                outcomes = (InternalInvariantError("boom"),) + tuple(outcomes[1:])
-            yield kinds, pair, outcomes
-
-    def ideal_verdicts(ctx, *args):
-        for kinds, ideal, outcomes in real_ideal_verdicts(ctx, *args):
-            if ideal.mask == 0b100:
-                outcomes = tuple(outcomes[:3]) + (False,) + tuple(outcomes[4:])
-            yield kinds, ideal, outcomes
+    def morphism_check(ctx, ideal):
+        if ideal.mask == 0b100:
+            return SimpleNamespace(ok=False)
+        return real_morphism_check(ctx, ideal)
 
     def all_generators(ctx):
         raise InternalInvariantError("no words")
 
     monkeypatch.setattr(sweep, "check_identity", check_identity)
-    # the injected leq_f failure is on a chain that passes: the state walk
-    # must refuse the cocycle, so that check_identity, and the injection, run
+    monkeypatch.setattr(sweep, "morphism_check", morphism_check)
+    # the injected failures are on subjects that pass: each kernel must
+    # refuse the cocycle, so that the from-scratch checks, and the
+    # injections, run
     monkeypatch.setattr(sweep, "_chain_pass_count", lambda *args: None)
-    monkeypatch.setattr(sweep, "_pair_verdicts", pair_verdicts)
-    monkeypatch.setattr(sweep, "_ideal_verdicts", ideal_verdicts)
+    monkeypatch.setattr(sweep, "_ideals_pass", lambda *args: False)
+    monkeypatch.setattr(sweep, "_pairs_pass", lambda *args: None)
     monkeypatch.setattr(sweep, "all_generators", all_generators)
     result = cf.check_cocycle_properties(cocycle)
     assert [(f.check, f.detail) for f in result.failures] == [

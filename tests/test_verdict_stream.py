@@ -49,8 +49,8 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
     real_mod = sweep.cocycle_mod_ideal
     real_n1 = sweep.n1_set
     real_classes = sweep.classify_annihilators
-    real_ideal_verdicts = sweep._ideal_verdicts
-    real_pair_verdicts = sweep._pair_verdicts
+    real_check_identity = sweep.check_identity
+    real_morphism = sweep.morphism_check
     quotient_of = []  # the ideal of the last quotient taken
 
     def cocycle_mod_ideal(ctx, ideal):
@@ -67,26 +67,24 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
             raise InternalInvariantError("no classes")
         return real_classes(ctx)
 
-    def ideal_verdicts(ctx, ideals, trivial, base_n1, quotients):
-        for kinds, ideal, outcomes in real_ideal_verdicts(ctx, ideals, trivial, base_n1, quotients):
-            outcomes = list(outcomes)
-            if ideal.mask == _mask(2):
-                outcomes[2] = IdentityCheck(name="fI_eq_f", ok=False, counterexample=(0, 2, 1, 0))
-            if ideal.mask == _mask(1, 2):
-                outcomes[3] = False
-            if ideal.mask == _mask(1, 2, 3):
-                outcomes[4] = InternalInvariantError("no replacement")
-            yield kinds, ideal, outcomes
+    def check_identity(name, ctx, **kwargs):
+        pair = [i.mask for i in kwargs.get("inner", kwargs.get("ideals", ()))]
+        if name == "fI_eq_f" and kwargs["ideal"].mask == _mask(2):
+            return IdentityCheck(name="fI_eq_f", ok=False, counterexample=(0, 2, 1, 0))
+        if name == "trivial_annih_replace" and kwargs["first"].mask == _mask(1, 2, 3):
+            raise InternalInvariantError("no replacement")
+        if name == "sum_product" and pair == [_mask(1), _mask(2)]:
+            return IdentityCheck(name="sum_product", ok=False, counterexample=(1, 2, 0, 1))
+        if name == "intersection_vee" and pair == [_mask(1), _mask(2, 3)]:
+            raise InternalInvariantError("no vee")
+        if name == "cap_zero" and pair == [_mask(1), _mask(2, 3)]:
+            return IdentityCheck(name="cap_zero", ok=False, counterexample=(3, 3, 1, 0))
+        return real_check_identity(name, ctx, **kwargs)
 
-    def pair_verdicts(ctx, ideals, quotients):
-        for kinds, pair, outcomes in real_pair_verdicts(ctx, ideals, quotients):
-            outcomes = list(outcomes)
-            if [i.mask for i in pair] == [_mask(1), _mask(2)]:
-                outcomes[0] = IdentityCheck(name="sum_product", ok=False, counterexample=(1, 2, 0, 1))
-            if [i.mask for i in pair] == [_mask(1), _mask(2, 3)]:
-                outcomes[1] = InternalInvariantError("no vee")
-                outcomes[2] = IdentityCheck(name="cap_zero", ok=False, counterexample=(3, 3, 1, 0))
-            yield kinds, pair, outcomes
+    def morphism_check(ctx, ideal):
+        if ideal.mask == _mask(1, 2):
+            return SimpleNamespace(ok=False)
+        return real_morphism(ctx, ideal)
 
     def principal_via_generators(ctx, s, gens):
         raise InternalInvariantError("no route")
@@ -101,8 +99,11 @@ def test_every_non_chain_kind_keeps_its_failure_text(monkeypatch):
         ("cocycle_mod_ideal", cocycle_mod_ideal),
         ("n1_set", n1_set),
         ("classify_annihilators", classify_annihilators),
-        ("_ideal_verdicts", ideal_verdicts),
-        ("_pair_verdicts", pair_verdicts),
+        ("check_identity", check_identity),
+        ("morphism_check", morphism_check),
+        # the ideal and pair kernels would pass the injected checks unread
+        ("_ideals_pass", lambda *args: False),
+        ("_pairs_pass", lambda *args: None),
         ("principal_via_generators", principal_via_generators),
         ("decompose_by_bstar", decompose_by_bstar),
         ("decompose_by_classes", decompose_by_classes),
