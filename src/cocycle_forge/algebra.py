@@ -372,6 +372,12 @@ def _waterhouse_of(ctx: AlgebraContext) -> Cocycle:
     return ctx._waterhouse
 
 
+def _layers_of(powers: List[int]) -> List[int]:
+    """N_k = J^k \\ J^{k+1} for the powers J, J^2, .. of one cocycle, or of a
+    census block's lanes, each power one integer."""
+    return [power & ~below for power, below in zip(powers, powers[1:] + [0])]
+
+
 def _layer_masks(ctx: AlgebraContext) -> List[int]:
     """The masks of N_k = J^k \\ J^{k+1} from ``_power_masks``; their union
     is G*.
@@ -380,8 +386,7 @@ def _layer_masks(ctx: AlgebraContext) -> List[int]:
     no-factorization characterization, and the two must agree; the latter
     is computed once per context and shared with classify_annihilators.
     """
-    powers = _power_masks(ctx)
-    layers = [power & ~below for power, below in zip(powers, powers[1:] + [0])]
+    layers = _layers_of(_power_masks(ctx))
     if layers[0] != _n1_mask(ctx):
         raise InternalInvariantError("the two N_1 characterizations disagree")
     if reduce(or_, layers) != ctx._gstar_mask:
@@ -412,16 +417,23 @@ def _annihilator_classes(ctx: AlgebraContext) -> Tuple[int, int]:
     Each double coset lies wholly inside or wholly outside the annihilators,
     which is asserted on the masks of ``_double_coset_masks``."""
     ann = _annihilator_mask(ctx)
+    classes = _classes_met(_double_coset_masks(ctx.group, ctx._hmask), ann)
+    if classes is None:
+        raise InternalInvariantError("annihilator set is not closed under the double coset action")
+    return ann, classes
+
+
+def _classes_met(cosets: Tuple[int, ...], ann: int) -> Optional[int]:
+    """How many of the double-coset masks ann meets, or None if it meets one
+    only in part."""
     classes = 0
-    for cls in _double_coset_masks(ctx.group, ctx._hmask):
+    for cls in cosets:
         meet = ann & cls
         if meet:
             if meet != cls:
-                raise InternalInvariantError(
-                    "annihilator set is not closed under the double coset action"
-                )
+                return None
             classes += 1
-    return ann, classes
+    return classes
 
 
 def classify_annihilators(ctx: AlgebraContext) -> Tuple[FrozenSet[int], FrozenSet[int]]:

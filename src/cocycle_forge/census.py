@@ -24,22 +24,30 @@ by table through validate_cocycle, which names the first table that
 fails, and the tables before that one are still yielded.  So the census is one stream from the search to the written line,
 and no step holds more than one block.
 
-``census_records`` fingerprints each cocycle by the radical filtration,
-the N_k layers and the annihilator classes, all read as masks from one
-``algebra._CocycleMasks`` view: the base of every AlgebraContext, built
-bare, without the context's links and caches.  It reads the layer masks
-that ``nk_partition`` views, which build the radical powers once and
-compare the filtration's N_1 with the direct N_1 mask, and the annihilator
-mask with the number of double cosets it meets, which
-``classify_annihilators`` views.
+``census_records`` fingerprints the cocycles of one group a block of at
+most 1,024 at a time, in one bit-sliced pass (``_block_records``) over the
+block's tables laid side by side, as the block check lays them.  For every
+lane at once it computes H and G*, the radical powers with each power's
+closedness and the nilpotency bound, N_1 by the filtration and again by a
+route built the other way, the layers' cover of G* and the annihilators;
+then it reads each lane's sets as bytes and checks each distinct reading
+once: H as a subgroup, through the group's double-coset memo, and the
+annihilators as a union of its double cosets.  A block that fails any check
+is refused, and goes cocycle by cocycle through ``_census_record``, the
+reference and the only reporter.  That reads the same invariants as masks
+from one ``algebra._CocycleMasks`` view: the base of every AlgebraContext,
+built bare, without the context's links and caches, through the layer
+masks that ``nk_partition`` views and the annihilator classes that
+``classify_annihilators`` views, so a refused cocycle raises their errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress, islice, product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from itertools import compress, groupby, islice, product
+from operator import attrgetter, or_
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraContext,
@@ -47,8 +55,10 @@ from .algebra import (
     MonomialIdeal,
     _CocycleMasks,
     _annihilator_classes,
+    _classes_met,
     _ideal_from_mask,
     _layer_masks,
+    _layers_of,
     _members_of,
     _principal_masks,
 )
@@ -60,13 +70,15 @@ from .cocycles import (
     _closing_schedule,
     _depth_first,
     _pack_rows,
+    _side_by_side,
+    _table_stride,
     _tables_valid,
     _unpack_rows,
     inertial_group,
     validate_cocycle,
 )
 from .errors import InternalInvariantError, ValidationError
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, _double_coset_masks
 
 __all__ = [
     "CensusConfig",
@@ -390,7 +402,8 @@ class CensusRecord:
 
 
 def _census_record(c: Cocycle) -> CensusRecord:
-    """The fingerprint of one cocycle.
+    """The fingerprint of one cocycle: the reference ``_block_records`` is
+    tested against, and the one reporter, of each cocycle of a refused block.
 
     Every invariant is read as masks from one ``_CocycleMasks`` view, which
     builds no AlgebraContext: the all-ones cocycle is the one whose view
@@ -417,8 +430,230 @@ def _census_record(c: Cocycle) -> CensusRecord:
     )
 
 
+class _Layout(NamedTuple):
+    """The patterns ``_block_records`` reads for one group and one number of
+    lanes, each laid over every lane.  Lane i holds a table at bits i*width ..
+    i*width + width - 1, cell (s, t) at bit s*n + t, as in ``_tables_valid``.
+    A set of elements is held in the row form, as row 0 (bit s of each lane),
+    or in the column form, as column 0 (bit s*n).  A fold ORs every row of
+    each lane into row 0, or every column into column 0, halving the rows or
+    columns left at each (shift, mask) step; a move sends each cell (s, t) to
+    the cell of its product, by one (shift, mask) step per distance."""
+
+    width: int
+    full: int  # one row: times a column-form set, the rows of its elements
+    column: int  # column 0: times a row-form set, the columns of its elements
+    row0: int
+    column0: int
+    diagonal: int
+    cells: int
+    inverses: int  # the cells (s, s^-1)
+    row_folds: Tuple[Tuple[int, int], ...]
+    column_folds: Tuple[Tuple[int, int], ...]
+    right_moves: Tuple[Tuple[int, int], ...]  # cell (s, t) to (s, st)
+    left_moves: Tuple[Tuple[int, int], ...]  # cell (s, t) to (st, t)
+    products: int  # J^k reaches 0 within this many products, or repeats a power
+
+
+@lru_cache(maxsize=4)
+def _block_layout(table: Tuple[Tuple[int, ...], ...], lanes: int) -> _Layout:
+    """The layout of a group's blocks, keyed by its multiplication table, so
+    the cache holds no Group and none of its memos."""
+    n = len(table)
+    width = _table_stride(n)
+    every = ((1 << lanes * width) - 1) // ((1 << width) - 1)  # bit 0 of each lane
+    full = (1 << n) - 1
+    column = ((1 << n * n) - 1) // full
+
+    def folds(step: int, low: Callable[[int], int]) -> Tuple[Tuple[int, int], ...]:
+        out, left = [], n
+        while left > 1:
+            half = left // 2
+            left -= half
+            out.append((left * step, every * low(half)))
+        return tuple(out)
+
+    def moves(target: Callable[[int, int, int], int]) -> Tuple[Tuple[int, int], ...]:
+        by_shift: Dict[int, int] = {}
+        for s, row in enumerate(table):
+            for t, st in enumerate(row):
+                shift = target(s, t, st) - (s * n + t)
+                by_shift[shift] = by_shift.get(shift, 0) | 1 << s * n + t
+        return tuple([(shift, every * mask) for shift, mask in by_shift.items()])
+
+    return _Layout(
+        width=width,
+        full=full,
+        column=column,
+        row0=every * full,
+        column0=every * column,
+        diagonal=every * sum(1 << s * n + s for s in range(n)),
+        cells=every * ((1 << n * n) - 1),
+        inverses=every * sum(1 << s * n + row.index(0) for s, row in enumerate(table)),
+        row_folds=folds(n, lambda half: (1 << half * n) - 1),
+        column_folds=folds(1, lambda half: column * ((1 << half) - 1)),
+        right_moves=moves(lambda s, t, st: s * n + st),
+        left_moves=moves(lambda s, t, st: st * n + t),
+        products=n,
+    )
+
+
+def _fold(v: int, folds: Tuple[Tuple[int, int], ...], keep: int) -> int:
+    """v with its rows, or its columns, ORed into the first by the folds,
+    masked to keep."""
+    for shift, low in folds:
+        v |= v >> shift & low
+    return v & keep
+
+
+def _moved(v: int, moves: Tuple[Tuple[int, int], ...]) -> int:
+    """The cells of v, each sent where the moves send it."""
+    out = 0
+    for shift, mask in moves:
+        part = v & mask
+        out |= part << shift if shift >= 0 else part >> -shift
+    return out
+
+
+def _to_row(lay: _Layout, v: int) -> int:
+    """A column-form set in the row form."""
+    return _fold(v * lay.full & lay.diagonal, lay.row_folds, lay.row0)
+
+
+def _closed(lay: _Layout, right: int, left: int, rows: int, columns: int) -> bool:
+    """Whether every lane's set P, spread over its rows and over its columns,
+    is closed under basis multiplication: on the right moves no s in P has
+    f(s, t) = 1 with st outside P, and on the left moves no t in P does."""
+    return not (right & rows & (lay.cells ^ columns) or left & columns & (lay.cells ^ rows))
+
+
+def _factorable(lay: _Layout, cells: int) -> int:
+    """The st with f(s, t) = 1 and s, t in G*, in the row form, from the cells
+    (s, t) of G* x G* with f = 1: moved to (st, t) and folded over columns,
+    where the radical powers move to (s, st) and fold over rows."""
+    return _to_row(lay, _fold(_moved(cells, lay.left_moves), lay.column_folds, lay.column0))
+
+
+def _lane_fields(group: Group, key: Tuple[int, ...], span: int) -> Optional[tuple]:
+    """The record fields from inertial on, for the lanes whose H,
+    annihilators and layers N_k read as the bytes of key, span bytes each;
+    or None if H is no subgroup or the annihilators split a double coset."""
+    if span > 1:
+        key = tuple([
+            int.from_bytes(bytes(key[i:i + span]), "little") for i in range(0, len(key), span)
+        ])
+    hmask, ann, *layers = key
+    try:
+        cosets = _double_coset_masks(group, hmask)
+    except ValidationError:
+        return None
+    classes = _classes_met(cosets, ann)
+    if classes is None:
+        return None
+    while layers and not layers[-1]:  # the layers past the lane's last power
+        layers.pop()
+    return _members_of(hmask), len(layers), tuple([m.bit_count() for m in layers]), classes
+
+
+def _block_records(group: Group, cocycles: Sequence[Cocycle]) -> Optional[List[CensusRecord]]:
+    """The ``_census_record`` of each cocycle of group, at most _BLOCK_TABLES
+    of them, computed for all at once on one integer that lays their tables
+    side by side (bit-slicing, as ``cocycles._tables_valid``); or None, and
+    the block is refused, if any check fails.
+
+    H and G* come from the cells (s, s^-1).  The radical powers J^{k+1} are
+    the products of J^k and G*, each checked to be closed, until every lane
+    reaches 0.  A closed J^k holds J^{k+1}, so every power lies in G*, and a
+    lane still nonzero after ``products`` steps repeats a power, which
+    ``_census_record`` reports as not nilpotent.  The layers N_k must cover
+    G*, and N_1 must be G* minus ``_factorable``, the products built the
+    other way.  Then each lane's H, annihilators and layers are read as
+    bytes, and each distinct reading is checked once by ``_lane_fields``: H
+    through ``_double_coset_masks``, and the annihilators as a union of its
+    double cosets.  A refused block goes cocycle by cocycle through
+    ``_census_record``, which reports.
+    """
+    if not cocycles:
+        return []
+    n = group.order
+    lay = _block_layout(group.table, len(cocycles))
+    x = _side_by_side([_pack_rows(c.masks, n) for c in cocycles], lay.width)
+    h_col = _fold(x & lay.inverses, lay.column_folds, lay.column0)
+    h_row = _to_row(lay, h_col)
+    g_row = lay.row0 ^ h_row
+    g_rows, g_columns = (lay.column0 ^ h_col) * lay.full, g_row * lay.column
+    right, left = _moved(x, lay.right_moves), _moved(x, lay.left_moves)
+    step = _moved(x & g_columns, lay.right_moves)  # f(s, t) at (s, st), for t in G*
+    powers = []
+    power, rows, columns = g_row, g_rows, g_columns
+    for _ in range(lay.products):
+        if not _closed(lay, right, left, rows, columns):
+            return None
+        powers.append(power)
+        power = _fold(step & rows, lay.row_folds, lay.row0)
+        if not power:
+            break
+        columns = power * lay.column
+        rows = _fold(columns & lay.diagonal, lay.column_folds, lay.column0) * lay.full
+    else:
+        return None
+    layers = _layers_of(powers)
+    if reduce(or_, layers) != g_row:
+        return None
+    cells = x & g_rows & g_columns
+    if layers[0] != g_row & ~_factorable(lay, cells):
+        return None
+    # the annihilators are G* less each s and t of G* with f(s, t) = 1
+    factors = _fold(cells, lay.row_folds, lay.row0)
+    factors |= _to_row(lay, _fold(cells, lay.column_folds, lay.column0))
+    stride = lay.width // 8
+    span = (n + 7) // 8
+    size = len(cocycles) * stride
+    reads = [
+        plane.to_bytes(size, "little")[j::stride]
+        for plane in [h_row, g_row & ~factors] + layers
+        for j in range(span)
+    ]
+    text = format(x, f"0{len(cocycles) * lay.width}b")[::-1]
+    nn = n * n
+    fields: Dict[Tuple[int, ...], tuple] = {}
+    records = []
+    for start, key in zip(range(0, len(text), lay.width), zip(*reads)):
+        tail = fields.get(key)
+        if tail is None:
+            tail = fields[key] = _lane_fields(group, key, span)
+            if tail is None:
+                return None
+        records.append(CensusRecord(n, text[start:start + nn], *tail))
+    return records
+
+
+def _blocks(items: Iterable, size: int) -> Iterator[list]:
+    """The items in lists of size, the last one shorter.  If drawing an item
+    raises, the items drawn before it come out as one last list first."""
+    block: list = []
+    try:
+        for item in items:
+            block.append(item)
+            if len(block) == size:
+                yield block
+                block = []
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def census_records(stream: CensusStream) -> List[CensusRecord]:
-    """Fingerprint every cocycle of a census for the text output, one
-    ``_census_record`` each; the ``census`` command calls that per cocycle
-    and writes each line as it is made."""
-    return [_census_record(c) for c in stream.cocycles]
+    """Fingerprint every cocycle of a census for the text output: each run
+    of one group in blocks of _BLOCK_TABLES through ``_block_records``, and
+    a refused block cocycle by cocycle through ``_census_record``.  The
+    ``census`` command does the same a block of ``cli._LINE_BLOCK`` at a
+    time, writing each line as it is made."""
+    records: List[CensusRecord] = []
+    for group, run in groupby(stream.cocycles, attrgetter("group")):
+        for block in _blocks(run, _BLOCK_TABLES):
+            records += _block_records(group, block) or map(_census_record, block)
+    return records

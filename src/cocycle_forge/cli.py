@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 when validation or a checked identity fails,
 2 for parse and usage errors.  All output is deterministic; --out - streams
-to standard output.  ``census`` writes each record as it is made, so the
-lines written before an internal error stay written.
+to standard output.  ``census`` writes the records of each block of
+cocycles as they are made, so the lines written before an internal error
+stay written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .census import CensusConfig, _census, _census_record
+from .census import CensusConfig, _block_records, _blocks, _census, _census_record
 from .cocycles import inertial_group
 from .decomposition import (
     CHAIN_CHECKS,
@@ -314,11 +315,25 @@ def _cmd_search_r(args) -> Tuple[str, int]:
     return text, 1
 
 
+# The most cocycles the census command fingerprints at once: a C7 census
+# peaks at about 0.4 MB of tracemalloc with blocks of 256, 0.8 MB with 1,024.
+_LINE_BLOCK = 256
+
+
 def _census_lines(cfg: CensusConfig) -> Iterator[str]:
-    """One line per cocycle, made as the search finds it, then the
-    truncated=true trailer if the search stopped early."""
-    for cocycle in _census(cfg):
-        yield "truncated=true\n" if cocycle is None else _census_line(_census_record(cocycle))
+    """One line per cocycle, made a block of at most _LINE_BLOCK at a time
+    as the search finds them, then the truncated=true trailer if the search
+    stopped early.  A block goes through ``_block_records``, or cocycle by
+    cocycle through ``_census_record`` if it is refused; when the search
+    raises, the lines of the cocycles found before are written first."""
+    for block in _blocks(_census(cfg), _LINE_BLOCK):
+        truncated = block[-1] is None
+        if truncated:
+            block.pop()
+        for record in _block_records(cfg.group, block) or map(_census_record, block):
+            yield _census_line(record)
+        if truncated:
+            yield "truncated=true\n"
 
 
 def _cmd_census(args) -> Tuple[Iterator[str], int]:

@@ -212,6 +212,12 @@ def _table_stride(n: int) -> int:
     return -(-n * n // 8) * 8
 
 
+def _side_by_side(tables: Sequence[int], width: int) -> int:
+    """The packed tables as one integer, table i at bits i*width .. i*width +
+    width - 1: the bytes of the tables joined."""
+    return int.from_bytes(b"".join([p.to_bytes(width // 8, "little") for p in tables]), "little")
+
+
 @lru_cache(maxsize=16)
 def _block_patterns(n: int) -> Tuple[int, int, int, int]:
     """The patterns ``_tables_valid`` reads for order n: (the pinned row 0
@@ -245,7 +251,7 @@ def _tables_valid(group: Group, tables: Sequence[int]) -> bool:
     n = group.order
     pinned, column, row0, column0 = _block_patterns(n)
     width = _table_stride(n)
-    x = int.from_bytes(b"".join([p.to_bytes(width // 8, "little") for p in tables]), "little")
+    x = _side_by_side(tables, width)
     if x & pinned != pinned & (1 << len(tables) * width) - 1:
         return False
     full = (1 << n) - 1

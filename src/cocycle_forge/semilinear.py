@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -170,8 +171,10 @@ class SemilinearMap:
     def __call__(self, s: int):
         return self.values[s]
 
-    @property
+    @cached_property
     def m_subgroup(self) -> Subgroup:
+        """The neutral fiber as a Subgroup, built and validated on the first
+        read; a fiber that is no subgroup raises on every read."""
         neutral = self.monoid.neutral
         members = tuple(
             s for s in range(self.group.order) if self.values[s] == neutral

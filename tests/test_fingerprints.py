@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import algebra, groups
+from cocycle_forge import algebra, census, groups
 from cocycle_forge.cli import run_command
 from cocycle_forge.cocycles import Cocycle
 from cocycle_forge.errors import InternalInvariantError, ValidationError
@@ -108,6 +108,8 @@ def test_a_wrong_direct_n1_still_raises(monkeypatch):
     monkeypatch.setattr(
         algebra, "_n1_direct_mask", lambda ctx: real(ctx) ^ 1 << ctx.gstar[0]
     )
+    # the block kernel reads no _n1_direct_mask: refused, each record reports
+    monkeypatch.setattr(census, "_block_records", lambda group, cocycles: None)
     for cocycle in _non_simple(GROUPS["D3"])[:20]:
         stream = cf.CensusStream(cocycles=(cocycle,), truncated=False)
         with pytest.raises(InternalInvariantError, match="N_1 characterizations disagree"):
@@ -182,6 +184,7 @@ def test_direct_n1_is_computed_once_per_context(monkeypatch):
         assert calls == [ctx]
         assert ctx._n1_mask == real(ctx)
         calls.clear()
+    monkeypatch.setattr(census, "_block_records", lambda group, cocycles: None)
     cf.census_records(cf.CensusStream(cocycles=(cocycle, cocycle), truncated=False))
     assert len(calls) == 2 and calls[0] is not calls[1]
 

@@ -217,3 +217,17 @@ def test_cocycle_from_r_keeps_the_invariant_error_for_a_lawful_monoid(monkeypatc
     monkeypatch.setattr(semilinear, "validate_cocycle", lambda table: violation)
     with pytest.raises(InternalInvariantError, match="induced table is not a cocycle"):
         cf.cocycle_from_r(golden_r)
+
+
+def test_the_neutral_fiber_is_built_once_and_a_broken_one_raises_on_every_read(z9, golden_r):
+    fiber = golden_r.m_subgroup
+    assert fiber.members == (0,)
+    assert golden_r.m_subgroup is fiber
+    assert golden_r == cf.as_semilinear(z9, cf.AdditiveNaturals(), GOLDEN_R_VALUES)
+    # fabricated past validate_r: the fiber {0, 1} of Z/9 is no subgroup
+    fabricated = cf.SemilinearMap(
+        group=z9, monoid=cf.AdditiveNaturals(), values=(0, 0, 1, 1, 1, 1, 1, 1, 1)
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not closed under inverse at 1"):
+            fabricated.m_subgroup
