@@ -11,13 +11,15 @@ a b <= d, c d <= a and c d <= b; each of these that is decided before the
 triple's last cell is checked at the step that decides it, so a dead
 prefix is cut early (forward checking).  Each enumeration of a group of
 order 7 or more compiles every step's implications and the triples it
-closes into one expression (``_compiled_steps``), and each step makes one
-call of it.  ``_products_agree`` is the same check written as two loops:
-the reference the compiled steps are tested against, and the check of
-the smaller groups, whose search is too short to repay the compile.
-Position 0 of the
-search is a constant 1 that stands for every cell normalization pins, so
-each check reads the cell values directly.  The search is drawn in blocks
+closes, once with the step's cell set to 0 and once to 1, into one
+function that returns the values the cell may take (``_compiled_choices``),
+so each prefix the search reaches makes one call for both values.
+``_products_agree`` is the same check written as two loops: the reference
+the compiled choices are tested against, and the check of the smaller
+groups, whose search is too short to repay the compile and tries each
+value through it (``cocycles._filtered``).  Position 0 of the search is a
+constant 1 that stands for every cell normalization pins, so each check
+reads the cell values directly.  The search is drawn in blocks
 of at most 1,024 tables, and every block is still validated, in one
 bit-sliced pass (``cocycles._tables_valid``); a refused block goes table
 by table through validate_cocycle, which names the first table that
@@ -69,6 +71,7 @@ from .cocycles import (
     _BLOCK_TABLES,
     _closing_schedule,
     _depth_first,
+    _filtered,
     _pack_rows,
     _side_by_side,
     _table_stride,
@@ -193,37 +196,64 @@ def _census_steps(group: Group) -> List[Step]:
     ))
 
 
-def _compiled_steps(steps: Sequence[Step]) -> Tuple[Callable[[List[int]], bool], ...]:
-    """Each step as one function of vals that returns what
-    ``_products_agree(step, vals)`` returns when vals holds only 0 and 1.
+def _folded(step: Step, i: int, b: int) -> str:
+    """The checks of step with vals[i] set to b, as one expression of v.
 
-    A step is one expression: not (v[x] and v[y] and not v[z]) for each
-    implication, then (v[c1] and v[c2]) == (v[c3] and v[c4]) for each
-    identity, joined by and in that order, or True for a step with no
-    checks; over 0/1, a and b is a b.  The source is built from the steps'
+    Each product in a check reads two distinct positions, so with vals[i]
+    set it is either 0 or its other read, and no check becomes one that
+    can never hold.  With P the product vals[x] vals[y], an implication
+    P <= vals[z] becomes not (P and not v[z]), or not (P) when vals[z] is
+    0; an identity L = R becomes (L) == (R), or not (L) when R is 0.  A
+    check that always holds (P is 0, vals[z] is 1, or both sides are 0) is
+    dropped, as is a repeat; the rest are joined by and in their order, or
+    True for none.  Only v[i] is folded, so the expression agrees with
+    ``_products_agree`` whatever v[0] holds.
+    """
+
+    def product(x: int, y: int) -> Optional[str]:
+        # None for a product of 0
+        if i in (x, y):
+            return "v[%d]" % (y if x == i else x) if b else None
+        return "v[%d] and v[%d]" % (x, y)
+
+    implications, identities = step
+    terms = []
+    for x, y, z in implications:
+        left = product(x, y)
+        if left is None or z == i and b:
+            continue
+        terms.append("not (%s)" % left if z == i else "not (%s and not v[%d])" % (left, z))
+    for c1, c2, c3, c4 in identities:
+        left, right = product(c1, c2), product(c3, c4)
+        if left and right:
+            terms.append("(%s) == (%s)" % (left, right))
+        elif left or right:
+            terms.append("not (%s)" % (left or right))
+    return " and ".join(dict.fromkeys(terms)) or "True"
+
+
+def _compiled_choices(steps: Sequence[Step]) -> List[Callable[[List[int]], Tuple[int, ...]]]:
+    """Each step i as one function of vals that returns the values v of 0
+    and 1 for which ``_products_agree(step, vals)`` holds with vals[i] = v,
+    when vals holds only 0 and 1: both values of a cell decided in one call.
+
+    Step i is one expression O[ok0 + 2 * ok1], okb being ``_folded(step, i,
+    b)``; over 0/1, a and b is a b.  The source is built from the steps'
     integer positions alone and compiled with no builtins, one eval per
     step, which keeps the compiler's peak memory to one step's.
     """
-    env: Dict[str, object] = {"__builtins__": {}}
-
-    def compiled(implications, identities) -> Callable[[List[int]], bool]:
-        terms = ["not (v[%d] and v[%d] and not v[%d])" % imp for imp in implications]
-        terms += ["(v[%d] and v[%d]) == (v[%d] and v[%d])" % c for c in identities]
-        return eval("lambda v: " + (" and ".join(terms) or "True"), env)
-
-    return tuple([compiled(*step) for step in steps])
+    env: Dict[str, object] = {"__builtins__": {}, "O": ((), (0,), (1,), (0, 1))}
+    return [
+        eval("lambda v: O[(%s) + 2 * (%s)]" % (_folded(step, i, 0), _folded(step, i, 1)), env)
+        for i, step in enumerate(steps)
+    ]
 
 
-# Compiling costs about 25 us a term on a 2-vCPU Xeon with CPython 3.11 (5 ms
-# for the 193 terms of D3): below order 7 it costs more than the compiled
-# steps save, and at order 7 it about breaks even.
+# Compiling costs 20-24 us a check of the step on a 2-vCPU Xeon with CPython
+# 3.11 (5 ms for the 216 checks of C6, 10 ms for the 404 of C7).  At order 6
+# that is more than the compiled choices save (C6 and D3 search in 1.4 ms,
+# against 3.3-3.6 ms through _filtered); at order 7 they save 28 ms.
 _COMPILED_FROM_ORDER = 7
-
-
-def _holds(step: Callable[[List[int]], bool], vals: List[int]) -> bool:
-    """The predicate ``_census`` hands the search core: one compiled step's
-    verdict on vals (``operator.call`` is not in Python 3.10)."""
-    return step(vals)
 
 
 @lru_cache(maxsize=16)
@@ -252,7 +282,8 @@ def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
     the implications only cut dead prefixes sooner, so the tables and their
     order are those of the identities alone.  From order
     _COMPILED_FROM_ORDER the steps are compiled once per enumeration by
-    ``_compiled_steps``; below it ``_products_agree`` checks them.  The
+    ``_compiled_choices``; below it ``_products_agree`` checks each value
+    tried, through ``_filtered``.  The
     search is drawn in blocks of at most _BLOCK_TABLES tables, each packed
     as the sum of its cells' weights, and each block is validated at once
     by ``_tables_valid``.  A refused block goes table by table through
@@ -266,12 +297,13 @@ def _census(cfg: CensusConfig) -> Iterator[Optional[Cocycle]]:
     group = cfg.group
     n = group.order
     size = (n - 1) ** 2 + 1
-    domains = [(1,)] + [(0, 1)] * (size - 1)
-    steps: Sequence = _census_steps(group)
-    holds = _products_agree
-    if n >= _COMPILED_FROM_ORDER:
-        steps, holds = _compiled_steps(steps), _holds
-    search = _depth_first(domains, steps, holds)
+    steps = _census_steps(group)
+    if n < _COMPILED_FROM_ORDER:
+        choices = _filtered([(1,)] + [(0, 1)] * (size - 1), steps, _products_agree)
+    else:
+        # position 0, the cells normalization pins to 1, closes no check
+        choices = [lambda vals: (1,)] + _compiled_choices(steps)[1:]
+    search = _depth_first(choices)
     weights = _cell_weights(n)
     limit = cfg.max_candidates
     for start in range(0, limit + 1, _BLOCK_TABLES):

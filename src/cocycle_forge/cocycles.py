@@ -19,7 +19,7 @@ closed under either operation, and callers must revalidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import and_, lshift, or_
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -369,37 +369,55 @@ def _closing_schedule(size: int, constraints: Iterable[Constraint]) -> List[List
     return schedule
 
 
-def _depth_first(
+Choice = Callable[[List[int]], Iterable[int]]
+
+
+def _filtered(
     domains: Sequence[Sequence[int]],
     schedule: Sequence[Sequence[Constraint]],
     holds: Callable[[Sequence[Constraint], List[int]], bool],
-) -> Iterator[Tuple[int, ...]]:
-    """Every assignment of a value from domains[i] to each position i under
-    which holds(schedule[i], vals) is true at every position i, in the
-    lexicographic order of the domains.
+) -> List[Choice]:
+    """The choices that try each value of domains[i] in order, setting
+    vals[i] to it and keeping it when holds(schedule[i], vals) is true.
 
-    The positions are set in index order.  holds is a per-step predicate:
-    setting position i makes one call holds(schedule[i], vals), which checks
-    every constraint that i closes in one loop, so a failing prefix is cut
-    as soon as it fails.  The census enumeration and the realization search
-    both run on this core; a caller that counts or budgets the values tried
-    does so in its predicate.
+    Each choice is a generator: it tries the next value only after the core
+    has searched below the last one it gave, so a predicate that counts or
+    budgets the values tried sees them in search order.
     """
-    size = len(domains)
-    widths = [len(d) for d in domains]
-    vals = [0] * size
-    nxt = [0] * size  # index of the next value to try at each position
+
+    def allowed(i: int, vals: List[int]) -> Iterator[int]:
+        for v in domains[i]:
+            vals[i] = v
+            if holds(schedule[i], vals):
+                yield v
+
+    return [partial(allowed, i) for i in range(len(domains))]
+
+
+def _depth_first(choices: Sequence[Choice]) -> Iterator[Tuple[int, ...]]:
+    """Every assignment vals with each vals[i] among choices[i](vals),
+    called with vals[:i] set, in the order the choices give their values.
+
+    The positions are set in index order.  Reaching position i makes one
+    call choices[i](vals), which returns the values allowed there given the
+    prefix; the core descends only into those, so a prefix that no value
+    extends is cut at once.  The census enumeration and the realization
+    search both run on this core: the census's compiled choices decide both
+    values of a cell in one call, and ``_filtered`` makes the choices of a
+    per-step predicate, for the realization search, which counts and
+    budgets the values tried in it, and for the census of smaller groups.
+    """
+    last = len(choices) - 1
+    vals = [0] * (last + 1)
+    left = [iter(choices[0](vals))] + [None] * last  # the values left to try at each position
     i = 0
     while i >= 0:
-        k = nxt[i]
-        if k == widths[i]:
-            nxt[i] = 0
-            i -= 1
-            continue
-        nxt[i] = k + 1
-        vals[i] = domains[i][k]
-        if holds(schedule[i], vals):
-            if i + 1 == size:
-                yield tuple(vals)
-            else:
+        for v in left[i]:
+            vals[i] = v
+            if i < last:
                 i += 1
+                left[i] = iter(choices[i](vals))
+                break
+            yield tuple(vals)
+        else:
+            i -= 1

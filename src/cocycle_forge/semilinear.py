@@ -30,6 +30,7 @@ from .cocycles import (
     LESS,
     _closing_schedule,
     _depth_first,
+    _filtered,
     compare,
     inertial_group,
     validate_cocycle,
@@ -396,12 +397,12 @@ def search_realization(
 ) -> Union[SemilinearMap, ExhaustionCertificate]:
     """Find the least natural-valued map inducing f, or rule every one out.
 
-    Runs the depth-first core the census enumeration uses.  The inertial
-    group comes first, pinned to 0, then G* in index order with values in
-    [1, bound], so the first completion is the lexicographically least map.
-    Each assignment is checked by one call of a per-step predicate against
-    every pair constraint it completes: r(st) = r(s) + r(t) where f is 1,
-    r(st) < r(s) + r(t) where f is 0.
+    Runs the depth-first core the census enumeration uses, through
+    ``_filtered``.  The inertial group comes first, pinned to 0, then G* in
+    index order with values in [1, bound], so the first completion is the
+    lexicographically least map.  Each value tried is checked by one call of
+    a per-step predicate against every pair constraint it completes:
+    r(st) = r(s) + r(t) where f is 1, r(st) < r(s) + r(t) where f is 0.
     The predicate also counts the values tried on G*, the nodes explored.
     The witness is re-verified through cocycle_from_r before being returned.
     With max_nodes, the search stops before its node max_nodes + 1 and
@@ -435,7 +436,7 @@ def search_realization(
         return True
 
     domains = [(0,)] * pinned + [range(1, bound + 1)] * len(ctx.gstar)
-    search = _depth_first(domains, _closing_schedule(n, constraints), holds)
+    search = _depth_first(_filtered(domains, _closing_schedule(n, constraints), holds))
     try:
         completion = next(search, None)
     except _NodeBudgetSpent:

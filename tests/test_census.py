@@ -131,8 +131,8 @@ def test_an_enumerated_table_that_fails_keeps_its_validation_text(monkeypatch):
     expected = list(cf.enumerate_cocycles(c4).cocycles[:2])
     real = census._depth_first
 
-    def injected(domains, steps, holds):
-        for k, cells in enumerate(real(domains, steps, holds)):
+    def injected(choices):
+        for k, cells in enumerate(real(choices)):
             yield cells[:1] + (1 - cells[1],) + cells[2:] if k == 2 else cells
 
     monkeypatch.setattr(census, "_depth_first", injected)

@@ -1,8 +1,9 @@
 """The implications the census search files next to the cocycle identities:
 each follows from its identity, and with them the search visits fewer
-prefixes but yields the same tables in the same order.  Each step the
-census compiles returns what ``_products_agree`` returns on the step, and
-the census compiles its steps from order 7."""
+prefixes but yields the same tables in the same order.  Each choice the
+census compiles returns the values of its cell for which
+``_products_agree`` holds on the step, the census compiles its steps from
+order 7, and C7's compiled search makes a pinned number of choice calls."""
 
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ from cocycle_forge import census
 from cocycle_forge.census import (
     _cell_weights,
     _census_steps,
-    _compiled_steps,
+    _compiled_choices,
     _implications,
     _products_agree,
     _triple_constraints,
 )
-from cocycle_forge.cocycles import _closing_schedule, _depth_first, _unpack_rows
+from cocycle_forge.cocycles import _closing_schedule, _depth_first, _filtered, _unpack_rows
 
 GROUPS = {f"C{n}": cf.make_cyclic(n) for n in range(1, 8)}
 GROUPS.update({f"D{n}": cf.make_dihedral(n) for n in range(1, 5)})
@@ -44,18 +45,19 @@ def _plain_search(group):
     domains = [(1,)] + [(0, 1)] * (size - 1)
     schedule = [((), cs) for cs in _closing_schedule(size, _triple_constraints(group))]
     calls = [0]
-    return list(_depth_first(domains, schedule, _counted(_products_agree, calls))), calls[0]
+    return list(_depth_first(_filtered(domains, schedule, _counted(_products_agree, calls)))), calls[0]
 
 
 def _pruned_census(group, monkeypatch):
     """enumerate_cocycles's mask lists and the number of values its search
-    tried, counted at the predicate it hands the search core."""
+    tried, counted at the predicate it hands ``_filtered``: 0 from order 7,
+    where the census compiles its choices."""
     calls = [0]
 
     def counting(domains, schedule, holds):
-        return _depth_first(domains, schedule, _counted(holds, calls))
+        return _filtered(domains, schedule, _counted(holds, calls))
 
-    monkeypatch.setattr(census, "_depth_first", counting)
+    monkeypatch.setattr(census, "_filtered", counting)
     stream = cf.enumerate_cocycles(cf.CensusConfig(group=group))
     assert not stream.truncated
     return [c.masks for c in stream.cocycles], calls[0]
@@ -105,14 +107,39 @@ def test_pruning_cuts_the_search_steps(monkeypatch):
 def test_the_census_compiles_its_steps_from_order_7(monkeypatch):
     handed = []
 
-    def recording(domains, schedule, holds):
+    def filtered(domains, schedule, holds):
         handed.append(holds)
-        return _depth_first(domains, schedule, holds)
+        return _filtered(domains, schedule, holds)
 
-    monkeypatch.setattr(census, "_depth_first", recording)
+    def compiled(steps):
+        handed.append("compiled")
+        return _compiled_choices(steps)
+
+    monkeypatch.setattr(census, "_filtered", filtered)
+    monkeypatch.setattr(census, "_compiled_choices", compiled)
     for name in ("C6", "D3", "C7", "D4"):
         cf.enumerate_cocycles(cf.CensusConfig(group=GROUPS[name], max_candidates=1))
-    assert handed == [_products_agree, _products_agree, census._holds, census._holds]
+    assert handed == [_products_agree, _products_agree, "compiled", "compiled"]
+
+
+def test_the_compiled_c7_search_makes_a_pinned_number_of_choice_calls(monkeypatch):
+    # one call at each prefix the search reaches, for both values of its cell
+    calls = [0]
+
+    def counted(choice):
+        def counting(vals):
+            calls[0] += 1
+            return choice(vals)
+
+        return counting
+
+    def counting(choices):
+        return _depth_first([counted(choice) for choice in choices])
+
+    monkeypatch.setattr(census, "_depth_first", counting)
+    stream = cf.enumerate_cocycles(cf.CensusConfig(group=GROUPS["C7"]))
+    assert len(stream.cocycles) == 2_084
+    assert calls[0] == 19_312
 
 
 def _step_values(step, size, tables, rng):
@@ -145,7 +172,7 @@ def test_each_compiled_step_agrees_with_products_agree(name):
     group = GROUPS[name]
     size = (group.order - 1) ** 2 + 1
     steps = _census_steps(group)
-    compiled = _compiled_steps(steps)
+    compiled = _compiled_choices(steps)
     assert len(compiled) == len(steps) == size, name
     rng = random.Random(size)
     cocycles = cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles
@@ -155,9 +182,16 @@ def test_each_compiled_step_agrees_with_products_agree(name):
         for c in rng.sample(cocycles, min(40, len(cocycles)))
     ]
     verdicts = set()
-    for i, (step, check) in enumerate(zip(steps, compiled)):
+    for i, (step, choice) in enumerate(zip(steps, compiled)):
         for vals in _step_values(step, size, tables, rng):
-            expected = _products_agree(step, vals)
-            assert check(vals) is expected, (name, i, vals)
-            verdicts.add(expected)
+            expected = []
+            for v in (0, 1):
+                vals[i] = v
+                verdict = _products_agree(step, vals)
+                verdicts.add(verdict)
+                if verdict:
+                    expected.append(v)
+            for v in (0, 1):
+                vals[i] = v
+                assert choice(vals) == tuple(expected), (name, i, vals)
     assert verdicts == ({True, False} if size > 2 else {True}), name

@@ -9,7 +9,7 @@ import random
 
 import cocycle_forge as cf
 from cocycle_forge import cli
-from cocycle_forge.cocycles import _closing_schedule, _depth_first
+from cocycle_forge.cocycles import _closing_schedule, _depth_first, _filtered
 
 SMALL_GROUPS = {
     "C2": cf.make_cyclic(2),
@@ -55,13 +55,26 @@ def test_depth_first_matches_filtered_product():
         ]
         schedule = _closing_schedule(size, constraints)
         steps = []
+        tried = []
 
         def step(cs, vals):
             steps.append(cs)
+            i = next(k for k, checks in enumerate(schedule) if checks is cs)
+            tried.append(tuple(vals[: i + 1]))
             return all(holds(c, vals) for c in cs)
 
-        assert list(_depth_first(domains, schedule, step)) == expected
+        def depth_first_trials(prefix):
+            # each prefix the search tries, in order: a value's subtree
+            # before the next value
+            for v in domains[len(prefix)]:
+                vals = prefix + (v,)
+                yield vals
+                if len(vals) < size and all(holds(c, vals) for c in schedule[len(prefix)]):
+                    yield from depth_first_trials(vals)
+
+        assert list(_depth_first(_filtered(domains, schedule, step))) == expected
         assert sum(cs is schedule[0] for cs in steps) == len(domains[0])
+        assert tried == list(depth_first_trials(()))
 
 
 def test_enumeration_is_in_flattened_bits_order():
