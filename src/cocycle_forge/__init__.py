@@ -46,7 +46,6 @@ from .decomposition import (
     IDENTITY_NAMES,
     IdentityCheck,
     MorphismReport,
-    TransportCertificate,
     UniqueClassVerdict,
     check_identity,
     cocycle_from_chain,
@@ -54,7 +53,6 @@ from .decomposition import (
     decompose_by_bstar,
     decompose_by_classes,
     morphism_check,
-    quotient_transport,
     unique_class_ideal,
 )
 from .errors import (

@@ -26,9 +26,10 @@ by table through validate_cocycle, which names the first table that
 fails, and the tables before that one are still yielded.  So the census is one stream from the search to the written line,
 and no step holds more than one block.
 
-``census_records`` fingerprints the cocycles of one group a block of at
-most 1,024 at a time, in one bit-sliced pass (``_block_records``) over the
-block's tables laid side by side, as the block check lays them.  For every
+``_fingerprints`` fingerprints the cocycles of one group a block at a
+time, for ``census_records`` and for the ``census`` command, in one
+bit-sliced pass (``_block_records``) over the block's tables laid side by
+side, as the block check lays them.  For every
 lane at once it computes H and G*, the radical powers with each power's
 closedness and the nilpotency bound, N_1 by the filtration and again by a
 route built the other way, the layers' cover of G* and the annihilators;
@@ -678,14 +679,31 @@ def _blocks(items: Iterable, size: int) -> Iterator[list]:
         yield block
 
 
+def _fingerprints(
+    group: Group, cocycles: Iterable[Optional[Cocycle]], size: int
+) -> Iterator[Optional[Iterable[CensusRecord]]]:
+    """The records of the cocycles of group, one iterable per block of at
+    most size: the list of ``_block_records``, or, if the block is refused,
+    ``_census_record`` of each cocycle as it is read.  A None, which
+    ``_census`` yields last when the search stopped early, comes out last as
+    None.  If drawing a cocycle raises, the records of those drawn before it
+    come out first."""
+    for block in _blocks(cocycles, size):
+        stopped = block[-1] is None
+        if stopped:
+            block.pop()
+        yield _block_records(group, block) or map(_census_record, block)
+        if stopped:
+            yield None
+
+
 def census_records(stream: CensusStream) -> List[CensusRecord]:
-    """Fingerprint every cocycle of a census for the text output: each run
-    of one group in blocks of _BLOCK_TABLES through ``_block_records``, and
-    a refused block cocycle by cocycle through ``_census_record``.  The
-    ``census`` command does the same a block of ``cli._LINE_BLOCK`` at a
-    time, writing each line as it is made."""
+    """Fingerprint every cocycle of a census for the text output, each run
+    of one group through ``_fingerprints`` in blocks of _BLOCK_TABLES.  The
+    ``census`` command writes the same records a block of ``cli._LINE_BLOCK``
+    at a time, each line as it is made."""
     records: List[CensusRecord] = []
     for group, run in groupby(stream.cocycles, attrgetter("group")):
-        for block in _blocks(run, _BLOCK_TABLES):
-            records += _block_records(group, block) or map(_census_record, block)
+        for block in _fingerprints(group, run, _BLOCK_TABLES):
+            records += block
     return records

@@ -20,7 +20,7 @@ from .algebra import (
     nk_partition,
     radical_powers,
 )
-from .census import CensusConfig, _block_records, _blocks, _census, _census_record
+from .census import CensusConfig, _census, _fingerprints
 from .cocycles import inertial_group
 from .decomposition import (
     CHAIN_CHECKS,
@@ -322,18 +322,14 @@ _LINE_BLOCK = 256
 
 def _census_lines(cfg: CensusConfig) -> Iterator[str]:
     """One line per cocycle, made a block of at most _LINE_BLOCK at a time
-    as the search finds them, then the truncated=true trailer if the search
-    stopped early.  A block goes through ``_block_records``, or cocycle by
-    cocycle through ``_census_record`` if it is refused; when the search
+    by ``census._fingerprints`` as the search finds them, then the
+    truncated=true trailer if the search stopped early; when the search
     raises, the lines of the cocycles found before are written first."""
-    for block in _blocks(_census(cfg), _LINE_BLOCK):
-        truncated = block[-1] is None
-        if truncated:
-            block.pop()
-        for record in _block_records(cfg.group, block) or map(_census_record, block):
-            yield _census_line(record)
-        if truncated:
+    for records in _fingerprints(cfg.group, _census(cfg), _LINE_BLOCK):
+        if records is None:
             yield "truncated=true\n"
+        else:
+            yield from map(_census_line, records)
 
 
 def _cmd_census(args) -> Tuple[Iterator[str], int]:

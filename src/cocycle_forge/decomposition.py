@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraContext,
     DescendingChain,
     MonomialIdeal,
-    _closure_mask,
     _ideal_from_mask,
     _mask_of,
     _members_of,
@@ -54,7 +53,6 @@ __all__ = [
     "DecompositionPart",
     "DecompositionReport",
     "UniqueClassVerdict",
-    "TransportCertificate",
     "cocycle_from_chain",
     "cocycle_mod_ideal",
     "unique_class_ideal",
@@ -62,7 +60,6 @@ __all__ = [
     "decompose_by_bstar",
     "check_identity",
     "morphism_check",
-    "quotient_transport",
     "IDENTITY_NAMES",
 ]
 
@@ -520,63 +517,4 @@ def morphism_check(ctx: AlgebraContext, ideal: MonomialIdeal) -> MorphismReport:
         dims=dims,
         dimension_ok=dimension_ok,
         section_ok=section_ok,
-    )
-
-
-@dataclass(frozen=True)
-class TransportCertificate:
-    union_ideal: MonomialIdeal
-    equal: bool
-    psi_kernel: Tuple[int, ...]
-    chain_equal: Optional[bool] = None
-
-
-def quotient_transport(
-    ctx: AlgebraContext,
-    ideal: MonomialIdeal,
-    p_members: Sequence[int],
-    chain: Optional[DescendingChain] = None,
-) -> TransportCertificate:
-    """Quotienting twice equals quotienting once by the union.
-
-    P must be an ideal of the quotient context; the union P with I is then
-    automatically closed in the original context, and the double quotient
-    (f_I)_P coincides with f over the union ideal.  Given a full chain
-    ending at I, the masks of its ideals transport to a chain of the
-    quotient context with an equal chain cocycle.
-    """
-    fI = cocycle_mod_ideal(ctx, ideal)
-    sub_ctx = AlgebraContext(fI)
-    try:
-        p_ideal = MonomialIdeal.from_members(sub_ctx, p_members)
-    except ValidationError as exc:
-        raise ValidationError(f"invalid-ideal: {exc}") from exc
-    union = p_ideal.mask | ideal.mask
-    if _closure_mask(ctx, union) != union:
-        raise InternalInvariantError("union of quotient ideal and kernel is not closed")
-    union_ideal = MonomialIdeal(ctx=ctx, mask=union)
-    lhs = cocycle_mod_ideal(sub_ctx, p_ideal)
-    rhs = cocycle_mod_ideal(ctx, union_ideal)
-    if lhs.masks != rhs.masks:
-        raise InternalInvariantError("double quotient differs from the union quotient")
-    chain_equal = None
-    if chain is not None:
-        if chain.ctx != ctx:
-            raise ValidationError("chain was built over a different context")
-        if chain.ideals[-1].mask != ideal.mask:
-            raise ValidationError("chain must end at the quotient ideal")
-        transported = DescendingChain(
-            ideals=tuple(MonomialIdeal(ctx=sub_ctx, mask=i.mask) for i in chain.ideals)
-        )
-        chain_equal = (
-            cocycle_from_chain(ctx, chain).masks
-            == cocycle_from_chain(sub_ctx, transported).masks
-        )
-        if not chain_equal:
-            raise InternalInvariantError("chain transport changed the chain cocycle")
-    return TransportCertificate(
-        union_ideal=union_ideal,
-        equal=True,
-        psi_kernel=ideal.sorted_members,
-        chain_equal=chain_equal,
     )

@@ -145,11 +145,9 @@ class GeneratorSet:
 
 
 def n1_set(ctx: AlgebraContext) -> FrozenSet[int]:
-    """The generators N_1, cross-checked against the radical filtration."""
-    direct = frozenset(_members_of(_n1_mask(ctx)))
-    if direct != nk_partition(ctx)[0]:
-        raise InternalInvariantError("N_1 disagrees with the filtration layer")
-    return direct
+    """The generators N_1: the first layer of ``nk_partition``, which checks
+    it against the no-factorization characterization on every call."""
+    return nk_partition(ctx)[0]
 
 
 def all_generators(ctx: AlgebraContext) -> GeneratorSet:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge.errors import PreconditionError, ValidationError
+from cocycle_forge.errors import InternalInvariantError, PreconditionError, ValidationError
 
 # f restricted to the chain {J, I3}, written out from the level rule
 F_I3_ROWS = (
@@ -47,6 +47,12 @@ def test_chain_cocycle_matches_quotient_by_ideal(golden_ctx):
     via_quotient = cf.cocycle_mod_ideal(golden_ctx, i3)
     assert via_chain.values == via_quotient.values
     assert via_chain.rows() == F_I3_ROWS
+    # the quotient is checked against the two-term chain table on every call,
+    # so a wrong chain table, here with cell (1, 5) flipped, fails it
+    fresh = cf.AlgebraContext(golden_ctx.cocycle)
+    fresh._chain_cache[(fresh._gstar_mask, i3.mask)] = via_chain.packed ^ 1 << 9 + 5
+    with pytest.raises(InternalInvariantError, match="disagrees with the two-term chain"):
+        cf.cocycle_mod_ideal(fresh, _ideal(fresh, 6, 7))
 
 
 def test_chain_cocycle_ignores_trailing_zero(golden_ctx):
@@ -233,28 +239,3 @@ def test_morphism_check_golden(golden_ctx):
 def test_morphism_check_rejects_foreign_ideal(golden_ctx, d3_ctx):
     with pytest.raises(ValidationError, match="different context"):
         cf.morphism_check(golden_ctx, cf.MonomialIdeal.from_members(d3_ctx, frozenset({4})))
-
-
-def test_quotient_transport_union(golden_ctx):
-    i3 = _ideal(golden_ctx, 6, 7)
-    cert = cf.quotient_transport(golden_ctx, i3, [4, 8])
-    assert cert.equal
-    assert cert.union_ideal.members == frozenset({4, 6, 7, 8})
-    assert cert.psi_kernel == (6, 7)  # the kernel of the first projection
-
-
-def test_quotient_transport_carries_chains(golden_ctx):
-    i3 = _ideal(golden_ctx, 6, 7)
-    chain = cf.DescendingChain(ideals=(
-        _radical(golden_ctx),
-        _ideal(golden_ctx, 3, 4, 5, 6, 7, 8),
-        i3,
-    ))
-    cert = cf.quotient_transport(golden_ctx, i3, [4, 8], chain=chain)
-    assert cert.chain_equal is True
-
-
-def test_quotient_transport_rejects_non_ideal(golden_ctx):
-    i3 = _ideal(golden_ctx, 6, 7)
-    with pytest.raises(ValidationError, match="invalid-ideal"):
-        cf.quotient_transport(golden_ctx, i3, [5])

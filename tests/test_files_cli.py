@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import cli
+from cocycle_forge import census, cli
 from cocycle_forge.cli import run_command
 from cocycle_forge.errors import InternalInvariantError, ParseError, ValidationError
 
@@ -509,7 +509,7 @@ def test_cli_census_refuses_the_inputs_it_does_not_read(capsys, monkeypatch):
 
 
 def test_cli_census_keeps_the_lines_written_before_an_internal_error(capsys, monkeypatch):
-    real = cli._census_record
+    real = census._census_record
     seen = []
 
     def third_raises(cocycle):
@@ -518,8 +518,8 @@ def test_cli_census_keeps_the_lines_written_before_an_internal_error(capsys, mon
             raise InternalInvariantError("injected on the third cocycle")
         return real(cocycle)
 
-    monkeypatch.setattr(cli, "_census_record", third_raises)
-    monkeypatch.setattr(cli, "_block_records", lambda group, cocycles: None)  # refuse: report
+    monkeypatch.setattr(census, "_census_record", third_raises)
+    monkeypatch.setattr(census, "_block_records", lambda group, cocycles: None)  # refuse: report
     assert run_command(["census", "--order", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == (
