@@ -24,7 +24,6 @@ from .semilinear import (
     LexProduct,
     SemilinearMap,
     as_semilinear,
-    cocycle_from_r,
 )
 
 __all__ = [
@@ -260,7 +259,7 @@ def parse_artifacts(
     rmap = None
     if r_path is not None:
         rmap = parse_rmap(_read(r_path, "r"), group)
-        induced = cocycle_from_r(rmap)
+        induced = rmap.induced
         if cocycle is not None and induced.masks != cocycle.masks:
             raise ValidationError(
                 "inconsistent input: the r file does not induce the given cocycle"

@@ -9,6 +9,7 @@ from them, and the generator-side description of principal ideals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as cartesian
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -129,6 +130,21 @@ class GeneratorSet:
                                 f"subword {w.letters[i:j]} of {w.letters} missing"
                             )
 
+    @cached_property
+    def reach(self) -> Tuple[int, ...]:
+        """reach[m]: the mask of the values m v, for v the empty word or a
+        catalog word, at which no step from m vanishes."""
+        flanks = ((),) + tuple(w.letters for w in self.all_words())
+        reach = []
+        for m in range(self.ctx.group.order):
+            mask = 0
+            for v in flanks:
+                value, stop = _evaluate(self.ctx, v, m)
+                if stop == len(v):
+                    mask |= 1 << value
+            reach.append(mask)
+        return tuple(reach)
+
     def words_for(self, s: int) -> Tuple[Word, ...]:
         if s not in self.catalog:
             raise ValidationError(f"element {s} is not in G*")
@@ -207,8 +223,10 @@ def principal_via_generators(
 
     Members are evaluations of u + c + v where c is a word of s with an
     inertial element absorbed into each end and u, v range over catalog
-    words or the empty word.  The result is asserted equal to the
-    breadth-first closure, so the two descriptions keep each other honest.
+    words or the empty word; the values of every v from each middle u + c
+    are read off the catalog's ``reach``.  The result is asserted equal to
+    the breadth-first closure, so the two descriptions keep each other
+    honest.
     """
     by_closure = principal_ideal(ctx, s)  # checks s as well
     if gens is None:
@@ -225,21 +243,14 @@ def principal_via_generators(
                     + w.letters[1:-1]
                     + (ctx.mul(w.letters[-1], h2),)
                 )
-    flanks: Tuple[Tuple[int, ...], ...] = ((),) + tuple(
-        w.letters for w in gens.all_words()
-    )
-    members = set()
-    for u in flanks:
-        start, _ = _evaluate(ctx, u)  # a catalog word never vanishes
+    reach = gens.reach
+    members = 0
+    for start in _members_of(reach[0]):  # the values of the flanks u
         for c in centers:
             middle, stop = _evaluate(ctx, c, start)
-            if stop < len(c):
-                continue
-            for v in flanks:
-                value, stop = _evaluate(ctx, v, middle)
-                if stop == len(v):
-                    members.add(value)
-    result = MonomialIdeal.from_members(ctx, members)
+            if stop == len(c):
+                members |= reach[middle]
+    result = MonomialIdeal(ctx=ctx, mask=members)
     if result.mask != by_closure.mask:
         raise InternalInvariantError(
             f"generator and closure descriptions of the ideal of {s} disagree"

@@ -10,6 +10,7 @@ radical powers turns the chain cocycle itself into an induced cocycle.
 from __future__ import annotations
 
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,13 +114,27 @@ class AdditiveNaturals(OrderedMonoid):
         return "AdditiveNaturals()"
 
 
+def _add_tuples(x: tuple, y: tuple) -> tuple:
+    return tuple(map(operator.add, x, y))
+
+
 class LexProduct(OrderedMonoid):
-    """Componentwise product of monoids ordered lexicographically."""
+    """Componentwise product of monoids ordered lexicographically.
+
+    A power of ``AdditiveNaturals`` (exactly that class, not a subclass
+    that may combine otherwise), the target of every chain lift, adds its
+    tuples with one ``map`` and compares them with ``<``, which is the lex
+    order on tuples of equal length; any other factor list combines and
+    compares factor by factor.
+    """
 
     def __init__(self, factors: Sequence[OrderedMonoid]):
         if not factors:
             raise ValidationError("a lexicographic product needs at least one factor")
         self.factors = tuple(factors)
+        if all(type(m) is AdditiveNaturals for m in self.factors):
+            self.combine = _add_tuples
+            self.lt = operator.lt
 
     @property
     def neutral(self) -> tuple:
@@ -182,6 +197,12 @@ class SemilinearMap:
         )
         return Subgroup(group=self.group, members=members)
 
+    @cached_property
+    def induced(self) -> Cocycle:
+        """``cocycle_from_r`` of this map, built and checked on the first
+        read; a map whose table fails raises on every read."""
+        return cocycle_from_r(self)
+
     def __repr__(self) -> str:
         return f"SemilinearMap({list(self.values)})"
 
@@ -213,14 +234,15 @@ def validate_r(
             where=(0,),
             detail=f"identity maps to {values[0]!r}, not {monoid.neutral!r}",
         )
-    for s in range(group.order):
-        for t in range(group.order):
-            bound = monoid.combine(values[s], values[t])
-            if monoid.lt(bound, values[group.mul(s, t)]):
+    combine, lt = monoid.combine, monoid.lt
+    for s, row in enumerate(group.table):
+        v = values[s]
+        for t, st in enumerate(row):
+            if lt(combine(v, values[t]), values[st]):
                 return RViolation(
                     kind="subadditive",
                     where=(s, t),
-                    detail=f"r({group.mul(s, t)}) exceeds r({s}) + r({t})",
+                    detail=f"r({st}) exceeds r({s}) + r({t})",
                 )
     result = SemilinearMap(group=group, monoid=monoid, values=values)
     try:
@@ -267,12 +289,11 @@ def cocycle_from_r(r: SemilinearMap) -> Cocycle:
     neutral fiber, raises ValidationError when the monoid breaks strict
     translation compatibility on the map's values (as (N, max) or a
     saturating addition does), and InternalInvariantError otherwise."""
-    n = r.group.order
     v = r.values
     combine = r.monoid.combine
     masks = tuple(
-        sum(1 << t for t in range(n) if v[r.group.mul(s, t)] == combine(v[s], v[t]))
-        for s in range(n)
+        sum(1 << t for t, st in enumerate(row) if v[st] == combine(v_s, v[t]))
+        for v_s, row in zip(v, r.group.table)
     )
     result = validate_cocycle(BinaryTable(group=r.group, masks=masks))
     if isinstance(result, CocycleViolation):
@@ -300,7 +321,7 @@ def chain_lift(r: SemilinearMap, chain: DescendingChain) -> SemilinearMap:
 def _chain_lift(r: SemilinearMap, chain: DescendingChain) -> Tuple[SemilinearMap, Cocycle]:
     """``chain_lift``'s lift and the chain cocycle it was checked against."""
     ctx = chain.ctx
-    if ctx.group != r.group or cocycle_from_r(r).masks != ctx.cocycle.masks:
+    if ctx.group != r.group or r.induced.masks != ctx.cocycle.masks:
         raise ValidationError("chain context does not match the induced cocycle of r")
     k = len(chain)
     levels = chain_levels(chain)

@@ -20,7 +20,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .algebra import (
     AlgebraContext,
     MonomialIdeal,
+    _annihilator_classes,
     _closure_mask,
+    _CocycleMasks,
+    _layer_masks,
     _mask_of,
     _members_of,
     _waterhouse_of,
@@ -56,7 +59,7 @@ from .decomposition import (
 )
 from .errors import ForgeError, ValidationError
 from .generators import all_generators, n1_set, principal_via_generators
-from .semilinear import SemilinearMap, chain_lift, cocycle_from_r, padded_lift, random_semilinear
+from .semilinear import SemilinearMap, chain_lift, padded_lift, random_semilinear
 
 __all__ = [
     "PropertyFailure",
@@ -196,14 +199,17 @@ def _ideals_pass(
     annihilators and N_1, or the errors they raised; only the trivial set
     the context keeps, the one the from-scratch checks read, is decided on.
 
-    The first two checks are read off the quotient context.  With m the
-    ideal's mask, q the quotient and T the trivial mask, fI_eq_f needs
-    q == f exactly when m & ~T is 0, morphism the psi test of
-    morphism_check (q and f agree at each (s, t) with st outside m), and
-    trivial_annih_replace the closure of T & m inside m and T with equal
-    pair tables (m, closure) and (m, 0).  Once the first two checks pass,
-    the scaling test of morphism_check holds exactly when the psi test
-    does: where they differ, n1_of_quotient or
+    With m the ideal's mask, q the quotient and T the trivial mask, the
+    first two checks read a ``_CocycleMasks`` view of q, as masks, and build
+    no quotient context: N_1 from ``_layer_masks`` (both N_1 routes and the
+    cover of G* checked) must be base N_1 | m, and m must lie in the
+    annihilators of ``_annihilator_classes`` (double cosets checked) that
+    are in that N_1.  fI_eq_f needs q == f exactly when m & ~T is 0,
+    morphism the psi test of morphism_check (q and f agree at each (s, t)
+    with st outside m), and trivial_annih_replace the closure of T & m
+    inside m and T with equal pair tables (m, closure) and (m, 0).  Once
+    the first two checks pass, the scaling test of morphism_check holds
+    exactly when the psi test does: where they differ, n1_of_quotient or
     ideal_members_trivial_in_quotient fails.
     """
     kept = ctx._annihilators
@@ -213,19 +219,22 @@ def _ideals_pass(
     full = (1 << g.order) - 1
     f = ctx.cocycle.packed
     t_mask = _mask_of(trivial)
+    n1_mask = _mask_of(base_n1)
     try:
         for ideal in ideals:
             m = ideal.mask
-            sub = AlgebraContext(cocycle_mod_ideal(ctx, ideal))
-            quotients[m] = q = sub.cocycle.packed
+            quotient = cocycle_mod_ideal(ctx, ideal)
+            quotients[m] = q = quotient.packed
+            view = _CocycleMasks(quotient, q)
+            n1 = _layer_masks(view)[0]
             if (
-                n1_set(sub) != base_n1 | ideal.members
-                or not ideal.members <= classify_annihilators(sub)[0]
+                n1 != n1_mask | m
+                or m & ~(_annihilator_classes(view)[0] & n1)
                 or (q == f) != (not m & ~t_mask)
             ):
                 return False
             keep = full & ~m
-            for s, (f_s, q_s) in enumerate(zip(ctx._masks, sub._masks)):
+            for s, (f_s, q_s) in enumerate(zip(ctx._masks, quotient.masks)):
                 if (q_s ^ f_s) & g.left_preimage(s, keep):
                     return False
             inner = _closure_mask(ctx, t_mask & m)
@@ -485,7 +494,7 @@ def property_suite(
     rng = random.Random(seed)
     for _ in range(lift_samples):
         r = random_semilinear(cfg.group, rng)
-        fr = cocycle_from_r(r)
+        fr = r.induced
         if inertial_group(fr).members == tuple(range(cfg.group.order)):
             continue
         ctx = AlgebraContext(fr)

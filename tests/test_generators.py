@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 import cocycle_forge as cf
@@ -141,6 +143,54 @@ def test_principal_via_generators_matches_bfs(golden_ctx):
         via_words = cf.principal_via_generators(golden_ctx, s, gens)
         via_bfs = cf.principal_ideal(golden_ctx, s)
         assert via_words.members == via_bfs.members
+
+
+def _word_value(ctx, letters):
+    """The product of letters from the identity, or None once a step vanishes."""
+    value = 0
+    for letter in letters:
+        if not ctx.f(value, letter):
+            return None
+        value = ctx.mul(value, letter)
+    return value
+
+
+def _principal_by_flanks(ctx, s, gens):
+    """The members of principal_via_generators by a loop over flanks u,
+    centers c and flanks v, each u + c + v evaluated from scratch."""
+    hs = ctx.inertial.members
+    centers = set()
+    for w in gens.words_for(s):
+        for h1, h2 in product(hs, hs):
+            if len(w) == 1:
+                centers.add((ctx.mul(ctx.mul(h1, s), h2),))
+            else:
+                centers.add(
+                    (ctx.mul(h1, w.letters[0]),) + w.letters[1:-1] + (ctx.mul(w.letters[-1], h2),)
+                )
+    flanks = [()] + [w.letters for w in gens.all_words()]
+    values = {_word_value(ctx, u + c + v) for u, c, v in product(flanks, centers, flanks)}
+    return frozenset(values - {None})
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cf.make_cyclic(4), cf.make_cyclic(5), cf.make_cyclic(6), cf.make_dihedral(3)],
+    ids=["c4", "c5", "c6", "d3"],
+)
+def test_principal_via_generators_matches_the_flank_loop(group):
+    checked = 0
+    for c in cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles:
+        try:
+            ctx = cf.AlgebraContext(c)
+        except ValidationError:
+            continue  # the all-ones cocycle has no G*
+        gens = cf.all_generators(ctx)
+        for s in ctx.gstar:
+            via_words = cf.principal_via_generators(ctx, s, gens)
+            assert via_words.members == _principal_by_flanks(ctx, s, gens)
+            checked += 1
+    assert checked
 
 
 def test_element_graph_golden(golden_ctx):

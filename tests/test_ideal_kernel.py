@@ -2,8 +2,8 @@
 
 n1_of_quotient, ideal_members_trivial_in_quotient, fI_eq_f, morphism and
 trivial_annih_replace are decided for all ideals at once by
-sweep._ideals_pass: the first two on each quotient context, the other
-three on masks and packed tables.  The kernel passes exactly when every
+sweep._ideals_pass: the first two on a mask view of each quotient, the
+other three on masks and packed tables.  The kernel passes exactly when every
 from-scratch check passes, and a corrupted pair table, quotient, trivial
 set or reach table must make it refuse; the sweep then reports, through
 sweep._ideal_subjects, what the from-scratch checks report.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 import cocycle_forge as cf
-from cocycle_forge import sweep
+from cocycle_forge import algebra, sweep
 from cocycle_forge.algebra import _mask_of
 from cocycle_forge.census import enumerate_ideals
 from cocycle_forge.cocycles import Cocycle
@@ -162,6 +162,20 @@ def test_ideal_kernel_matches_the_from_scratch_checks(group):
         }
 
 
+@pytest.mark.parametrize("group", [cf.make_cyclic(5), cf.make_dihedral(3)], ids=["c5", "d3"])
+def test_the_ideal_kernel_builds_no_quotient_context(monkeypatch, group):
+    contexts = _census_contexts(group)
+
+    def refuse(cocycle):
+        raise AssertionError("the ideal kernel built an AlgebraContext")
+
+    monkeypatch.setattr(sweep, "AlgebraContext", refuse)
+    for ctx in contexts:
+        ideals = enumerate_ideals(ctx)
+        passed, quotients = _kernel(ctx, ideals, cf.classify_annihilators(ctx)[0], cf.n1_set(ctx))
+        assert passed and len(quotients) == len(ideals)
+
+
 def _trivial_mask(ctx):
     return _mask_of(cf.classify_annihilators(ctx)[0])
 
@@ -246,6 +260,34 @@ def test_every_one_member_change_of_the_kept_trivial_set_reads_as_from_scratch(r
         failed += sum(not _passed(e) for e in expected)
     ctx._annihilators = real
     assert failed
+
+
+@pytest.mark.parametrize("rows", [ROWS_C5, ROWS_D3], ids=["c5", "d3"])
+def test_every_one_member_change_of_base_n1_reads_as_from_scratch(rows):
+    """The quotient's N_1 is compared with the N_1 handed in, and nothing
+    else in the kernel reads it."""
+    ctx = _context(rows)
+    ideals = enumerate_ideals(ctx)
+    trivial = cf.classify_annihilators(ctx)[0]
+    base_n1 = cf.n1_set(ctx)
+    for s in ctx.gstar:
+        expected = _check_both_paths(ctx, ideals, trivial, base_n1 ^ {s})
+        assert not all(_passed(e) for e in expected)
+
+
+@pytest.mark.parametrize("rows", [ROWS_C5, ROWS_D3], ids=["c5", "d3"])
+def test_a_quotient_annihilator_set_missing_a_member_reads_as_from_scratch(monkeypatch, rows):
+    """An annihilator mask that drops s, read through every quotient's
+    classes, leaves N_1 as it is and fails each ideal that holds s."""
+    ctx = _context(rows)
+    ideals = enumerate_ideals(ctx)
+    trivial = cf.classify_annihilators(ctx)[0]
+    base_n1 = cf.n1_set(ctx)
+    real = algebra._annihilator_mask
+    for s in ctx.gstar:
+        monkeypatch.setattr(algebra, "_annihilator_mask", lambda c: real(c) & ~(1 << s))
+        expected = _check_both_paths(ctx, ideals, trivial, base_n1)
+        assert [_passed(e) for e in expected] == [s not in ideal for ideal in ideals]
 
 
 def test_a_wrong_trivial_set_misses_every_ideal(monkeypatch):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import operator
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cocycle_forge as cf
 from cocycle_forge import semilinear
+from cocycle_forge.census import descending_multichains, enumerate_ideals
 from cocycle_forge.cocycles import CocycleViolation
 from cocycle_forge.errors import InternalInvariantError, ValidationError
 
@@ -231,3 +234,84 @@ def test_the_neutral_fiber_is_built_once_and_a_broken_one_raises_on_every_read(z
     for _ in range(2):
         with pytest.raises(ValidationError, match="not closed under inverse at 1"):
             fabricated.m_subgroup
+
+
+def _per_factor(factors):
+    """combine and lt of the lex product of factors, one factor at a time."""
+
+    def combine(x, y):
+        return tuple(m.combine(a, b) for m, a, b in zip(factors, x, y))
+
+    def lt(x, y):
+        for m, a, b in zip(factors, x, y):
+            if a != b:
+                return m.lt(a, b)
+        return False
+
+    return combine, lt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lex_powers_of_the_naturals_add_and_compare_as_tuples(data):
+    k = data.draw(st.integers(1, 6))
+    pair = st.tuples(*[st.integers(0, 3)] * k)
+    x, y = data.draw(pair), data.draw(pair)
+    lex = cf.LexProduct((cf.AdditiveNaturals(),) * k)
+    assert lex.combine is semilinear._add_tuples and lex.lt is operator.lt
+    combine, lt = _per_factor(lex.factors)
+    assert lex.combine(x, y) == combine(x, y)
+    assert lex.lt(x, y) == lt(x, y) and lex.lt(y, x) == lt(y, x)
+    assert lex.le(x, y) == (x == y or lt(x, y))
+    # one factor that only subclasses the naturals keeps the per-factor path
+    mixed = cf.LexProduct((cf.AdditiveNaturals(),) * (k - 1) + (_MaxNaturals(),))
+    combine, lt = _per_factor(mixed.factors)
+    assert mixed.combine(x, y) == combine(x, y)
+    assert mixed.combine(x, y)[-1] == max(x[-1], y[-1])
+    assert mixed.lt(x, y) == lt(x, y)
+
+
+def test_the_induced_table_is_built_once_per_map(monkeypatch):
+    d3 = cf.make_dihedral(3)
+    rng = random.Random(0)
+    while True:
+        r = cf.random_semilinear(d3, rng)
+        f = cf.cocycle_from_r(r)
+        if cf.inertial_group(f).members != tuple(range(d3.order)):
+            chains, _ = descending_multichains(enumerate_ideals(cf.AlgebraContext(f)), cap=64)
+            if len(chains) == 64:
+                break
+    real = semilinear.cocycle_from_r
+    calls = []
+
+    def counted(m):
+        calls.append(m.values == r.values)
+        return real(m)
+
+    monkeypatch.setattr(semilinear, "cocycle_from_r", counted)
+    for chain in chains:
+        cf.chain_lift(r, chain)
+        assert cf.padded_lift(r, chain).certified
+    assert calls.count(True) == 1
+    assert len(calls) == 1 + 2 * 64  # and one per lifted map
+    assert r.induced.masks == f.masks
+
+
+def test_a_map_whose_induced_table_fails_raises_on_every_lift():
+    group = cf.make_cyclic(4)
+    monoid = _MaxNaturals()
+    for tail in product(range(4), repeat=group.order - 1):
+        r = cf.validate_r(group, monoid, (0,) + tail)
+        if isinstance(r, cf.SemilinearMap):
+            try:
+                cf.cocycle_from_r(r)
+            except ValidationError:
+                break
+    else:
+        pytest.fail("no (N, max) map of C4 breaks strict translation")
+    ctx = cf.AlgebraContext(cf.enumerate_cocycles(cf.CensusConfig(group=group)).cocycles[0])
+    chain = _full_chain(ctx)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="not strictly translation compatible"):
+            cf.chain_lift(r, chain)
+    assert "induced" not in vars(r)
